@@ -1,15 +1,20 @@
-"""Run configuration: dataclasses, JSON schema, file loading, overrides.
+"""Run configuration: frozen dataclasses, file loading, overrides, templates.
 
-A run is fully described by a JSON document mirroring RunConfig. The schema
-rejects unknown keys so typos fail loudly instead of silently running a
-different experiment. Every metrics file embeds the resolved config, so the
-canonical serialization lives here too.
+A run is fully described by a JSON document mirroring RunConfig, and the
+dataclasses are its only description. ``parse_config`` walks their fields
+and type hints, rejecting unknown keys (so typos fail loudly instead of
+silently running a different experiment), missing keys and ill-typed values;
+each dataclass checks its own ranges in ``__post_init__``. The dataset's
+``kind`` selects SyntheticSpec or IdxPaths. Every metrics file embeds the
+resolved config, so the canonical serialization lives here too.
 """
 
+import dataclasses
 import json
+import sys
+import typing
 from dataclasses import asdict, dataclass
-
-import jsonschema
+from typing import ClassVar, Optional, Union
 
 from .data import SyntheticSpec
 from .learner import OptimizerSpec
@@ -18,10 +23,8 @@ from .ota import PowerSchedule
 __all__ = [
     "ConfigError",
     "IdxPaths",
-    "DatasetConfig",
     "PartitionSpec",
     "RunConfig",
-    "CONFIG_SCHEMA",
     "load_config",
     "load_document",
     "parse_config",
@@ -32,34 +35,17 @@ __all__ = [
 
 
 class ConfigError(Exception):
-    """Raised for unparseable, schema-invalid, or inconsistent configs."""
+    """Raised for unparseable, ill-typed, or inconsistent configs."""
 
 
 @dataclass(frozen=True)
 class IdxPaths:
+    kind: ClassVar[str] = "idx"
+
     train_images: str
     train_labels: str
     test_images: str
     test_labels: str
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    """Either a synthetic cluster spec or a quadruple of IDX file paths."""
-
-    kind: str  # "synthetic" | "idx"
-    synthetic: SyntheticSpec = None
-    idx: IdxPaths = None
-
-    def __post_init__(self):
-        if self.kind == "synthetic":
-            if self.synthetic is None or self.idx is not None:
-                raise ConfigError("synthetic dataset requires synthetic parameters only")
-        elif self.kind == "idx":
-            if self.idx is None or self.synthetic is not None:
-                raise ConfigError("idx dataset requires file paths only")
-        else:
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +68,13 @@ class RunConfig:
     sigma_z_sq: float
     power: PowerSchedule
     optimizer: OptimizerSpec
-    dataset: DatasetConfig
+    dataset: Union[SyntheticSpec, IdxPaths]
     partition: PartitionSpec
     mode: str  # "ota" | "error_free"
     master_seed: int
     metrics_path: str = "metrics.csv"
     eval_every: int = 10
-    batch_size: int = None  # None means the full local set each iteration
-    subchannel_correlation: str = "iid"
+    batch_size: Optional[int] = None  # None means the full local set each iteration
 
     def __post_init__(self):
         for name in ("M", "K", "s", "d", "T", "eval_every"):
@@ -98,22 +83,24 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.s > self.d:
             raise ConfigError(f"s={self.s} exceeds d={self.d}")
+        if self.sigma_h_sq < 0:
+            raise ConfigError(f"sigma_h_sq must be nonnegative, got {self.sigma_h_sq}")
         if self.sigma_z_sq < 0:
             raise ConfigError(f"sigma_z_sq must be nonnegative, got {self.sigma_z_sq}")
         if self.mode not in ("ota", "error_free"):
             raise ConfigError(f"mode must be 'ota' or 'error_free', got {self.mode!r}")
         if self.mode == "ota" and self.sigma_h_sq <= 0:
             raise ConfigError("ota mode needs sigma_h_sq > 0")
-        if self.subchannel_correlation != "iid":
-            raise ConfigError(
-                f"only 'iid' subchannels are supported, got {self.subchannel_correlation!r}"
-            )
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if not self.metrics_path:
+            raise ConfigError("metrics_path must be a nonempty path")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive or null, got {self.batch_size}")
         if self.batch_size is not None and self.batch_size > self.partition.per_device:
             raise ConfigError("batch_size exceeds per-device sample count")
         if self.dataset.kind == "synthetic":
-            spec = self.dataset.synthetic
+            spec = self.dataset
             expected = (spec.features + 1) * spec.classes
             if self.d != expected:
                 raise ConfigError(
@@ -126,154 +113,72 @@ class RunConfig:
                 )
         self.power.validate_horizon(self.T)
 
-    @property
-    def n_blocks(self) -> int:
-        return -(-self.d // (2 * self.s))
+
+def _invalid(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config invalid at {path}: {message}" if path else f"config invalid: {message}")
 
 
-_POSITIVE_INT = {"type": "integer", "minimum": 1}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "M", "K", "s", "d", "T", "sigma_h_sq", "sigma_z_sq",
-        "power", "optimizer", "dataset", "partition", "mode", "master_seed",
-    ],
-    "properties": {
-        "M": _POSITIVE_INT,
-        "K": _POSITIVE_INT,
-        "s": _POSITIVE_INT,
-        "d": _POSITIVE_INT,
-        "T": _POSITIVE_INT,
-        "sigma_h_sq": {"type": "number", "minimum": 0},
-        "sigma_z_sq": {"type": "number", "minimum": 0},
-        "mode": {"enum": ["ota", "error_free"]},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "metrics_path": {"type": "string", "minLength": 1},
-        "eval_every": _POSITIVE_INT,
-        "batch_size": {"anyOf": [{"type": "null"}, _POSITIVE_INT]},
-        "subchannel_correlation": {"enum": ["iid"]},
-        "power": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "alpha0"],
-            "properties": {
-                "kind": {"enum": ["constant", "linear_ramp"]},
-                "alpha0": {"type": "number", "exclusiveMinimum": 0},
-                "slope": {"type": "number"},
-            },
-        },
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "learning_rate"],
-            "properties": {
-                "kind": {"enum": ["sgd", "adam"]},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "beta1": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "beta2": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "dataset": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": [
-                        "kind", "classes", "features",
-                        "train_per_class", "test_per_class", "margin", "seed",
-                    ],
-                    "properties": {
-                        "kind": {"const": "synthetic"},
-                        "classes": {"type": "integer", "minimum": 2},
-                        "features": _POSITIVE_INT,
-                        "train_per_class": _POSITIVE_INT,
-                        "test_per_class": _POSITIVE_INT,
-                        "margin": {"type": "number", "exclusiveMinimum": 0},
-                        "seed": {"type": "integer", "minimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": [
-                        "kind", "train_images", "train_labels",
-                        "test_images", "test_labels",
-                    ],
-                    "properties": {
-                        "kind": {"const": "idx"},
-                        "train_images": {"type": "string"},
-                        "train_labels": {"type": "string"},
-                        "test_images": {"type": "string"},
-                        "test_labels": {"type": "string"},
-                    },
-                },
-            ],
-        },
-        "partition": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["per_device"],
-            "properties": {"per_device": _POSITIVE_INT},
-        },
-    },
-}
+def _json_text(value) -> str:
+    return json.dumps(value, default=repr)
 
 
-def _dataset_from_dict(doc: dict) -> DatasetConfig:
-    if doc["kind"] == "synthetic":
-        spec = SyntheticSpec(
-            classes=doc["classes"],
-            features=doc["features"],
-            train_per_class=doc["train_per_class"],
-            test_per_class=doc["test_per_class"],
-            margin=doc["margin"],
-            seed=doc["seed"],
-        )
-        return DatasetConfig(kind="synthetic", synthetic=spec)
-    paths = IdxPaths(
-        train_images=doc["train_images"],
-        train_labels=doc["train_labels"],
-        test_images=doc["test_images"],
-        test_labels=doc["test_labels"],
-    )
-    return DatasetConfig(kind="idx", idx=paths)
+def _build(hint, value, path: str):
+    """Check ``value`` against the type ``hint`` and return it built.
+
+    ``int`` takes an int but never a bool or a float; ``float`` takes a finite
+    int or float and stores a float; ``Optional[...]`` takes null; dataclasses
+    are built from objects, and a union of dataclasses dispatches on the
+    object's ``kind``. ``path`` is the dotted key named in every error.
+    """
+    if typing.get_origin(hint) is Union:
+        options = [a for a in typing.get_args(hint) if a is not type(None)]
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        if len(options) == 1:
+            return _build(options[0], value, path)
+        if not isinstance(value, dict):
+            raise _invalid(path, f"expected an object, got {_json_text(value)}")
+        kinds = {cls.kind: cls for cls in options}
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise _invalid(f"{path}.kind", f"expected one of {sorted(kinds)}, got {_json_text(kind)}")
+        return _build_dataclass(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, path)
+    if dataclasses.is_dataclass(hint):
+        return _build_dataclass(hint, value, path)
+    numeric = isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if hint is int and numeric:
+        return value
+    if hint is float and numeric and abs(value) <= sys.float_info.max:  # false for NaN too
+        return float(value)
+    if hint is str and isinstance(value, str):
+        return value
+    expected = {int: "an integer", float: "a finite number", str: "a string"}[hint]
+    raise _invalid(path, f"expected {expected}, got {_json_text(value)}")
+
+
+def _build_dataclass(cls, doc, path: str):
+    if not isinstance(doc, dict):
+        raise _invalid(path, f"expected an object, got {_json_text(doc)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise _invalid(path, f"unknown key {unknown[0]!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in doc:
+            kwargs[name] = _build(hints[name], doc[name], f"{path}.{name}" if path else name)
+        elif f.default is dataclasses.MISSING:
+            raise _invalid(path, f"missing required key {name!r}")
+    try:
+        return cls(**kwargs)
+    except (ValueError, ConfigError) as exc:
+        raise _invalid(path, str(exc)) from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config dict against the schema and build a RunConfig."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-    power_doc = dict(doc["power"])
-    opt_doc = dict(doc["optimizer"])
-    try:
-        return RunConfig(
-            M=doc["M"],
-            K=doc["K"],
-            s=doc["s"],
-            d=doc["d"],
-            T=doc["T"],
-            sigma_h_sq=float(doc["sigma_h_sq"]),
-            sigma_z_sq=float(doc["sigma_z_sq"]),
-            power=PowerSchedule(**power_doc),
-            optimizer=OptimizerSpec(**opt_doc),
-            dataset=_dataset_from_dict(doc["dataset"]),
-            partition=PartitionSpec(per_device=doc["partition"]["per_device"]),
-            mode=doc["mode"],
-            master_seed=doc["master_seed"],
-            metrics_path=doc.get("metrics_path", "metrics.csv"),
-            eval_every=doc.get("eval_every", 10),
-            batch_size=doc.get("batch_size"),
-            subchannel_correlation=doc.get("subchannel_correlation", "iid"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Check a config dict against the RunConfig dataclasses and build it."""
+    return _build_dataclass(RunConfig, doc, "")
 
 
 def load_document(path) -> dict:
@@ -307,7 +212,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
     """Apply `a.b.c=value` assignments onto a config dict (returns a copy).
 
     Values are parsed as JSON when possible, otherwise taken as strings.
-    Keys must already exist in the document; the schema has no use for
+    Keys must already exist in the document; the config has no use for
     invented ones and a typo should not pass silently.
     """
     result = json.loads(json.dumps(doc))
@@ -329,96 +234,53 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 def template(kind: str) -> dict:
     """Ready-to-run config documents: a fast synthetic run, or survey scale."""
-    if kind == "minimal":
-        return {
-            "M": 4,
-            "K": 8,
-            "s": 33,
-            "d": 132,
-            "T": 60,
-            "sigma_h_sq": 1.0,
-            "sigma_z_sq": 20.0,
-            "mode": "ota",
-            "master_seed": 1,
-            "eval_every": 10,
-            "batch_size": None,
-            "subchannel_correlation": "iid",
-            "metrics_path": "metrics.csv",
-            "power": {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001},
-            "optimizer": {
-                "kind": "adam", "learning_rate": 0.01,
-                "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-            },
-            "dataset": {
-                "kind": "synthetic",
-                "classes": 4,
-                "features": 32,
-                "train_per_class": 100,
-                "test_per_class": 50,
-                "margin": 3.0,
-                "seed": 7,
-            },
-            "partition": {"per_device": 80},
-        }
-    if kind == "paper_scale":
-        return {
-            "M": 20,
-            "K": 40,
-            "s": 3925,
-            "d": 7850,
-            "T": 800,
-            "sigma_h_sq": 1.0,
-            "sigma_z_sq": 20.0,
-            "mode": "ota",
-            "master_seed": 1,
-            "eval_every": 10,
-            "batch_size": None,
-            "subchannel_correlation": "iid",
-            "metrics_path": "metrics.csv",
-            "power": {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001},
-            "optimizer": {
-                "kind": "adam", "learning_rate": 0.001,
-                "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-            },
-            "dataset": {
-                "kind": "idx",
-                "train_images": "data/train-images-idx3-ubyte",
-                "train_labels": "data/train-labels-idx1-ubyte",
-                "test_images": "data/t10k-images-idx3-ubyte",
-                "test_labels": "data/t10k-labels-idx1-ubyte",
-            },
-            "partition": {"per_device": 1000},
-        }
-    raise ConfigError(f"unknown template kind {kind!r}")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Flatten a RunConfig back into its JSON document form."""
+    if kind not in ("minimal", "paper_scale"):
+        raise ConfigError(f"unknown template kind {kind!r}")
     doc = {
-        "M": config.M,
-        "K": config.K,
-        "s": config.s,
-        "d": config.d,
-        "T": config.T,
-        "sigma_h_sq": config.sigma_h_sq,
-        "sigma_z_sq": config.sigma_z_sq,
-        "mode": config.mode,
-        "master_seed": config.master_seed,
-        "metrics_path": config.metrics_path,
-        "eval_every": config.eval_every,
-        "batch_size": config.batch_size,
-        "subchannel_correlation": config.subchannel_correlation,
-        "power": asdict(config.power),
-        "optimizer": asdict(config.optimizer),
-        "partition": asdict(config.partition),
+        "M": 4,
+        "K": 8,
+        "s": 33,
+        "d": 132,
+        "T": 60,
+        "sigma_h_sq": 1.0,
+        "sigma_z_sq": 20.0,
+        "mode": "ota",
+        "master_seed": 1,
+        "eval_every": 10,
+        "batch_size": None,
+        "metrics_path": "metrics.csv",
+        "power": {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001},
+        "optimizer": {
+            "kind": "adam", "learning_rate": 0.01,
+            "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+        },
+        "dataset": {
+            "kind": "synthetic",
+            "classes": 4,
+            "features": 32,
+            "train_per_class": 100,
+            "test_per_class": 50,
+            "margin": 3.0,
+            "seed": 7,
+        },
+        "partition": {"per_device": 80},
     }
-    if config.dataset.kind == "synthetic":
-        doc["dataset"] = {"kind": "synthetic", **asdict(config.dataset.synthetic)}
-    else:
-        doc["dataset"] = {"kind": "idx", **asdict(config.dataset.idx)}
+    if kind == "paper_scale":
+        # Same key order as minimal: update() keeps each replaced key in place.
+        doc.update(M=20, K=40, s=3925, d=7850, T=800, partition={"per_device": 1000})
+        doc["optimizer"]["learning_rate"] = 0.001
+        doc["dataset"] = {
+            "kind": "idx",
+            "train_images": "data/train-images-idx3-ubyte",
+            "train_labels": "data/train-labels-idx1-ubyte",
+            "test_images": "data/t10k-images-idx3-ubyte",
+            "test_labels": "data/t10k-labels-idx1-ubyte",
+        }
     return doc
 
 
 def resolved_json(config: RunConfig) -> str:
     """Canonical one-line serialization embedded in the metrics header comment."""
-    return json.dumps(config_to_dict(config), sort_keys=True)
+    doc = asdict(config)
+    doc["dataset"]["kind"] = config.dataset.kind
+    return json.dumps(doc, sort_keys=True)

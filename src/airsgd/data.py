@@ -9,7 +9,7 @@ from the training pool, so devices overlap and some samples go unused.
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -145,6 +145,8 @@ class SyntheticSpec:
     the means fall back to a line with spacing ``margin``.
     """
 
+    kind: ClassVar[str] = "synthetic"
+
     classes: int
     features: int
     train_per_class: int
@@ -154,11 +156,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.classes}")
-        if self.features < 1:
-            raise ValueError(f"need at least 1 feature, got {self.features}")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class sample counts must be positive")
+            raise ValueError(f"classes must be >= 2, got {self.classes}")
+        for name in ("features", "train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.margin <= 0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def make_synthetic(spec: SyntheticSpec):
@@ -197,7 +202,7 @@ def partition(train: LocalDataset, M: int, per_device: int, seed) -> list:
         raise ValueError(f"per_device={per_device} exceeds dataset size {len(train)}")
     if per_device < 1:
         raise ValueError(f"per_device must be >= 1, got {per_device}")
-    gen = rng.generator(seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
+    gen = rng.generator(seed)
     devices = []
     for m in range(1, M + 1):
         indices = gen.choice(len(train), size=per_device, replace=False)

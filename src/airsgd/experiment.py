@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, data, learner, ota, rng
+from . import channel, data, learner, ota, packing, rng
 from .config import ConfigError, RunConfig, apply_overrides, parse_config, resolved_json
 
 __all__ = [
@@ -62,10 +62,10 @@ def build_dataset(config: RunConfig):
     against the configured d before any training starts.
     """
     if config.dataset.kind == "synthetic":
-        train, test = data.make_synthetic(config.dataset.synthetic)
-        classes = config.dataset.synthetic.classes
+        train, test = data.make_synthetic(config.dataset)
+        classes = config.dataset.classes
     else:
-        paths = config.dataset.idx
+        paths = config.dataset
         train = data.scale_to_unit(data.load_idx(paths.train_images, paths.train_labels))
         test = data.scale_to_unit(data.load_idx(paths.test_images, paths.test_labels))
         classes = 10
@@ -116,7 +116,7 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
 
     theta = learner.init_params(n_features, classes)
     state = learner.init_optimizer_state(config.d)
-    N = config.n_blocks
+    N = packing.block_count(config.d, config.s)
     records = []
     power_sum = 0.0
 

@@ -105,8 +105,8 @@ def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    kind: str = "sgd"  # "sgd" | "adam"
-    learning_rate: float = 0.01
+    kind: str  # "sgd" | "adam"
+    learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -115,9 +115,11 @@ class OptimizerSpec:
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packing import block_count, pack, unpack
+from .packing import pack, unpack
 
 __all__ = [
     "PowerSchedule",
@@ -161,23 +161,16 @@ def decompose(
     h: np.ndarray,
     z: np.ndarray,
     alpha_t: float,
-    noise_term: str = "consistent",
 ) -> Decomposition:
     """Split the combiner output into signal, interference, and noise parts.
 
     ``gradient_blocks`` holds the unscaled packed gradients, shape (M, N, s);
     the alpha_t scaling is applied here. This is a diagnostics path: it needs
-    per-device gradients the receiver never observes separately.
-
-    noise_term selects the accumulation order of the noise part:
-    "consistent" contracts antenna-first, (1/K) sum_k (sum_m h)^* z_k, as
-    produced by applying the combiner to the received signal; "as_printed"
-    accumulates device-first, sum_m (1/K) sum_k conj(h_m) z_k. The two are
-    the same double sum and differ only in floating-point ordering; both
-    satisfy signal + interference + noise_out == combine(propagate(...)).
+    per-device gradients the receiver never observes separately. The noise
+    part (1/K) sum_k (sum_m h)^* z_k is contracted antenna-first, as the
+    combiner does, so signal + interference + noise_out equals
+    combine(propagate(...)).
     """
-    if noise_term not in ("consistent", "as_printed"):
-        raise ValueError(f"unknown noise_term {noise_term!r}")
     g = np.asarray(gradient_blocks, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -202,9 +195,5 @@ def decompose(
         own = np.einsum("nmki,mni->nki", (h.real**2 + h.imag**2).astype(np.complex128), g)
         interference = alpha_t * (summed.conj() * weighted - own).sum(axis=1) / K
 
-    if noise_term == "consistent":
-        noise_out = (summed.conj() * z).sum(axis=1) / K
-    else:
-        noise_out = np.einsum("nmki,nki->ni", h.conj(), z) / K
-
+    noise_out = (summed.conj() * z).sum(axis=1) / K
     return Decomposition(signal=signal, interference=interference, noise_out=noise_out)

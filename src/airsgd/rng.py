@@ -17,8 +17,6 @@ PARTITION = 3
 BATCH = 4
 DATASET = 5
 
-SeedLike = "int | tuple | np.random.SeedSequence"
-
 
 def substream(master_seed: int, tag: int, *indices: int) -> np.random.SeedSequence:
     """Seed material for the (tag, indices) stream of a master seed."""

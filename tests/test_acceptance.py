@@ -76,7 +76,7 @@ def test_criterion_3_decomposition_identity():
         z = channel.sample_noise(rng.substream(MC_SEED, rng.NOISE, 3, trial),
                                  N, K, s, 2.0)
         obs = ota.combine(channel.propagate(alpha * blocks, h, z), h)
-        parts = ota.decompose(blocks, h, z, alpha, noise_term="consistent")
+        parts = ota.decompose(blocks, h, z, alpha)
         rel = float(np.abs(parts.total - obs).max() / np.abs(obs).max())
         worst = max(worst, rel)
     ok = worst <= 1e-10

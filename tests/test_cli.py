@@ -62,11 +62,19 @@ def test_run_missing_config_exits_2(tmp_path):
     assert "absent.json" in proc.stderr
 
 
-def test_run_invalid_config_exits_2(tmp_path):
+@pytest.mark.parametrize("override, key", [
+    ("K=0", "K"),
+    ("K=true", "K"),
+    ("partition.per_device=80.0", "partition.per_device"),
+    ("master_seed=1.0", "master_seed"),
+], ids=["K=0", "K=true", "per_device=80.0", "master_seed=1.0"])
+def test_run_invalid_config_exits_2(tmp_path, override, key):
     config = _write_fast_config(tmp_path)
-    proc = _cli("run", "--config", str(config), "--set", "K=0")
-    assert proc.returncode == 2
+    proc = _cli("run", "--config", str(config), "--set", override, "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_numeric_abort_exits_3(tmp_path):
@@ -111,6 +119,13 @@ def test_verify_stats_smoke():
 def test_verify_stats_rejects_tiny_trials():
     proc = _cli("verify-stats", "--trials", "500")
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    code = "import sys, airsgd.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_verb_exits_2():

@@ -5,7 +5,6 @@ import pytest
 from airsgd.config import (
     ConfigError,
     apply_overrides,
-    config_to_dict,
     load_config,
     parse_config,
     resolved_json,
@@ -71,11 +70,38 @@ def test_batch_size_bounded_by_per_device():
         parse_config(doc)
 
 
-def test_only_iid_subchannels_accepted():
-    doc = template("minimal")
-    doc["subchannel_correlation"] = "exponential"
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("overrides, key", [
+    (["master_seed=-1"], "master_seed"),
+    (["optimizer.eps=0"], "eps"),
+    (["dataset.margin=0"], "margin"),
+    (["mode=error_free", "sigma_h_sq=-1"], "sigma_h_sq"),
+    (['metrics_path=""'], "metrics_path"),
+    (["dataset.kind=foo"], "dataset.kind"),
+    (["partition.per_device=80.0"], "partition.per_device"),
+    (["master_seed=1.0"], "master_seed"),
+    (["K=true"], "K"),
+    (["sigma_z_sq=NaN"], "sigma_z_sq"),
+    (["sigma_z_sq=Infinity"], "sigma_z_sq"),
+    ([f"dataset.margin={10**400}"], "dataset.margin"),
+])
+def test_invalid_value_names_its_key(overrides, key):
+    doc = apply_overrides(template("minimal"), overrides)
+    with pytest.raises(ConfigError, match=key):
         parse_config(doc)
+
+
+def test_extra_key_inside_dataset_rejected():
+    doc = template("minimal")
+    doc["dataset"]["extra"] = 1
+    with pytest.raises(ConfigError, match="dataset: unknown key 'extra'"):
+        parse_config(doc)
+
+
+def test_int_for_float_field_is_stored_as_float():
+    doc = apply_overrides(template("minimal"), ["dataset.margin=3", "sigma_z_sq=20"])
+    config = parse_config(doc)
+    assert config == parse_config(template("minimal"))
+    assert isinstance(config.dataset.margin, float)
 
 
 def test_overrides_nested_and_typed():
@@ -111,10 +137,9 @@ def test_load_config_applies_overrides(tmp_path):
 
 
 def test_roundtrip_through_dict():
-    config = parse_config(template("minimal"))
-    doc = config_to_dict(config)
-    again = parse_config(doc)
-    assert again == config
+    for kind in ("minimal", "paper_scale"):
+        config = parse_config(template(kind))
+        assert parse_config(json.loads(resolved_json(config))) == config
 
 
 def test_resolved_json_is_stable_and_sorted():
@@ -124,10 +149,3 @@ def test_resolved_json_is_stable_and_sorted():
     assert a == b
     keys = list(json.loads(a).keys())
     assert keys == sorted(keys)
-
-
-def test_n_blocks_property():
-    doc = template("minimal")
-    doc["s"] = 20  # d = 132 -> ceil(132/40) = 4 blocks
-    config = parse_config(doc)
-    assert config.n_blocks == 4

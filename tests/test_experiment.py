@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from airsgd import experiment
-from airsgd.config import ConfigError, parse_config, template
+from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
     CSV_HEADER,
@@ -93,6 +94,24 @@ def test_metrics_file_bit_identical_across_reruns(tmp_path):
         write_metrics(run(config), config, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+# sha256 of the metrics file of a 12-iteration run of the minimal template.
+# These pin the reproducibility contract across processes and commits: a
+# change that moves any byte updates them on purpose and says why in
+# CHANGES.md. Recorded with numpy 2.4 on x86-64.
+GOLDEN_METRICS_SHA256 = {
+    "ota": "90780a7cf3cb451ee9b292247f0a453bfe4ab6f1606c8164414181f7051dfa19",
+    "error_free": "3514bbf4c5872f74ff29cb3d9649725bd2b037a721c2f103154772fdd363ca8f",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_METRICS_SHA256))
+def test_metrics_file_matches_golden_digest(tmp_path, mode):
+    config = parse_config(apply_overrides(template("minimal"), ["T=12", "eval_every=4", f"mode={mode}"]))
+    path = tmp_path / "m.csv"
+    write_metrics(run(config), config, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_METRICS_SHA256[mode]
 
 
 def test_metrics_file_layout(tmp_path):

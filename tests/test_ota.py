@@ -144,11 +144,10 @@ def test_decomposition_identity_random_instance():
     z = sample_noise(rng.substream(9, rng.NOISE, 0), N, K, s, 2.0)
     alpha = 1.3
     obs = combine(propagate(alpha * blocks, h, z), h)
-    for mode in ("consistent", "as_printed"):
-        dec = decompose(blocks, h, z, alpha, noise_term=mode)
-        assert isinstance(dec, Decomposition)
-        rel = np.abs(dec.total - obs).max() / np.abs(obs).max()
-        assert rel < 1e-12
+    dec = decompose(blocks, h, z, alpha)
+    assert isinstance(dec, Decomposition)
+    rel = np.abs(dec.total - obs).max() / np.abs(obs).max()
+    assert rel < 1e-12
 
 
 def test_decompose_single_device_interference_zero():
@@ -165,20 +164,4 @@ def test_decompose_zero_noise_term():
     blocks = np.stack([pack(g, 2), pack(2 * g, 2)])
     h = sample_channel(rng.substream(5, rng.CHANNEL, 0), 1, 2, 3, 2, 1.0)
     z = np.zeros((1, 3, 2), dtype=complex)
-    for mode in ("consistent", "as_printed"):
-        assert np.all(decompose(blocks, h, z, 1.0, noise_term=mode).noise_out == 0)
-
-
-def test_decompose_noise_orderings_agree():
-    h = sample_channel(rng.substream(6, rng.CHANNEL, 0), 2, 4, 5, 3, 1.0)
-    z = sample_noise(rng.substream(6, rng.NOISE, 0), 2, 5, 3, 3.0)
-    blocks = np.zeros((4, 2, 3), dtype=complex)
-    a = decompose(blocks, h, z, 1.0, noise_term="consistent").noise_out
-    b = decompose(blocks, h, z, 1.0, noise_term="as_printed").noise_out
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_decompose_rejects_unknown_noise_term():
-    with pytest.raises(ValueError):
-        decompose(np.zeros((1, 1, 1), complex), np.ones((1, 1, 1, 1), complex),
-                  np.zeros((1, 1, 1), complex), 1.0, noise_term="papers")
+    assert np.all(decompose(blocks, h, z, 1.0).noise_out == 0)

@@ -31,7 +31,7 @@ def test_padding_layout_d5_s2():
 
 @pytest.mark.parametrize(
     "d,s,n",
-    [(6, 2, 2), (1, 1, 1), (10, 5, 1), (11, 5, 2), (7850, 3925, 1), (64, 16, 2)],
+    [(6, 2, 2), (1, 1, 1), (10, 5, 1), (11, 5, 2), (7850, 3925, 1), (64, 16, 2), (132, 20, 4)],
 )
 def test_block_count(d, s, n):
     assert block_count(d, s) == n
