@@ -8,7 +8,7 @@ packing, the fading channel, matched-sum combining, the training dynamics,
 and the Monte Carlo checks of the underlying statistics.
 """
 
-from .channel import propagate, sample_channel, sample_noise
+from .channel import propagate, sample_channel, sample_combined, sample_noise
 from .config import ConfigError, RunConfig, load_config, parse_config, template
 from .data import LocalDataset, SyntheticSpec, load_idx, make_synthetic, partition
 from .experiment import MetricsRecord, NumericAbort, power_report, run, run_matrix, write_metrics
@@ -34,7 +34,7 @@ from .packing import block_count, pack, unpack
 
 __all__ = [
     "pack", "unpack", "block_count",
-    "sample_channel", "sample_noise", "propagate",
+    "sample_channel", "sample_noise", "propagate", "sample_combined",
     "PowerSchedule", "transmit", "combine", "estimate_average_gradient",
     "interference_statistic", "decompose", "Decomposition",
     "LocalDataset", "SyntheticSpec", "make_synthetic", "partition", "load_idx",

@@ -1,10 +1,13 @@
 """Full training runs: local gradients, analog aggregation, metrics files.
 
 One iteration in ota mode is the pipeline
-local_gradient x M -> transmit x M -> channel + noise -> combine ->
-estimate_average_gradient -> optimizer update. The error_free mode skips the
-channel and hands the optimizer the exact device-average gradient, giving the
-idealized baseline the noisy runs are compared against.
+local_gradient x M -> transmit x M -> combiner output -> estimate_average_gradient
+-> optimizer update. The combiner output sum_m c_m x_m + w is drawn from its
+exact law by ``channel.sample_combined`` (coefficients c and combined noise w),
+never from the full per-antenna fading tensor, which only the verification
+and decomposition paths draw. The error_free mode skips the channel and hands
+the optimizer the exact device-average gradient, giving the idealized baseline
+the noisy runs are compared against.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -14,6 +17,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from urllib.parse import quote
 
 import numpy as np
 
@@ -132,16 +136,12 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
 
         if config.mode == "ota":
             tx = np.stack([ota.transmit(g, alpha, config.s) for g in grads])
-            h = channel.sample_channel(
+            coeffs, noise = channel.sample_combined(
                 rng.substream(config.master_seed, rng.CHANNEL, t),
-                N, config.M, config.K, config.s, config.sigma_h_sq,
-            )
-            z = channel.sample_noise(
                 rng.substream(config.master_seed, rng.NOISE, t),
-                N, config.K, config.s, config.sigma_z_sq,
+                N, config.M, config.K, config.s, config.sigma_h_sq, config.sigma_z_sq,
             )
-            y = channel.propagate(tx, h, z)
-            obs = ota.combine(y, h)
+            obs = np.einsum("nmi,mni->ni", coeffs, tx) + noise
             estimate = ota.estimate_average_gradient(
                 obs, alpha, config.M, config.sigma_h_sq, config.d
             )
@@ -186,7 +186,10 @@ def _format_cell(value) -> str:
 
 
 def write_metrics(records, config: RunConfig, path) -> None:
-    """Write evaluation rows as CSV with the resolved config in '#' comments."""
+    """Write evaluation rows as CSV with the resolved config in '#' comments.
+
+    The file appears at ``path`` complete or not at all.
+    """
     lines = [
         f"# config: {resolved_json(config)}",
         f"# master_seed: {config.master_seed}",
@@ -200,14 +203,32 @@ def write_metrics(records, config: RunConfig, path) -> None:
             f"{_format_cell(rec.inst_power)},{_format_cell(rec.avg_power)},"
             f"{_format_cell(rec.est_mse)}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    # Write a sibling temp file, then rename it over the target: a failed or
+    # interrupted write leaves any earlier file at ``path`` as it was.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _cell_filename(assignments) -> str:
+    """One filename per cell, inside the sweep's directory whatever the values.
+
+    Values are percent-encoded, so a "/" or "../" in a string value cannot
+    name another directory. Numbers, None and booleans come through
+    unchanged; "+" is kept for exponents such as 1e+20.
+    """
     if not assignments:
         return "metrics.csv"
-    parts = [f"{field.replace('.', '-')}={value}" for field, value in assignments]
+    parts = [
+        f"{field.replace('.', '-')}={quote(str(value), safe='+')}"
+        for field, value in assignments
+    ]
     return "metrics_" + "_".join(parts) + ".csv"
 
 

@@ -3,8 +3,8 @@
 All randomness flows through the Philox counter-based bit generator. Each
 consumer derives its own stream from (master_seed, stream tag, indices...)
 so results never depend on the order in which tensors happen to be drawn.
-Within a stream, tensors are always drawn in one vectorized call with a
-documented axis layout, which pins the counter assignment of every scalar.
+Within a stream, each tensor is drawn in one vectorized call, in a documented
+order and axis layout, which pins the counter assignment of every scalar.
 """
 
 import numpy as np

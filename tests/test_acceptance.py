@@ -88,7 +88,24 @@ def test_criterion_3_decomposition_identity():
 # ---------------------------------------------------------------- criterion 4
 
 
-def test_criterion_4_estimator_unbiased_and_consistent():
+def _reference_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):
+    h = channel.sample_channel(rng.substream(123, rng.CHANNEL, K_index, chunk_index),
+                               n, M, K, s, sigma_h)
+    z = channel.sample_noise(rng.substream(123, rng.NOISE, K_index, chunk_index),
+                             n, K, s, sigma_z)
+    return ota.combine(channel.propagate(tx, h, z), h)
+
+
+def _combined_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):
+    coeffs, noise = channel.sample_combined(
+        rng.substream(123, rng.CHANNEL, K_index, chunk_index),
+        rng.substream(123, rng.NOISE, K_index, chunk_index),
+        n, M, K, s, sigma_h, sigma_z,
+    )
+    return np.einsum("nmi,mni->ni", coeffs, tx) + noise
+
+
+def _criterion_4(observe, label):
     M, d, s = 4, 16, 8
     alpha, sigma_h, sigma_z = 1.0, 1.0, 4.0
     trials = 100_000
@@ -108,12 +125,8 @@ def test_criterion_4_estimator_unbiased_and_consistent():
         ci = 0
         while done < trials:
             n = min(chunk, trials - done)
-            h = channel.sample_channel(rng.substream(123, rng.CHANNEL, K, ci),
-                                       n, M, K, s, sigma_h)
-            z = channel.sample_noise(rng.substream(123, rng.NOISE, K, ci),
-                                     n, K, s, sigma_z)
             tx = np.broadcast_to(alpha * blocks, (M, n, s))
-            obs = ota.combine(channel.propagate(tx, h, z), h)
+            obs = observe(n, M, K, s, sigma_h, sigma_z, tx, K, ci)
             scaled = obs / (alpha * M * sigma_h)
             ests = np.concatenate([scaled.real, scaled.imag], axis=1)
             # the vectorized path must agree with the scalar estimator
@@ -137,10 +150,19 @@ def test_criterion_4_estimator_unbiased_and_consistent():
     decreasing = mse[1] > mse[8] > mse[64]
     detail = (f"max dev {max(max_dev.values()):.2f} SE; "
               f"MSE {mse[1]:.4f} > {mse[8]:.4f} > {mse[64]:.4f}")
-    _report("criterion 4: estimator unbiased, MSE decreasing in K",
+    _report(f"criterion 4: estimator unbiased, MSE decreasing in K ({label})",
             unbiased and decreasing, detail)
     assert unbiased
     assert decreasing
+
+
+def test_criterion_4_estimator_unbiased_and_consistent():
+    _criterion_4(_reference_observations, "sample_channel -> combine")
+
+
+def test_criterion_4_estimator_unbiased_and_consistent_combined_sampler():
+    # the training path's sampler, under the same bounds
+    _criterion_4(_combined_observations, "sample_combined")
 
 
 # ---------------------------------------------------------------- criterion 5

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from airsgd import rng
-from airsgd.channel import propagate, sample_channel, sample_noise
+from airsgd.channel import propagate, sample_channel, sample_combined, sample_noise
+from airsgd.ota import combine
 
 
 def _h(seed=42, N=2, M=3, K=4, s=5, var=1.0):
@@ -122,3 +125,178 @@ def test_received_mean_concentrates_at_zero():
     for part in (samples.real, samples.imag):
         sem = part.std(ddof=1) / np.sqrt(part.size)
         assert abs(part.mean()) <= 4 * sem
+
+
+# sha256 of small reference draws. Training runs no longer draw through
+# sample_channel / sample_noise, so the metrics golden digests do not cover
+# their streams; these do. Recorded with numpy 2.4 on x86-64.
+def test_sample_channel_bytes_pinned():
+    h = sample_channel(rng.substream(2026, rng.CHANNEL, 7), 2, 3, 4, 5, 1.5)
+    assert h.shape == (2, 3, 4, 5)
+    assert hashlib.sha256(h.tobytes()).hexdigest() == (
+        "941ad54eca63ffa70a3625fbd7a69a921503fcae8c4426e0e2cc1490ffe2ab5c"
+    )
+
+
+def test_sample_noise_bytes_pinned():
+    z = sample_noise(rng.substream(2026, rng.NOISE, 7), 2, 4, 5, 20.0)
+    assert z.shape == (2, 4, 5)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "ba80b610676a7706919710de9e1dfb9698a642a252405a8809b9db7f8db143d1"
+    )
+
+
+# ------------------------------------------------------------ sample_combined
+
+
+def _combined(seed=42, N=2, M=3, K=4, s=5, var=1.5, noise_var=2.0):
+    return sample_combined(rng.substream(seed, rng.CHANNEL, 0), rng.substream(seed, rng.NOISE, 0),
+                           N, M, K, s, var, noise_var)
+
+
+def test_combined_follows_documented_stream_contract():
+    # gamma (N, s) then normals (N, M, s, 2) on the channel stream; normals
+    # (N, s, 2) on the noise stream
+    N, M, K, s, var, noise_var = 2, 3, 4, 5, 1.5, 2.0
+    coeffs, noise = _combined(N=N, M=M, K=K, s=s, var=var, noise_var=noise_var)
+    assert coeffs.shape == (N, M, s) and coeffs.dtype == np.complex128
+    assert noise.shape == (N, s) and noise.dtype == np.complex128
+    gen = rng.generator(rng.substream(42, rng.CHANNEL, 0))
+    r = var * gen.standard_gamma(K, size=(N, s))
+    parts = gen.standard_normal((N, M, s, 2))
+    f = np.sqrt(var * r[:, None, :] / 2) * (parts[..., 0] + 1j * parts[..., 1])
+    expected = r[:, None, :] / K + np.sqrt(M) / K * (f - f.mean(axis=1, keepdims=True))
+    assert np.allclose(coeffs, expected, rtol=1e-12, atol=1e-14)
+    parts = rng.generator(rng.substream(42, rng.NOISE, 0)).standard_normal((N, s, 2))
+    w = np.sqrt(noise_var * M * r / K**2 / 2) * (parts[..., 0] + 1j * parts[..., 1])
+    assert np.allclose(noise, w, rtol=1e-12, atol=1e-14)
+
+
+# sha256 of a small sample_combined draw: coefficient bytes, then noise bytes.
+# This pins the stream contract of the training path's channel.
+COMBINED_SHA256 = "a807f98818e50e435fe9f5884e317f43958d06437152b10cfff005d329f6370c"
+
+
+def test_combined_bytes_pinned():
+    coeffs, noise = _combined(seed=2026)
+    digest = hashlib.sha256(coeffs.tobytes() + noise.tobytes()).hexdigest()
+    assert digest == COMBINED_SHA256
+
+
+def test_combined_zero_noise_is_exactly_zero():
+    coeffs, noise = _combined(noise_var=0.0)
+    assert np.all(noise == 0)
+    assert noise.shape == (2, 5)
+    assert np.array_equal(coeffs, _combined()[0])  # the noise never touches the channel stream
+
+
+def test_combined_single_device_gain_is_real():
+    # M = 1: no interference, the coefficient is the effective gain r / K
+    coeffs, _ = _combined(M=1, K=7)
+    assert np.all(coeffs.imag == 0)
+    assert np.all(coeffs.real > 0)
+
+
+def test_combined_rejects_bad_arguments():
+    seeds = (rng.substream(1, rng.CHANNEL, 0), rng.substream(1, rng.NOISE, 0))
+    with pytest.raises(ValueError):
+        sample_combined(*seeds, 1, 1, 0, 1, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        sample_combined(*seeds, 1, 1, 1, 1, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        sample_combined(*seeds, 1, 1, 1, 1, 1.0, -1.0)
+
+
+COMBINED_CASES = ((1, 4), (2, 1), (10, 5), (20, 40), (3, 200))
+SAMPLES = 20_000
+SIG_H, SIG_Z = 1.5, 2.0
+
+
+def _reference_combiner(seed, M, K):
+    """(SAMPLES, M) coefficients and (SAMPLES,) noise via sample_channel -> combine.
+
+    Samples run along the subchannel axis. h[:, m] is what propagate
+    delivers when device m alone sends a unit symbol, so combine(h[:, m], h)
+    is device m's coefficient, and combine(z, h) is the combined noise.
+    """
+    coeffs = np.empty((SAMPLES, M), dtype=np.complex128)
+    noise = np.empty(SAMPLES, dtype=np.complex128)
+    chunk = max(1, 2_000_000 // (M * K))
+    done = chunk_index = 0
+    while done < SAMPLES:
+        n = min(chunk, SAMPLES - done)
+        h = sample_channel(rng.substream(seed, rng.CHANNEL, chunk_index), 1, M, K, n, SIG_H)
+        z = sample_noise(rng.substream(seed, rng.NOISE, chunk_index), 1, K, n, SIG_Z)
+        for m in range(M):
+            coeffs[done:done + n, m] = combine(h[:, m], h)[0]
+        noise[done:done + n] = combine(z, h)[0]
+        done += n
+        chunk_index += 1
+    return coeffs, noise
+
+
+def _moment_samples(coeffs, noise, mu):
+    """Per-draw values whose means are the compared moments, each i.i.d. across draws.
+
+    Per-device moments are averaged over the exchangeable devices within a
+    draw; the cross-device covariances over the ordered device pairs.
+    """
+    M = coeffs.shape[1]
+    dev = coeffs - mu
+    energy = dev.real**2 + dev.imag**2
+    out = {
+        "mean": coeffs.mean(axis=1),
+        "variance": energy.mean(axis=1),
+        "pseudo_variance": (dev**2).mean(axis=1),
+        "fourth": (energy**2).mean(axis=1),
+        "noise_variance": noise.real**2 + noise.imag**2,
+        # the noise energy grows with the channel's: the joint law, not just the marginals
+        "noise_gain_corr": (noise.real**2 + noise.imag**2) * dev.real.mean(axis=1),
+    }
+    if M > 1:
+        total = dev.sum(axis=1)
+        pairs = M * (M - 1)
+        # sum over m != m' of dev_m conj(dev_m'), which is real
+        out["cross_covariance"] = (total.real**2 + total.imag**2 - energy.sum(axis=1)) / pairs
+        out["cross_pseudo_covariance"] = (total**2 - (dev**2).sum(axis=1)) / pairs
+    return out
+
+
+def _standard_errors_apart(a, b):
+    """Largest |mean(a) - mean(b)| over their two-sample standard error, per component."""
+    worst = 0.0
+    for part in (np.real, np.imag):
+        x, y = part(a), part(b)
+        se = np.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+        gap = abs(x.mean() - y.mean())
+        worst = max(worst, 0.0 if gap == 0 else gap / se)
+    return worst
+
+
+@pytest.mark.parametrize("M,K", COMBINED_CASES)
+def test_combined_matches_reference_moments(M, K):
+    ref_c, ref_w = _reference_combiner(31, M, K)
+    new_c, new_w = sample_combined(rng.substream(32, rng.CHANNEL), rng.substream(32, rng.NOISE),
+                                   1, M, K, SAMPLES, SIG_H, SIG_Z)
+    new_c, new_w = new_c[0].T, new_w[0]
+    mu = SIG_H  # E[c_m] for every device; checked below on both samples
+    ref = _moment_samples(ref_c, ref_w, mu)
+    new = _moment_samples(new_c, new_w, mu)
+    gaps = {name: _standard_errors_apart(ref[name], new[name]) for name in ref}
+    assert all(gap <= 4.0 for gap in gaps.values()), gaps
+
+    # closed forms: E[c] = sigma_h^2, E|c - E c|^2 = M sigma_h^4 / K,
+    # E[(c - E c)^2] = sigma_h^4 / K, E|w|^2 = M sigma_h^2 sigma_z^2 / K
+    closed = {
+        "mean": SIG_H,
+        "variance": M * SIG_H**2 / K,
+        "pseudo_variance": SIG_H**2 / K,
+        "noise_variance": M * SIG_H * SIG_Z / K,
+    }
+    for sample in (ref, new):
+        for name, value in closed.items():
+            x = sample[name]
+            for part, target in ((np.real, value), (np.imag, 0.0)):
+                se = part(x).std(ddof=1) / np.sqrt(x.size)
+                gap = abs(part(x).mean() - target)
+                assert gap == 0 or gap <= 4.0 * se, (name, part(x).mean(), target, se)

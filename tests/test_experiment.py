@@ -1,10 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from airsgd import experiment
+from airsgd import channel, experiment, ota
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
@@ -99,9 +100,10 @@ def test_metrics_file_bit_identical_across_reruns(tmp_path):
 # sha256 of the metrics file of a 12-iteration run of the minimal template.
 # These pin the reproducibility contract across processes and commits: a
 # change that moves any byte updates them on purpose and says why in
-# CHANGES.md. Recorded with numpy 2.4 on x86-64.
+# CHANGES.md. Recorded with numpy 2.4 on x86-64. The ota digest pins the
+# channel.sample_combined stream; test_channel pins the reference streams.
 GOLDEN_METRICS_SHA256 = {
-    "ota": "90780a7cf3cb451ee9b292247f0a453bfe4ab6f1606c8164414181f7051dfa19",
+    "ota": "e72014c7f4f1732a680b206d10b2fffa58de887e86e3026e224cbb8b7b0ca5f4",
     "error_free": "3514bbf4c5872f74ff29cb3d9649725bd2b037a721c2f103154772fdd363ca8f",
 }
 
@@ -239,3 +241,102 @@ def test_build_dataset_rejects_dimension_mismatch(tmp_path):
     doc["partition"] = {"per_device": 2}
     with pytest.raises(ConfigError, match="dimension"):
         build_dataset(parse_config(doc))
+
+
+def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
+    # training draws the combiner output directly; the reference path is
+    # for verification and decomposition only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference channel path called from a training run")
+
+    for module, name in ((channel, "sample_channel"), (channel, "sample_noise"),
+                         (channel, "propagate"), (ota, "combine")):
+        monkeypatch.setattr(module, name, forbidden)
+    records = run(parse_config(_toy_doc(T=3, eval_every=1, sigma_z_sq=4.0)))
+    assert len(records) == 3
+    assert all(r.est_mse > 0 for r in records)
+
+
+def test_cell_filename_keeps_plain_values():
+    cells = [("K", 5), ("sigma_z_sq", 20.0), ("batch_size", None), ("x", True),
+             ("y", 1e20), ("z", -0.5), ("optimizer.learning_rate", 1e-05)]
+    assert experiment._cell_filename(cells) == (
+        "metrics_K=5_sigma_z_sq=20.0_batch_size=None_x=True_y=1e+20_z=-0.5"
+        "_optimizer-learning_rate=1e-05.csv"
+    )
+
+
+def test_run_matrix_path_values_stay_inside_out_dir(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    pixels = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+    write_idx_images(data_dir / "img.idx", pixels)
+    write_idx_labels(data_dir / "lbl.idx", np.array([0, 1], dtype=np.uint8))
+    doc = _toy_doc(T=2, eval_every=1, d=50, s=25, M=2)
+    doc["dataset"] = {
+        "kind": "idx",
+        "train_images": str(data_dir / "img.idx"),
+        "train_labels": str(data_dir / "lbl.idx"),
+        "test_images": str(data_dir / "img.idx"),
+        "test_labels": str(data_dir / "lbl.idx"),
+    }
+    doc["partition"] = {"per_device": 1}
+    # both values contain "/" and "../": unescaped, the first names
+    # directories that do not exist under out, the second escapes it
+    monkeypatch.chdir(data_dir)
+    values = [f"{data_dir}/../data/img.idx", "../data/img.idx"]
+    out_dir = tmp_path / "out"
+    before = sorted(p for p in tmp_path.rglob("*"))
+    paths = run_matrix(doc, [("dataset.train_images", values)], out_dir)
+    assert len(paths) == 2
+    for path, value in zip(paths, values):
+        assert os.path.dirname(path) == str(out_dir)
+        with open(path) as f:
+            assert json.loads(f.readline()[len("# config: "):])["dataset"]["train_images"] == value
+    after = sorted(p for p in tmp_path.rglob("*"))
+    assert [p for p in after if p not in before] == [out_dir] + sorted(out_dir.iterdir())
+
+
+class _HalfWrite:
+    """A text file whose second write fails after the first went to disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+        return False
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        self.f.flush()
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_write_keeps_earlier_file(tmp_path, monkeypatch, failure):
+    earlier = parse_config(_toy_doc(T=2, eval_every=1))
+    later = parse_config(_toy_doc(T=4, eval_every=2, K=4))
+    path = tmp_path / "m.csv"
+    write_metrics(run(earlier), earlier, path)
+    kept = path.read_bytes()
+    records = run(later)
+    if failure == "write":
+        monkeypatch.setattr(experiment, "open",
+                            lambda *a, **kw: _HalfWrite(open(*a, **kw)), raising=False)
+    else:
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(experiment.os, "replace", no_rename)
+    with pytest.raises(OSError):
+        write_metrics(records, later, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+    # and a write that succeeds replaces the file whole
+    write_metrics(records, later, path)
+    assert path.read_bytes() != kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
