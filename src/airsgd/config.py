@@ -98,7 +98,10 @@ class RunConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive or null, got {self.batch_size}")
         if self.batch_size is not None and self.batch_size > self.partition.per_device:
-            raise ConfigError("batch_size exceeds per-device sample count")
+            raise ConfigError(
+                f"batch_size={self.batch_size} exceeds per-device sample count "
+                f"per_device={self.partition.per_device}"
+            )
         if self.dataset.kind == "synthetic":
             spec = self.dataset
             expected = (spec.features + 1) * spec.classes

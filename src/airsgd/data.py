@@ -4,12 +4,14 @@ Supports the IDX binary container (the MNIST distribution format: big-endian
 magic and dimension words followed by raw unsigned bytes) and synthetic
 Gaussian class clusters for desk-scale runs. Partitioning mirrors a
 realistic edge deployment: every device samples its local set independently
-from the training pool, so devices overlap and some samples go unused.
+from the training pool, so devices overlap and some samples go unused. The
+partition is a matrix of pool indices, one row per device, not copies of
+the rows.
 """
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,11 +54,10 @@ class IdxCountMismatchError(DataError):
 
 @dataclass
 class LocalDataset:
-    """Feature matrix plus integer labels, optionally tagged with a device id."""
+    """Feature matrix plus integer labels."""
 
     features: np.ndarray  # (n, F) float64
     labels: np.ndarray  # (n,) int64
-    device_id: Optional[int] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -74,9 +75,6 @@ class LocalDataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices, device_id=None) -> "LocalDataset":
-        return LocalDataset(self.features[indices], self.labels[indices], device_id=device_id)
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
@@ -179,22 +177,23 @@ def make_synthetic(spec: SyntheticSpec):
         means[:, 0] = spec.margin * np.arange(C)
 
     def draw(per_class):
-        feats = np.concatenate(
-            [means[c] + gen.standard_normal((per_class, F)) for c in range(C)]
-        )
+        feats = gen.standard_normal((C, per_class, F))
+        feats += means[:, None, :]
         labels = np.repeat(np.arange(C), per_class)
         order = gen.permutation(per_class * C)
-        return LocalDataset(feats[order], labels[order])
+        return LocalDataset(feats.reshape(C * per_class, F)[order], labels[order])
 
     return draw(spec.train_per_class), draw(spec.test_per_class)
 
 
-def partition(train: LocalDataset, M: int, per_device: int, seed) -> list:
-    """Assign each of M devices a random local subset of the training pool.
+def partition(train: LocalDataset, M: int, per_device: int, seed) -> np.ndarray:
+    """Draw each of M devices' local set from the training pool, shape (M, per_device).
 
-    Each device draws ``per_device`` distinct sample indices uniformly,
-    independently of the other devices: local sets may overlap across
-    devices and some training samples may remain unassigned.
+    Row m holds the pool indices of device m + 1's samples: ``per_device``
+    distinct indices drawn uniformly, independently of the other devices,
+    so local sets may overlap across devices and some training samples may
+    remain unassigned. The rows come in device order from one Philox stream
+    seeded by ``seed`` itself (the master seed in a run).
     """
     if M < 1:
         raise ValueError(f"device count M must be >= 1, got {M}")
@@ -203,13 +202,9 @@ def partition(train: LocalDataset, M: int, per_device: int, seed) -> list:
     if per_device < 1:
         raise ValueError(f"per_device must be >= 1, got {per_device}")
     gen = rng.generator(seed)
-    devices = []
-    for m in range(1, M + 1):
-        indices = gen.choice(len(train), size=per_device, replace=False)
-        devices.append(train.subset(indices, device_id=m))
-    return devices
+    return np.stack([gen.choice(len(train), size=per_device, replace=False) for _ in range(M)])
 
 
 def scale_to_unit(dataset: LocalDataset) -> LocalDataset:
     """Rescale 0..255 pixel features into [0, 1]."""
-    return LocalDataset(dataset.features / 255.0, dataset.labels, device_id=dataset.device_id)
+    return LocalDataset(dataset.features / 255.0, dataset.labels)

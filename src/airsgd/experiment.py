@@ -1,13 +1,17 @@
 """Full training runs: local gradients, analog aggregation, metrics files.
 
 One iteration in ota mode is the pipeline
-local_gradient x M -> transmit x M -> combiner output -> estimate_average_gradient
--> optimizer update. The combiner output sum_m c_m x_m + w is drawn from its
-exact law by ``channel.sample_combined`` (coefficients c and combined noise w),
-never from the full per-antenna fading tensor, which only the verification
-and decomposition paths draw. The error_free mode skips the channel and hands
-the optimizer the exact device-average gradient, giving the idealized baseline
-the noisy runs are compared against.
+(M, d) local gradients -> (M, N, s) transmit blocks -> combiner output
+-> estimate_average_gradient -> optimizer update. The device axis is an array
+axis throughout: one forward pass over the distinct training rows the devices
+hold (or, with batch_size set, over their stacked batch rows), one batched
+backward product for all M gradients, one pack. The combiner output
+sum_m c_m x_m + w is drawn from its exact law by ``channel.sample_combined``
+(coefficients c and combined noise w), never from the full per-antenna fading
+tensor, which only the verification and decomposition paths draw. The
+error_free mode skips the channel and hands the optimizer the exact
+device-average gradient, giving the idealized baseline the noisy runs are
+compared against.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -88,54 +92,79 @@ def build_dataset(config: RunConfig):
     return train, test, classes
 
 
-def _device_batches(config: RunConfig, devices, t: int):
-    if config.batch_size is None:
-        return [None] * config.M
-    batches = []
-    for dev in devices:
-        gen = rng.generator(rng.substream(config.master_seed, rng.BATCH, t, dev.device_id))
-        batches.append(gen.choice(len(dev.labels), size=config.batch_size, replace=False))
-    return batches
+def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
+    """Each device's batch at iteration t: (M, batch_size) positions in its local set.
+
+    Device m draws from its own BATCH substream (t, m), m = 1..M.
+    """
+    return np.stack([
+        rng.generator(rng.substream(config.master_seed, rng.BATCH, t, m)).choice(
+            config.partition.per_device, size=config.batch_size, replace=False)
+        for m in range(1, config.M + 1)
+    ])
 
 
 def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
     """Execute a full training run; returns one MetricsRecord per iteration.
 
-    ``gradient_fn(theta, device, t, batch) -> (d,) array`` replaces the local
-    softmax gradient when supplied, which is the hook for studying the
-    aggregation path under alternative local objectives (gradient clipping,
-    synthetic gradient streams, and so on). Passing a dict as ``capture``
-    stores the final parameter vector under "theta" for trajectory-level
-    analysis the records do not carry.
+    ``gradient_fn(theta, t, grads) -> (M, d) array`` receives the (M, d)
+    local softmax gradients of iteration t and returns the gradients the
+    devices send, which is the hook for studying the aggregation path under
+    alternative local objectives (gradient clipping, synthetic gradient
+    streams, and so on). Passing a dict as ``capture`` stores the final
+    parameter vector under "theta" for trajectory-level analysis the records
+    do not carry.
 
     Accuracy and training loss are computed every ``eval_every`` iterations
     and always at t = T; power is tracked every iteration. Raises
     NumericAbort rather than continuing with non-finite numbers.
     """
     train, test, classes = build_dataset(config)
-    devices = data.partition(train, config.M, config.partition.per_device, config.master_seed)
-    n_features = train.features.shape[1]
-    if gradient_fn is None:
-        gradient_fn = lambda theta, dev, t, batch: learner.local_gradient(theta, dev, batch)
+    index = data.partition(train, config.M, config.partition.per_device, config.master_seed)
+    # Devices share rows: the forward pass runs once over the distinct rows
+    # they hold, and rows[m] gathers device m's local set back out of them.
+    # A BLAS may round a row's product by the size of the matrix it sits in,
+    # so the last bit can differ from a per-device forward pass when a local
+    # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows).
+    held, rows = np.unique(index, return_inverse=True)
+    rows = rows.reshape(index.shape)
+    held_X, held_y = train.features[held], train.labels[held]
+    del train  # keep the held rows, not the whole pool
+    X, y = held_X[rows], held_y[rows]
+    learner.check_labels(y, classes)
+    device = np.arange(config.M)[:, None]
 
-    theta = learner.init_params(n_features, classes)
+    theta = learner.init_params(X.shape[-1], classes)
     state = learner.init_optimizer_state(config.d)
     N = packing.block_count(config.d, config.s)
     records = []
     power_sum = 0.0
+    log_probs = None  # (M, n, C) local-set log-probabilities at the current theta, once computed
 
     for t in range(1, config.T + 1):
         alpha = config.power.alpha_at(t)
-        batches = _device_batches(config, devices, t)
-        grads = np.stack(
-            [gradient_fn(theta, dev, t, batch) for dev, batch in zip(devices, batches)]
-        )
+        if config.batch_size is None:
+            if log_probs is None:
+                log_probs = learner.log_probabilities(theta, held_X)[rows]
+            grads = learner.gradients(X, y, log_probs)
+        else:
+            batch = _batch_positions(config, t)
+            X_batch = X[device, batch]
+            grads = learner.gradients(
+                X_batch, y[device, batch], learner.log_probabilities(theta, X_batch)
+            )
+        if gradient_fn is not None:
+            grads = np.asarray(gradient_fn(theta, t, grads), dtype=np.float64)
+            if grads.shape != (config.M, config.d):
+                raise ValueError(
+                    f"gradient_fn returned shape {grads.shape}, expected {(config.M, config.d)}"
+                )
         if not np.all(np.isfinite(grads)):
             raise NumericAbort(t, "local_gradient")
         true_avg = grads.mean(axis=0)
 
         if config.mode == "ota":
-            tx = np.stack([ota.transmit(g, alpha, config.s) for g in grads])
+            tx = ota.transmit(grads, alpha, config.s)
             coeffs, noise = channel.sample_combined(
                 rng.substream(config.master_seed, rng.CHANNEL, t),
                 rng.substream(config.master_seed, rng.NOISE, t),
@@ -148,9 +177,7 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
             if not np.all(np.isfinite(estimate)):
                 raise NumericAbort(t, "estimate")
             est_mse = float(np.mean((estimate - true_avg) ** 2))
-            inst_power = float(
-                np.mean([ota.transmit_energy(tx[m]) for m in range(config.M)]) / N
-            )
+            inst_power = float(np.mean(ota.transmit_energy(tx)) / N)
             update_grad = estimate
         else:
             est_mse = None
@@ -160,6 +187,7 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
         theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
         if not np.all(np.isfinite(theta)):
             raise NumericAbort(t, "update")
+        log_probs = None
 
         power_sum += inst_power
         avg_power = power_sum / t
@@ -167,7 +195,9 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
         accuracy = loss = None
         if evaluate:
             accuracy = learner.evaluate_accuracy(theta, test)
-            loss = float(np.mean([learner.local_loss(theta, dev) for dev in devices]))
+            log_probs = learner.log_probabilities(theta, held_X)[rows]
+            # mean over each device's set first, then over devices
+            loss = float(np.mean(learner.losses(y, log_probs)))
         records.append(MetricsRecord(t, accuracy, loss, inst_power, avg_power, est_mse))
     if capture is not None:
         capture["theta"] = theta

@@ -8,7 +8,9 @@ class-major with each class's bias appended last:
 so a model with F features and C classes has d = (F + 1) * C parameters.
 Gradients are averages of the cross-entropy gradient over a batch; the
 aggregated (or channel-estimated) average gradient drives the optimizer,
-whose state lives at the parameter server only.
+whose state lives at the parameter server only. A training run computes the
+gradients and losses of all M devices at once, from an (M, n, F) stack of
+their rows; ``local_gradient`` and ``local_loss`` are the M = 1 case.
 """
 
 from dataclasses import dataclass, replace
@@ -20,6 +22,10 @@ from .data import LocalDataset
 __all__ = [
     "param_count",
     "init_params",
+    "log_probabilities",
+    "check_labels",
+    "gradients",
+    "losses",
     "local_gradient",
     "local_loss",
     "evaluate_accuracy",
@@ -49,13 +55,56 @@ def _split_theta(theta: np.ndarray, num_features: int):
 
 
 def _logits(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    W, b = _split_theta(theta, X.shape[1])
+    W, b = _split_theta(theta, X.shape[-1])
     return X @ W.T + b
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_probabilities(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class log-probabilities of the rows of X, shape (..., F) -> (..., C).
+
+    A 2-d X is one (rows, F) x (F, C) matrix product; an (M, n, F) stack is
+    M products of shape (n, F) x (F, C), one per row set, so each set gets
+    the bytes it would get on its own.
+    """
+    return _log_softmax(_logits(theta, X))
+
+
+def check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Reject labels outside [0, num_classes)."""
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError(f"labels outside [0, {num_classes})")
+
+
+def gradients(X: np.ndarray, y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """Average cross-entropy gradient of each of M row sets, shape (M, d).
+
+    ``X`` is (M, n, F), ``y`` the (M, n) labels, already checked against
+    the class count, and ``log_probs`` the (M, n, C) output of
+    :func:`log_probabilities` for X at the parameters the gradient is taken
+    at. Each set's backward product is its own (C, n) x (n, F) matrix
+    product inside one batched matmul, so row set m gives the same bytes
+    whatever sets come with it.
+    """
+    M, n, F = X.shape
+    C = log_probs.shape[-1]
+    probs = np.exp(log_probs)
+    probs[np.arange(M)[:, None], np.arange(n), y] -= 1.0
+    probs /= n
+    grad = np.empty((M, C, F + 1))
+    grad[:, :, :F] = np.matmul(probs.swapaxes(1, 2), X)
+    grad[:, :, F] = probs.sum(axis=1)
+    return grad.reshape(M, -1)
+
+
+def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of each of M row sets, shape (M,), from (M, n) labels."""
+    M, n = y.shape
+    return -log_probs[np.arange(M)[:, None], np.arange(n), y].mean(axis=1)
 
 
 def _select_batch(dataset: LocalDataset, batch):
@@ -71,35 +120,27 @@ def local_gradient(theta: np.ndarray, dataset: LocalDataset, batch=None) -> np.n
     """Average cross-entropy gradient of the softmax model over a batch.
 
     ``batch`` is an index array into the dataset; None means the full local
-    set. Deterministic given (theta, batch).
+    set. Deterministic given (theta, batch). This is the M = 1 case of
+    :func:`gradients`.
     """
     X, y = _select_batch(dataset, batch)
-    n, F = X.shape
-    C = theta.size // (F + 1)
-    if np.any(y < 0) or np.any(y >= C):
-        raise ValueError(f"labels outside [0, {C})")
-    probs = np.exp(_log_softmax(_logits(theta, X)))
-    probs[np.arange(n), y] -= 1.0
-    probs /= n
-    grad = np.empty((C, F + 1))
-    grad[:, :F] = probs.T @ X
-    grad[:, F] = probs.sum(axis=0)
-    return grad.reshape(-1)
+    log_probs = log_probabilities(theta, X)
+    check_labels(y, log_probs.shape[-1])
+    return gradients(X[None], y[None], log_probs[None])[0]
 
 
 def local_loss(theta: np.ndarray, dataset: LocalDataset, batch=None) -> float:
-    """Mean cross-entropy of the softmax model over a batch."""
+    """Mean cross-entropy of the softmax model over a batch (M = 1 of :func:`losses`)."""
     X, y = _select_batch(dataset, batch)
-    log_probs = _log_softmax(_logits(theta, X))
-    return float(-log_probs[np.arange(X.shape[0]), y].mean())
+    log_probs = log_probabilities(theta, X)
+    check_labels(y, log_probs.shape[-1])
+    return float(losses(y[None], log_probs[None])[0])
 
 
 def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     logits = _logits(theta, test_set.features)
-    C = logits.shape[1]
-    if np.any(test_set.labels < 0) or np.any(test_set.labels >= C):
-        raise ValueError(f"test labels outside [0, {C})")
+    check_labels(test_set.labels, logits.shape[1])
     return float((logits.argmax(axis=1) == test_set.labels).mean())
 
 

@@ -66,16 +66,22 @@ class PowerSchedule:
 
 
 def transmit(gradient, alpha_t: float, s: int) -> np.ndarray:
-    """Scale and pack a gradient into its (N, s) transmit blocks."""
+    """Scale and pack a gradient into its (N, s) transmit blocks.
+
+    An (M, d) stack of gradients gives the (M, N, s) blocks of all M devices.
+    """
     if alpha_t <= 0:
         raise ValueError(f"alpha_t must be positive, got {alpha_t}")
     return alpha_t * pack(gradient, s)
 
 
-def transmit_energy(blocks: np.ndarray) -> float:
-    """Total symbol energy sum_n ||x^n||^2 of a block array."""
+def transmit_energy(blocks: np.ndarray):
+    """Total symbol energy sum_n ||x^n||^2 of an (N, s) block array.
+
+    For (M, N, s) blocks, one energy per device, shape (M,).
+    """
     b = np.asarray(blocks)
-    return float(np.sum(b.real**2 + b.imag**2))
+    return np.sum(b.real**2 + b.imag**2, axis=(-2, -1))
 
 
 def combine(rx: np.ndarray, h: np.ndarray) -> np.ndarray:

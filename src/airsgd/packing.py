@@ -28,20 +28,22 @@ def block_count(d: int, s: int) -> int:
 def pack(gradient, s: int) -> np.ndarray:
     """Fold a real vector into an (N, s) complex128 array of symbol blocks.
 
-    Entries beyond the vector length read as zero padding. Rejects
-    non-finite input since those values would silently corrupt every
-    downstream channel statistic.
+    An (M, d) stack of vectors folds row by row into (M, N, s). Entries
+    beyond the vector length read as zero padding. Rejects non-finite input
+    since those values would silently corrupt every downstream channel
+    statistic.
     """
     g = np.asarray(gradient, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError(f"gradient must be 1-d, got shape {g.shape}")
+    if g.ndim not in (1, 2):
+        raise ValueError(f"gradient must be a vector or a stack of vectors, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    n_blocks = block_count(g.shape[0], s)
-    padded = np.zeros(2 * s * n_blocks, dtype=np.float64)
-    padded[: g.shape[0]] = g
-    folded = padded.reshape(n_blocks, 2, s)
-    return folded[:, 0, :] + 1j * folded[:, 1, :]
+    *lead, d = g.shape
+    n_blocks = block_count(d, s)
+    padded = np.zeros((*lead, 2 * s * n_blocks), dtype=np.float64)
+    padded[..., :d] = g
+    folded = padded.reshape(*lead, n_blocks, 2, s)
+    return folded[..., 0, :] + 1j * folded[..., 1, :]
 
 
 def unpack(blocks, d: int) -> np.ndarray:

@@ -5,15 +5,18 @@ consumer derives its own stream from (master_seed, stream tag, indices...)
 so results never depend on the order in which tensors happen to be drawn.
 Within a stream, each tensor is drawn in one vectorized call, in a documented
 order and axis layout, which pins the counter assignment of every scalar.
+
+One stream carries no tag: ``data.partition`` draws the devices' local sets,
+device by device, from ``generator(master_seed)``, the Philox stream seeded
+by the master seed alone.
 """
 
 import numpy as np
 
 # Stream tags. Values are part of the reproducibility contract: changing
-# them changes every derived stream.
+# them changes every derived stream. Tag 3 is unassigned.
 CHANNEL = 1
 NOISE = 2
-PARTITION = 3
 BATCH = 4
 DATASET = 5
 

@@ -291,8 +291,8 @@ def test_criterion_8_power_accounting(desk_matrix):
     g0 = np.zeros(10)
     g0[0], g0[1] = 3.0, 4.0  # squared packed norm 25
 
-    def constant_gradient(theta, dev, t, batch):
-        return g0.copy()
+    def constant_gradient(theta, t, grads):
+        return np.tile(g0, (len(grads), 1))
 
     doc = template("minimal")
     doc.update(M=2, K=4, T=7, d=10, s=5, eval_every=7)

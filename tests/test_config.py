@@ -66,7 +66,7 @@ def test_dimension_must_match_dataset():
 def test_batch_size_bounded_by_per_device():
     doc = template("minimal")
     doc["batch_size"] = doc["partition"]["per_device"] + 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="batch_size=81 .* per_device=80"):
         parse_config(doc)
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from airsgd import rng
 from airsgd.data import (
     IdxCountMismatchError,
     IdxFormatError,
@@ -51,7 +53,6 @@ def test_load_idx_roundtrip(tmp_path):
     assert ds.features.shape == (2, 4)
     assert np.array_equal(ds.features, [[0.0, 64.0, 128.0, 255.0], [1.0, 2.0, 3.0, 4.0]])
     assert np.array_equal(ds.labels, [3, 9])
-    assert ds.device_id is None
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -145,38 +146,62 @@ def test_synthetic_rejects_bad_spec():
                       test_per_class=5, margin=1.0, seed=0)
 
 
+# sha256 of the features and labels of both splits of two small synthetic
+# datasets, recorded before make_synthetic drew each split in one call
+SYNTHETIC_SHA256 = {
+    (3, 5, 7, 4, 2.0, 11): "edb6e38bd0d374a5ed1266d62478ef2940578e329755239a5af22e6ff1295b1d",
+    (6, 3, 5, 2, 1.5, 4): "23152dd168a21a91be76b4f1edde3d9ef79e14708b8645129373969dc785d5c9",
+}
+
+
+@pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
+def test_synthetic_bytes_pinned(fields):
+    classes, features, train_per_class, test_per_class, margin, seed = fields
+    train, test = make_synthetic(SyntheticSpec(
+        classes=classes, features=features, train_per_class=train_per_class,
+        test_per_class=test_per_class, margin=margin, seed=seed))
+    digest = hashlib.sha256()
+    for array in (train.features, train.labels, test.features, test.labels):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == SYNTHETIC_SHA256[fields]
+
+
 def _indexed_pool(n):
-    # distinct single-feature rows so sample identity is recoverable
-    return LocalDataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n, dtype=np.int64))
+    return LocalDataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
 
 
 def test_partition_full_size_devices_are_permutations():
-    train = _indexed_pool(50)
-    devices = partition(train, 2, 50, seed=4)
-    assert len(devices) == 2
-    for dev in devices:
-        assert np.array_equal(np.sort(dev.features[:, 0]), np.arange(50.0))
+    index = partition(_indexed_pool(50), 2, 50, seed=4)
+    assert index.shape == (2, 50)
+    for row in index:
+        assert np.array_equal(np.sort(row), np.arange(50))
     # random permutation, not the identity layout
-    assert not np.array_equal(devices[0].features[:, 0], np.arange(50.0))
+    assert not np.array_equal(index[0], np.arange(50))
 
 
 def test_partition_within_device_distinct():
-    train = _indexed_pool(100)
-    for dev in partition(train, 8, 60, seed=9):
-        values = dev.features[:, 0]
-        assert len(np.unique(values)) == 60
-        assert len(values) == 60
+    index = partition(_indexed_pool(100), 8, 60, seed=9)
+    assert index.shape == (8, 60)
+    for row in index:
+        assert len(np.unique(row)) == 60
 
 
 def test_partition_device_ids_and_determinism():
+    # row m - 1 is device m's local set
     train = _indexed_pool(30)
     a = partition(train, 3, 10, seed=1)
     b = partition(train, 3, 10, seed=1)
     c = partition(train, 3, 10, seed=2)
-    assert [dev.device_id for dev in a] == [1, 2, 3]
-    for x, y in zip(a, b):
-        assert np.array_equal(x.features, y.features)
-    assert any(not np.array_equal(x.features, y.features) for x, y in zip(a, c))
+    assert a.shape == (3, 10) and a.dtype == np.int64
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_partition_draws_devices_in_order_from_the_master_seed_stream():
+    # the stream contract: row m is the m-th draw of one Philox stream
+    gen = rng.generator(5)
+    expected = [gen.choice(40, size=12, replace=False) for _ in range(4)]
+    assert np.array_equal(partition(_indexed_pool(40), 4, 12, seed=5), np.stack(expected))
 
 
 def test_partition_unassigned_fraction_matches_inclusion_probability():
@@ -187,8 +212,7 @@ def test_partition_unassigned_fraction_matches_inclusion_probability():
     train = _indexed_pool(n)
     fractions = []
     for seed in (0, 1, 2):
-        devices = partition(train, M, per_device, seed)
-        taken = np.unique(np.concatenate([dev.features[:, 0] for dev in devices]))
+        taken = np.unique(partition(train, M, per_device, seed))
         fractions.append(1.0 - taken.size / n)
     observed = np.mean(fractions)
     assert abs(observed - expected) <= 0.02 * expected

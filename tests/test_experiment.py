@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from airsgd import channel, experiment, ota
+from airsgd import channel, experiment, learner, ota
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
@@ -34,9 +34,9 @@ def _toy_doc(**updates):
 
 def _fixed_grads(seed, d=10):
     # deterministic per-(iteration, device) pseudo-gradients, independent of theta
-    def fn(theta, dev, t, batch):
-        gen = np.random.default_rng((seed, t, dev.device_id))
-        return gen.normal(size=d)
+    def fn(theta, t, grads):
+        return np.stack([np.random.default_rng((seed, t, m)).normal(size=d)
+                         for m in range(1, len(grads) + 1)])
     return fn
 
 
@@ -58,11 +58,9 @@ def test_estimator_tracks_average_gradient_at_large_k():
     config = parse_config(doc)
     per_iteration = {}
 
-    def observing(theta, dev, t, batch):
-        from airsgd.learner import local_gradient
-        g = local_gradient(theta, dev, batch)
-        per_iteration.setdefault(t, []).append(g)
-        return g
+    def observing(theta, t, grads):
+        per_iteration[t] = grads
+        return grads
 
     records = run(config, gradient_fn=observing)
     for rec in records:
@@ -106,14 +104,25 @@ GOLDEN_METRICS_SHA256 = {
     "ota": "e72014c7f4f1732a680b206d10b2fffa58de887e86e3026e224cbb8b7b0ca5f4",
     "error_free": "3514bbf4c5872f74ff29cb3d9649725bd2b037a721c2f103154772fdd363ca8f",
 }
+# The same ota run with batch_size=16: pins the BATCH substreams and the
+# minibatch gradient path.
+GOLDEN_BATCH_METRICS_SHA256 = "e0fbb99135cbb23b15eb2eb19f050d7c7c2765b3155b330f10e73823bf82802d"
+
+
+def _golden_digest(tmp_path, *overrides):
+    config = parse_config(apply_overrides(template("minimal"), ["T=12", "eval_every=4", *overrides]))
+    path = tmp_path / "m.csv"
+    write_metrics(run(config), config, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_METRICS_SHA256))
 def test_metrics_file_matches_golden_digest(tmp_path, mode):
-    config = parse_config(apply_overrides(template("minimal"), ["T=12", "eval_every=4", f"mode={mode}"]))
-    path = tmp_path / "m.csv"
-    write_metrics(run(config), config, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_METRICS_SHA256[mode]
+    assert _golden_digest(tmp_path, f"mode={mode}") == GOLDEN_METRICS_SHA256[mode]
+
+
+def test_batch_metrics_file_matches_golden_digest(tmp_path):
+    assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
 
 
 def test_metrics_file_layout(tmp_path):
@@ -141,10 +150,10 @@ def test_error_free_metrics_leave_mse_blank(tmp_path):
 
 
 def test_numeric_abort_names_iteration_and_stage():
-    def exploding(theta, dev, t, batch):
+    def exploding(theta, t, grads):
         if t == 3:
-            return np.full(10, np.inf)
-        return np.zeros(10)
+            return np.full_like(grads, np.inf)
+        return np.zeros_like(grads)
 
     with pytest.raises(NumericAbort) as excinfo:
         run(parse_config(_toy_doc()), gradient_fn=exploding)
@@ -154,8 +163,8 @@ def test_numeric_abort_names_iteration_and_stage():
 
 
 def test_power_report_zero_gradients():
-    def silent(theta, dev, t, batch):
-        return np.zeros(10)
+    def silent(theta, t, grads):
+        return np.zeros_like(grads)
 
     records = run(parse_config(_toy_doc(T=5)), gradient_fn=silent)
     assert power_report(records) == 0.0
@@ -165,8 +174,8 @@ def test_power_report_unit_norm_constant_gradient():
     unit = np.zeros(10)
     unit[0] = 1.0
 
-    def constant(theta, dev, t, batch):
-        return unit.copy()
+    def constant(theta, t, grads):
+        return np.tile(unit, (len(grads), 1))
 
     doc = _toy_doc(T=7)
     doc["power"] = {"kind": "constant", "alpha0": 1.0}
@@ -255,6 +264,28 @@ def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
     records = run(parse_config(_toy_doc(T=3, eval_every=1, sigma_z_sq=4.0)))
     assert len(records) == 3
     assert all(r.est_mse > 0 for r in records)
+
+
+@pytest.mark.parametrize("mode", ["ota", "error_free"])
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_run_makes_no_per_device_learner_call(monkeypatch, mode, batch_size):
+    # all M gradients and losses come from one batched computation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-device learner call from a training run")
+
+    for name in ("local_gradient", "local_loss"):
+        monkeypatch.setattr(learner, name, forbidden)
+    records = run(parse_config(_toy_doc(T=3, eval_every=1, mode=mode, batch_size=batch_size)))
+    assert len(records) == 3
+    assert all(r.loss > 0 for r in records)
+
+
+def test_gradient_fn_must_return_one_row_per_device():
+    def one_row(theta, t, grads):
+        return grads[0]
+
+    with pytest.raises(ValueError, match="shape"):
+        run(parse_config(_toy_doc(T=2)), gradient_fn=one_row)
 
 
 def test_cell_filename_keeps_plain_values():

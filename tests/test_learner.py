@@ -6,10 +6,13 @@ from airsgd.learner import (
     OptimizerSpec,
     apply_update,
     evaluate_accuracy,
+    gradients,
     init_optimizer_state,
     init_params,
     local_gradient,
     local_loss,
+    log_probabilities,
+    losses,
     param_count,
 )
 
@@ -158,3 +161,45 @@ def test_loss_monotone_under_small_step_sgd():
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
     assert losses[-1] < losses[0]
+
+
+def _shared_pool_devices(M, n, pool, F, C, seed):
+    # M devices drawing n rows each from a pool of `pool` rows, so they share rows
+    gen = np.random.default_rng(seed)
+    X, y = gen.normal(size=(pool, F)), gen.integers(0, C, size=pool)
+    index = np.stack([gen.choice(pool, size=n, replace=False) for _ in range(M)])
+    theta = gen.normal(size=param_count(F, C)) * 0.3
+    return theta, [LocalDataset(X[i], y[i]) for i in index]
+
+
+@pytest.mark.parametrize("M, n, pool, F, C, batch", [
+    (1, 40, 60, 5, 3, None),
+    (1, 40, 60, 5, 3, 8),
+    (6, 40, 60, 5, 3, None),
+    (6, 40, 60, 5, 3, 8),
+    (4, 150, 200, 32, 10, None),
+    (4, 150, 200, 32, 10, 32),
+])
+def test_batched_gradient_and_loss_equal_per_device_bit_for_bit(M, n, pool, F, C, batch):
+    theta, devices = _shared_pool_devices(M, n, pool, F, C, seed=M * n + F)
+    positions = [None] * M
+    if batch is not None:
+        gen = np.random.default_rng(1)
+        positions = [gen.choice(n, size=batch, replace=False) for _ in range(M)]
+    X = np.stack([dev.features if p is None else dev.features[p]
+                  for dev, p in zip(devices, positions)])
+    y = np.stack([dev.labels if p is None else dev.labels[p]
+                  for dev, p in zip(devices, positions)])
+    log_probs = log_probabilities(theta, X)
+    expected_grads = np.stack([local_gradient(theta, dev, p) for dev, p in zip(devices, positions)])
+    expected_losses = [local_loss(theta, dev, p) for dev, p in zip(devices, positions)]
+    assert np.array_equal(gradients(X, y, log_probs), expected_grads)
+    assert losses(y, log_probs).tolist() == expected_losses
+
+
+def test_log_probabilities_of_a_stack_equal_each_set_alone():
+    theta, devices = _shared_pool_devices(5, 30, 50, 32, 10, seed=3)
+    X = np.stack([dev.features for dev in devices])
+    stacked = log_probabilities(theta, X)
+    for m, dev in enumerate(devices):
+        assert np.array_equal(stacked[m], log_probabilities(theta, dev.features))

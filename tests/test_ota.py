@@ -53,6 +53,15 @@ def test_transmit_energy_matches_alpha_squared_norm():
     assert transmit_energy(blocks) == pytest.approx(4.0 * 25.0)
 
 
+def test_transmit_energy_of_stacked_devices_is_one_per_device():
+    gen = np.random.default_rng(2)
+    grads = gen.normal(size=(4, 23))
+    blocks = transmit(grads, 0.7, 3)
+    energies = transmit_energy(blocks)
+    assert energies.shape == (4,)
+    assert energies.tolist() == [transmit_energy(transmit(g, 0.7, 3)) for g in grads]
+
+
 def test_combine_unit_gain():
     rx = np.array([[[5.0 - 2.0j]]])  # (N=1, K=1, s=1)
     h = np.ones((1, 1, 1, 1), dtype=complex)

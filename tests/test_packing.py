@@ -85,7 +85,17 @@ def test_pack_rejects_bad_inputs():
     with pytest.raises(ValueError):
         pack(np.array([1.0]), 0)
     with pytest.raises(ValueError):
-        pack(np.zeros((2, 2)), 1)
+        pack(np.zeros((2, 2, 2)), 1)
+    with pytest.raises(ValueError):
+        pack(np.float64(1.0), 1)
+
+
+def test_pack_of_a_stack_is_the_stack_of_packs():
+    gen = np.random.default_rng(4)
+    rows = gen.normal(size=(3, 11))
+    stacked = pack(rows, 2)
+    assert stacked.shape == (3, 3, 2)
+    assert np.array_equal(stacked, np.stack([pack(row, 2) for row in rows]))
 
 
 def test_unpack_rejects_mismatched_blocks():
