@@ -11,22 +11,21 @@ Usage:
 """
 
 import argparse
-import pathlib
+import csv
 
 import numpy as np
 
-from airsgd.config import parse_config, template
-from airsgd.experiment import power_report, run, write_metrics
+from airsgd.config import template
+from airsgd.experiment import run_matrix
 
 ANTENNAS = (1, 5, 20, 200)
 NOISE_VARS = (20.0, 100.0)
 
 
-def desk_doc(mode, K, sigma_z, master, iters):
+def desk_doc(iters):
     doc = template("minimal")
-    doc.update(M=10, K=K, T=iters, d=330, s=165, sigma_h_sq=1.0,
-               sigma_z_sq=float(sigma_z), mode=mode, master_seed=master,
-               eval_every=max(1, iters // 10))
+    doc.update(M=10, K=1, T=iters, d=330, s=165, sigma_h_sq=1.0, sigma_z_sq=NOISE_VARS[0],
+               mode="ota", eval_every=max(1, iters // 10))
     doc["power"] = {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001}
     doc["optimizer"] = {"kind": "adam", "learning_rate": 0.01,
                         "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
@@ -34,7 +33,22 @@ def desk_doc(mode, K, sigma_z, master, iters):
                       "train_per_class": 100, "test_per_class": 50,
                       "margin": 4.0, "seed": 42}
     doc["partition"] = {"per_device": 150}
-    return parse_config(doc)
+    return doc
+
+
+def last_row(path):
+    """The final evaluation row of a metrics CSV, as column name -> float."""
+    with open(path, encoding="utf-8") as f:
+        rows = list(csv.reader(line for line in f if not line.startswith("#")))
+    return {name: float(value) for name, value in zip(rows[0], rows[-1]) if value}
+
+
+def print_table(values):
+    """One row per noise level of a (seeds, noise levels, antenna counts) array's seed mean."""
+    print("sigma_z^2 " + "".join(f"{'K=' + str(K):>10}" for K in ANTENNAS))
+    for i, sigma_z in enumerate(NOISE_VARS):
+        print(f"{sigma_z:<10g}"
+              + "".join(f"{np.mean(values[:, i, j]):>10.3f}" for j in range(len(ANTENNAS))))
 
 
 def main():
@@ -47,43 +61,20 @@ def main():
                         help="SGD iterations per run")
     args = parser.parse_args()
 
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    acc = {}
-    pwr = {}
-    baseline = []
-    for master in args.seeds:
-        config = desk_doc("error_free", 1, NOISE_VARS[0], master, args.iters)
-        records = run(config)
-        write_metrics(records, config, out / f"metrics_error_free_seed={master}.csv")
-        baseline.append(records[-1].accuracy)
-        for sigma_z in NOISE_VARS:
-            for K in ANTENNAS:
-                config = desk_doc("ota", K, sigma_z, master, args.iters)
-                records = run(config)
-                name = f"metrics_K={K}_sz={sigma_z:g}_seed={master}.csv"
-                write_metrics(records, config, out / name)
-                acc.setdefault((sigma_z, K), []).append(records[-1].accuracy)
-                pwr.setdefault((sigma_z, K), []).append(power_report(records))
+    doc = desk_doc(args.iters)
+    baseline_grid = [("mode", ["error_free"]), ("master_seed", args.seeds)]
+    baseline = [last_row(path)["accuracy"] for path in run_matrix(doc, baseline_grid, args.out)]
+    # run_matrix runs the cells in itertools.product order: seed, noise level, K.
+    grid = [("master_seed", args.seeds), ("sigma_z_sq", NOISE_VARS), ("K", ANTENNAS)]
+    rows = [last_row(path) for path in run_matrix(doc, grid, args.out)]
+    shape = (len(args.seeds), len(NOISE_VARS), len(ANTENNAS))
 
     print(f"\nmean final accuracy over seeds {args.seeds} "
           f"(error-free baseline {np.mean(baseline):.3f})")
-    header = "sigma_z^2 " + "".join(f"{'K=' + str(K):>10}" for K in ANTENNAS)
-    print(header)
-    for sigma_z in NOISE_VARS:
-        row = f"{sigma_z:<10g}"
-        row += "".join(f"{np.mean(acc[(sigma_z, K)]):>10.3f}" for K in ANTENNAS)
-        print(row)
-
+    print_table(np.reshape([row["accuracy"] for row in rows], shape))
     print("\nmean realized transmit power")
-    print(header)
-    for sigma_z in NOISE_VARS:
-        row = f"{sigma_z:<10g}"
-        row += "".join(f"{np.mean(pwr[(sigma_z, K)]):>10.3f}" for K in ANTENNAS)
-        print(row)
-
-    print(f"\nper-cell metrics written to {out}/")
+    print_table(np.reshape([row["avg_power"] for row in rows], shape))
+    print(f"\nper-cell metrics written to {args.out}/")
 
 
 if __name__ == "__main__":

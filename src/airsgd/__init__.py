@@ -11,7 +11,7 @@ and the Monte Carlo checks of the underlying statistics.
 from .channel import propagate, sample_channel, sample_combined, sample_noise
 from .config import ConfigError, RunConfig, load_config, parse_config, template
 from .data import LocalDataset, SyntheticSpec, load_idx, make_synthetic, partition
-from .experiment import MetricsRecord, NumericAbort, power_report, run, run_matrix, write_metrics
+from .experiment import MetricsRecord, NumericAbort, run, run_matrix, write_metrics
 from .learner import (
     OptimizerSpec,
     OptimizerState,
@@ -41,7 +41,7 @@ __all__ = [
     "OptimizerSpec", "OptimizerState", "init_params", "local_gradient",
     "local_loss", "apply_update", "evaluate_accuracy",
     "RunConfig", "ConfigError", "load_config", "parse_config", "template",
-    "run", "run_matrix", "write_metrics", "power_report",
+    "run", "run_matrix", "write_metrics",
     "MetricsRecord", "NumericAbort",
 ]
 

@@ -6,8 +6,8 @@ Verbs:
   verify-stats  Monte Carlo checks of the aggregation statistics
   template      print a ready-to-edit config (minimal | paper_scale)
 
-Exit codes: 0 success, 2 config problem, 3 numeric abort mid-run,
-4 statistical check failure.
+Exit codes: 0 success, 2 config problem (a missing or malformed dataset
+file included), 3 numeric abort mid-run, 4 statistical check failure.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import experiment, verify
-from .config import ConfigError, apply_overrides, load_config, load_document, template
+from .config import ConfigError, apply_overrides, load_config, load_document, parse_value, template
 
 __all__ = ["main"]
 
@@ -67,16 +67,10 @@ def _parse_sweep_args(items) -> list:
         if "=" not in item:
             raise ConfigError(f"sweep {item!r} is not of the form KEY=V1,V2,...")
         field, text = item.split("=", 1)
-        values = []
-        for piece in text.split(","):
-            piece = piece.strip()
-            if not piece:
-                raise ConfigError(f"sweep {item!r} has an empty value")
-            try:
-                values.append(json.loads(piece))
-            except json.JSONDecodeError:
-                values.append(piece)
-        sweep.append((field, values))
+        pieces = [piece.strip() for piece in text.split(",")]
+        if not all(pieces):
+            raise ConfigError(f"sweep {item!r} has an empty value")
+        sweep.append((field, [parse_value(piece) for piece in pieces]))
     return sweep
 
 
@@ -91,7 +85,7 @@ def _cmd_run(args) -> int:
     experiment.write_metrics(records, config, config.metrics_path)
     final = records[-1]
     print(f"final accuracy: {final.accuracy:.4f}")
-    print(f"average power:  {experiment.power_report(records):.6g}")
+    print(f"average power:  {final.avg_power:.6g}")
     print(f"metrics: {config.metrics_path}")
     return EXIT_OK
 

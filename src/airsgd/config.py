@@ -28,6 +28,7 @@ __all__ = [
     "load_config",
     "load_document",
     "parse_config",
+    "parse_value",
     "apply_overrides",
     "template",
     "resolved_json",
@@ -102,18 +103,6 @@ class RunConfig:
                 f"batch_size={self.batch_size} exceeds per-device sample count "
                 f"per_device={self.partition.per_device}"
             )
-        if self.dataset.kind == "synthetic":
-            spec = self.dataset
-            expected = (spec.features + 1) * spec.classes
-            if self.d != expected:
-                raise ConfigError(
-                    f"d={self.d} but the synthetic model has (features+1)*classes={expected}"
-                )
-            pool = spec.classes * spec.train_per_class
-            if self.partition.per_device > pool:
-                raise ConfigError(
-                    f"per_device={self.partition.per_device} exceeds training pool of {pool}"
-                )
         self.power.validate_horizon(self.T)
 
 
@@ -204,7 +193,8 @@ def load_config(path, overrides=()) -> RunConfig:
     return parse_config(doc)
 
 
-def _parse_override_value(text: str):
+def parse_value(text: str):
+    """One override or sweep value: JSON when it parses, else the text itself."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -231,7 +221,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
             node = node[part]
         if not isinstance(node, dict) or parts[-1] not in node:
             raise ConfigError(f"override key {key!r} does not match the config layout")
-        node[parts[-1]] = _parse_override_value(text)
+        node[parts[-1]] = parse_value(text)
     return result
 
 

@@ -72,10 +72,6 @@ class LocalDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
-
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
     buf = f.read(count)

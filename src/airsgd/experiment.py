@@ -33,7 +33,6 @@ __all__ = [
     "NumericAbort",
     "build_dataset",
     "run",
-    "power_report",
     "write_metrics",
     "run_matrix",
 ]
@@ -62,20 +61,28 @@ class NumericAbort(Exception):
         super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r}")
 
 
+def _load_idx(images_path, labels_path) -> data.LocalDataset:
+    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError."""
+    try:
+        return data.scale_to_unit(data.load_idx(images_path, labels_path))
+    except (OSError, data.DataError) as exc:
+        raise ConfigError(f"cannot load dataset {images_path}, {labels_path}: {exc}") from exc
+
+
 def build_dataset(config: RunConfig):
     """Materialize (train, test) datasets described by the config.
 
     IDX pixel features are rescaled to [0, 1]; synthetic features are used
-    as generated. In both cases the flattened model dimension is checked
-    against the configured d before any training starts.
+    as generated. In both cases d and per_device are checked against the
+    dataset before any training starts.
     """
     if config.dataset.kind == "synthetic":
         train, test = data.make_synthetic(config.dataset)
         classes = config.dataset.classes
     else:
         paths = config.dataset
-        train = data.scale_to_unit(data.load_idx(paths.train_images, paths.train_labels))
-        test = data.scale_to_unit(data.load_idx(paths.test_images, paths.test_labels))
+        train = _load_idx(paths.train_images, paths.train_labels)
+        test = _load_idx(paths.test_images, paths.test_labels)
         classes = 10
     n_features = train.features.shape[1]
     expected = learner.param_count(n_features, classes)
@@ -202,13 +209,6 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
     if capture is not None:
         capture["theta"] = theta
     return records
-
-
-def power_report(records) -> float:
-    """Realized average per-device transmit power over the whole run."""
-    if not records:
-        raise ValueError("no records")
-    return records[-1].avg_power
 
 
 def _format_cell(value) -> str:

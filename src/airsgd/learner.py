@@ -107,34 +107,21 @@ def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return -log_probs[np.arange(M)[:, None], np.arange(n), y].mean(axis=1)
 
 
-def _select_batch(dataset: LocalDataset, batch):
-    if batch is None:
-        return dataset.features, dataset.labels
-    idx = np.asarray(batch, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("batch selector is empty")
-    return dataset.features[idx], dataset.labels[idx]
+def local_gradient(theta: np.ndarray, dataset: LocalDataset) -> np.ndarray:
+    """Average cross-entropy gradient of the softmax model over a local set.
 
-
-def local_gradient(theta: np.ndarray, dataset: LocalDataset, batch=None) -> np.ndarray:
-    """Average cross-entropy gradient of the softmax model over a batch.
-
-    ``batch`` is an index array into the dataset; None means the full local
-    set. Deterministic given (theta, batch). This is the M = 1 case of
-    :func:`gradients`.
+    Deterministic given theta. This is the M = 1 case of :func:`gradients`.
     """
-    X, y = _select_batch(dataset, batch)
-    log_probs = log_probabilities(theta, X)
-    check_labels(y, log_probs.shape[-1])
-    return gradients(X[None], y[None], log_probs[None])[0]
+    log_probs = log_probabilities(theta, dataset.features)
+    check_labels(dataset.labels, log_probs.shape[-1])
+    return gradients(dataset.features[None], dataset.labels[None], log_probs[None])[0]
 
 
-def local_loss(theta: np.ndarray, dataset: LocalDataset, batch=None) -> float:
-    """Mean cross-entropy of the softmax model over a batch (M = 1 of :func:`losses`)."""
-    X, y = _select_batch(dataset, batch)
-    log_probs = log_probabilities(theta, X)
-    check_labels(y, log_probs.shape[-1])
-    return float(losses(y[None], log_probs[None])[0])
+def local_loss(theta: np.ndarray, dataset: LocalDataset) -> float:
+    """Mean cross-entropy of the softmax model over a local set (M = 1 of :func:`losses`)."""
+    log_probs = log_probabilities(theta, dataset.features)
+    check_labels(dataset.labels, log_probs.shape[-1])
+    return float(losses(dataset.labels[None], log_probs[None])[0])
 
 
 def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset) -> float:

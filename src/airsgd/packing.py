@@ -49,18 +49,13 @@ def pack(gradient, s: int) -> np.ndarray:
 def unpack(blocks, d: int) -> np.ndarray:
     """Invert :func:`pack`, recovering the first d real entries.
 
-    ``blocks`` is an (N, s) complex array (or an equal-length sequence of
-     1-d complex vectors) with N = ceil(d / 2s); padding positions beyond d
-    are discarded. Exact inverse: no arithmetic is performed on the values.
+    ``blocks`` is an (N, s) complex array with N = ceil(d / 2s); padding
+    positions beyond d are discarded. Exact inverse: no arithmetic is
+    performed on the values.
     """
-    try:
-        b = np.asarray(blocks, dtype=np.complex128)
-    except ValueError as exc:
-        raise ValueError(f"blocks must form a rectangular array: {exc}") from None
+    b = np.asarray(blocks, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] == 0 or b.shape[1] == 0:
         raise ValueError(f"blocks must be a nonempty (N, s) array, got shape {b.shape}")
-    if d < 1:
-        raise ValueError(f"vector length d must be >= 1, got {d}")
     n_blocks, s = b.shape
     if n_blocks != block_count(d, s):
         raise ValueError(

@@ -9,9 +9,11 @@ Two suites, both built on fresh channel draws:
   quadrupling K should roughly halve it.
 
 These back the `verify-stats` CLI verb and the statistical acceptance
-tests. Draws are chunked along the block axis so trial counts in the 1e5
-range stay inside a laptop's memory.
+tests. Every check draws its channel matrices in chunks (``_chunks``), so
+trial counts in the 1e5 range stay inside a laptop's memory.
 """
+
+import itertools
 
 import numpy as np
 
@@ -28,9 +30,11 @@ __all__ = [
 
 _CHUNK = 4096
 
-# (M, K, sigma_h_sq) triples exercised by the default interference suite.
+# (M, K, sigma_h_sq) triples exercised by the interference suite.
 INTERFERENCE_CASES = ((2, 4, 1.0), (4, 8, 1.0), (8, 16, 2.0))
 
+HARDENING_M = 2
+HARDENING_SIGMA_H_SQ = 1.0
 HARDENING_K = (4, 16, 64, 256)
 
 
@@ -39,30 +43,31 @@ def interference_variance(M: int, K: int, sigma_h_sq: float) -> float:
     return M * (M - 1) * sigma_h_sq**2 / K
 
 
-def interference_samples(M, K, sigma_h_sq, trials, seed, case_index=0) -> np.ndarray:
+def _chunks(trials: int, seed: int, index: int) -> list:
+    """(substream, size) pairs of at most _CHUNK draws: chunk c reads (seed, CHANNEL, index, c)."""
+    return [
+        (rng.substream(seed, rng.CHANNEL, index, chunk), min(_CHUNK, trials - start))
+        for chunk, start in enumerate(range(0, trials, _CHUNK))
+    ]
+
+
+def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:
     """Draw `trials` independent realizations of the interference statistic.
 
     Each draw uses an independent channel matrix with a single subchannel;
     the statistic is scale-free in the gradients so no signal is needed.
     """
-    out = np.empty(trials, dtype=np.complex128)
-    filled = 0
-    chunk_index = 0
-    while filled < trials:
-        n = min(_CHUNK, trials - filled)
-        seed_seq = rng.substream(seed, rng.CHANNEL, case_index, chunk_index)
-        h = channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq)
-        out[filled : filled + n] = ota.interference_statistic(h)[:, 0]
-        filled += n
-        chunk_index += 1
-    return out
+    return np.concatenate([
+        ota.interference_statistic(channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq))[:, 0]
+        for seed_seq, n in _chunks(trials, seed, case_index)
+    ])
 
 
-def interference_checks(trials: int, seed: int, cases=INTERFERENCE_CASES) -> list:
+def interference_checks(trials: int, seed: int) -> list:
     """Mean and variance checks of the interference statistic per case."""
     results = []
-    for index, (M, K, sigma_h_sq) in enumerate(cases):
-        samples = interference_samples(M, K, sigma_h_sq, trials, seed, case_index=index)
+    for index, (M, K, sigma_h_sq) in enumerate(INTERFERENCE_CASES):
+        samples = interference_samples(M, K, sigma_h_sq, trials, seed, index)
         label = f"interference(M={M},K={K},sig_h2={sigma_h_sq:g})"
         results.extend(statcheck.check_mean_zero(f"{label}.mean", samples, 4.0))
         expected = interference_variance(M, K, sigma_h_sq)
@@ -70,37 +75,28 @@ def interference_checks(trials: int, seed: int, cases=INTERFERENCE_CASES) -> lis
     return results
 
 
-def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index=0) -> float:
+def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
     """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
     total = 0.0
     count = 0
-    filled = 0
-    chunk_index = 0
-    while filled < trials:
-        n = min(_CHUNK, trials - filled)
-        seed_seq = rng.substream(seed, rng.CHANNEL, k_index, chunk_index)
+    for seed_seq, n in _chunks(trials, seed, k_index):
         h = channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq)
         gains = ota.effective_signal_gains(h)  # (n, M, 1)
         total += float(((gains - sigma_h_sq) ** 2).sum())
         count += gains.size
-        filled += n
-        chunk_index += 1
     return float(np.sqrt(total / count) / sigma_h_sq)
 
 
-def hardening_checks(trials: int, seed: int, M: int = 2, sigma_h_sq: float = 1.0,
-                     antennas=HARDENING_K) -> list:
+def hardening_checks(trials: int, seed: int) -> list:
     """Check the RMS deviation roughly halves each time K quadruples."""
     # Offset the stream index so these draws never coincide with an
     # interference case of the same shape and seed.
     deviations = [
-        hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index=100 + i)
-        for i, K in enumerate(antennas)
+        hardening_rms_deviation(HARDENING_M, K, HARDENING_SIGMA_H_SQ, trials, seed, 100 + i)
+        for i, K in enumerate(HARDENING_K)
     ]
     results = []
-    for (k_lo, dev_lo), (k_hi, dev_hi) in zip(
-        zip(antennas, deviations), zip(antennas[1:], deviations[1:])
-    ):
+    for (k_lo, dev_lo), (k_hi, dev_hi) in itertools.pairwise(zip(HARDENING_K, deviations)):
         ratio = dev_hi / dev_lo
         results.append(
             statcheck.CheckResult(

@@ -13,7 +13,7 @@ import pytest
 
 from airsgd import channel, ota, rng, verify
 from airsgd.config import parse_config, template
-from airsgd.experiment import power_report, run, write_metrics
+from airsgd.experiment import run, write_metrics
 from airsgd.learner import local_gradient, local_loss, param_count
 from airsgd.packing import pack, unpack
 from airsgd.statcheck import check_monotone
@@ -252,7 +252,7 @@ def desk_matrix():
             for K in DESK_K:
                 records = run(_desk_doc("ota", K, sigma_z, master))
                 acc.setdefault((sigma_z, K), []).append(records[-1].accuracy)
-                power.setdefault((sigma_z, K), []).append(power_report(records))
+                power.setdefault((sigma_z, K), []).append(records[-1].avg_power)
     mean_acc = {key: float(np.mean(v)) for key, v in acc.items()}
     mean_power = {key: float(np.mean(v)) for key, v in power.items()}
     return mean_acc, mean_power, float(np.mean(baseline))
@@ -302,8 +302,8 @@ def test_criterion_8_power_accounting(desk_matrix):
                       "margin": 2.0, "seed": 3}
     doc["partition"] = {"per_device": 20}
     records = run(parse_config(doc), gradient_fn=constant_gradient)
-    exact = power_report(records) == 0.5**2 * 25.0
-    print(f"   constant-gradient run: P={power_report(records)!r}, expected 6.25")
+    exact = records[-1].avg_power == 0.5**2 * 25.0
+    print(f"   constant-gradient run: P={records[-1].avg_power!r}, expected 6.25")
 
     # realized power falls as antennas are added, at both noise levels
     _, mean_power, _ = desk_matrix

@@ -2,15 +2,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from airsgd.config import parse_config
+from airsgd.data import write_idx_images, write_idx_labels
 
 
-def _cli(*args, cwd=None):
+def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "airsgd", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True,
     )
 
 
@@ -74,6 +76,37 @@ def test_run_invalid_config_exits_2(tmp_path, override, key):
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _paper_scale_config(tmp_path):
+    # the template's dataset files, under a directory that does not hold them
+    doc = json.loads(_cli("template", "paper_scale").stdout)
+    doc["dataset"].update((key, str(tmp_path / path)) for key, path in doc["dataset"].items()
+                          if key != "kind")
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    return path, doc["dataset"]["train_images"]
+
+
+def _truncated_idx_config(tmp_path):
+    images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(images, np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx_labels(labels, np.array([0, 1], dtype=np.uint8))
+    images.write_bytes(images.read_bytes()[:-3])
+    dataset = {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
+               "test_images": str(images), "test_labels": str(labels)}
+    return _write_fast_config(tmp_path, dataset=dataset), str(images)
+
+
+@pytest.mark.parametrize("make_config", [_paper_scale_config, _truncated_idx_config],
+                         ids=["missing", "truncated"])
+def test_run_unreadable_dataset_exits_2(tmp_path, make_config):
+    config, dataset_file = make_config(tmp_path)
+    proc = _cli("run", "--config", str(config))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert dataset_file in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -55,14 +55,6 @@ def test_s_larger_than_d_rejected():
         parse_config(doc)
 
 
-def test_dimension_must_match_dataset():
-    doc = template("minimal")
-    doc["d"] = doc["d"] + 2
-    doc["s"] = 1
-    with pytest.raises(ConfigError, match="classes"):
-        parse_config(doc)
-
-
 def test_batch_size_bounded_by_per_device():
     doc = template("minimal")
     doc["batch_size"] = doc["partition"]["per_device"] + 1

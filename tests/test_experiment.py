@@ -1,18 +1,18 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from airsgd import channel, experiment, learner, ota
+from airsgd import channel, cli, experiment, learner, ota, verify
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
     CSV_HEADER,
     NumericAbort,
     build_dataset,
-    power_report,
     run,
     run_matrix,
     write_metrics,
@@ -125,6 +125,23 @@ def test_batch_metrics_file_matches_golden_digest(tmp_path):
     assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
 
 
+# sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
+# reference channel streams and the chunking of verify's draws: with chunks
+# of 512 matrices each check draws four chunks, the last one short.
+GOLDEN_VERIFY_SHA256 = {
+    4096: "21d4a8e6107403c81ccfb1bf1223d01deb85a181106089e46e9cb8a48c2968f8",
+    512: "83c569180034e83786c8a2278f549a18d23aa2f3f1d934725114aff351a4fb49",
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk):
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
+
+
 def test_metrics_file_layout(tmp_path):
     config = parse_config(_toy_doc(T=8, eval_every=3, sigma_z_sq=4.0))
     path = tmp_path / "m.csv"
@@ -167,7 +184,7 @@ def test_power_report_zero_gradients():
         return np.zeros_like(grads)
 
     records = run(parse_config(_toy_doc(T=5)), gradient_fn=silent)
-    assert power_report(records) == 0.0
+    assert records[-1].avg_power == 0.0
 
 
 def test_power_report_unit_norm_constant_gradient():
@@ -180,7 +197,7 @@ def test_power_report_unit_norm_constant_gradient():
     doc = _toy_doc(T=7)
     doc["power"] = {"kind": "constant", "alpha0": 1.0}
     records = run(parse_config(doc), gradient_fn=constant)
-    assert power_report(records) == 1.0
+    assert records[-1].avg_power == 1.0
     assert all(r.inst_power == 1.0 for r in records)
 
 
@@ -233,6 +250,18 @@ def test_idx_dataset_runs_end_to_end(tmp_path):
     records = run(parse_config(doc))
     assert len(records) == 3
     assert records[-1].accuracy is not None
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"d": 12, "s": 1}, "config d=12, dataset implies (features+1)*classes=10"),
+    ({"partition": {"per_device": 121}}, "per_device=121 exceeds 120 training samples"),
+], ids=["d", "per_device"])
+def test_build_dataset_checks_the_synthetic_config_against_the_dataset(updates, message):
+    config = parse_config(_toy_doc(**updates))  # parses: the check needs the dataset
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_dataset(config)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(config)
 
 
 def test_build_dataset_rejects_dimension_mismatch(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airsgd.data import LocalDataset, SyntheticSpec, make_synthetic
+from airsgd.data import DataError, LocalDataset, SyntheticSpec, make_synthetic
 from airsgd.learner import (
     OptimizerSpec,
     apply_update,
@@ -37,8 +37,9 @@ def test_gradient_duplicate_batch_invariance():
     gen = np.random.default_rng(0)
     data = LocalDataset(gen.normal(size=(6, 4)), gen.integers(0, 3, size=6))
     theta = gen.normal(size=param_count(4, 3))
-    once = local_gradient(theta, data, batch=[0, 1, 2])
-    doubled = local_gradient(theta, data, batch=[0, 1, 2, 0, 1, 2])
+    rows = [0, 1, 2]
+    once = local_gradient(theta, LocalDataset(data.features[rows], data.labels[rows]))
+    doubled = local_gradient(theta, LocalDataset(data.features[rows * 2], data.labels[rows * 2]))
     assert np.allclose(once, doubled, rtol=1e-13)
 
 
@@ -61,8 +62,8 @@ def test_gradient_matches_finite_differences():
 def test_gradient_rejects_empty_batch_and_bad_labels():
     data = LocalDataset(np.ones((2, 3)), np.array([0, 1]))
     theta = np.zeros(param_count(3, 2))
-    with pytest.raises(ValueError):
-        local_gradient(theta, data, batch=[])
+    with pytest.raises(DataError, match="nonempty"):
+        LocalDataset(data.features[[]], data.labels[[]])
     bad = LocalDataset(np.ones((1, 3)), np.array([5]))
     with pytest.raises(ValueError):
         local_gradient(theta, bad)
@@ -186,13 +187,13 @@ def test_batched_gradient_and_loss_equal_per_device_bit_for_bit(M, n, pool, F, C
     if batch is not None:
         gen = np.random.default_rng(1)
         positions = [gen.choice(n, size=batch, replace=False) for _ in range(M)]
-    X = np.stack([dev.features if p is None else dev.features[p]
-                  for dev, p in zip(devices, positions)])
-    y = np.stack([dev.labels if p is None else dev.labels[p]
-                  for dev, p in zip(devices, positions)])
+    sets = [dev if p is None else LocalDataset(dev.features[p], dev.labels[p])
+            for dev, p in zip(devices, positions)]
+    X = np.stack([s.features for s in sets])
+    y = np.stack([s.labels for s in sets])
     log_probs = log_probabilities(theta, X)
-    expected_grads = np.stack([local_gradient(theta, dev, p) for dev, p in zip(devices, positions)])
-    expected_losses = [local_loss(theta, dev, p) for dev, p in zip(devices, positions)]
+    expected_grads = np.stack([local_gradient(theta, s) for s in sets])
+    expected_losses = [local_loss(theta, s) for s in sets]
     assert np.array_equal(gradients(X, y, log_probs), expected_grads)
     assert losses(y, log_probs).tolist() == expected_losses
 
