@@ -32,6 +32,7 @@ __all__ = [
     "MetricsRecord",
     "NumericAbort",
     "build_dataset",
+    "make_dir",
     "run",
     "write_metrics",
     "run_matrix",
@@ -102,13 +103,13 @@ def build_dataset(config: RunConfig):
 def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
     """Each device's batch at iteration t: (M, batch_size) positions in its local set.
 
-    Device m draws from its own BATCH substream (t, m), m = 1..M.
+    BATCH substream t draws (M, per_device) uniform keys; row m-1 is device m's
+    and selects the positions of its batch_size smallest keys, in key order.
     """
-    return np.stack([
-        rng.generator(rng.substream(config.master_seed, rng.BATCH, t, m)).choice(
-            config.partition.per_device, size=config.batch_size, replace=False)
-        for m in range(1, config.M + 1)
-    ])
+    keys = rng.generator(rng.substream(config.master_seed, rng.BATCH, t)).random(
+        (config.M, config.partition.per_device))
+    picked = np.argpartition(keys, config.batch_size - 1, axis=1)[:, :config.batch_size]
+    return np.take_along_axis(picked, np.argsort(np.take_along_axis(keys, picked, 1), 1), 1)
 
 
 def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
@@ -246,6 +247,14 @@ def write_metrics(records, config: RunConfig, path) -> None:
         raise
 
 
+def make_dir(path) -> None:
+    """Create directory ``path`` (and its parents) unless it exists; "" is the working one."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+
+
 def _cell_filename(assignments) -> str:
     """One filename per cell, inside the sweep's directory whatever the values.
 
@@ -267,20 +276,21 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
 
     ``sweep`` is a list of (field, values) pairs where field is a config key
     in override syntax (dots for nesting). Returns the metrics paths written,
-    one per cell, filenames encoding the cell's assignments.
+    one per cell, named by its assignments; a repeated field or cell is a ConfigError.
     """
-    os.makedirs(out_dir, exist_ok=True)
     fields = [field for field, _ in sweep]
-    value_lists = [values for _, values in sweep]
+    cells = [list(zip(fields, combo)) for combo in itertools.product(*(v for _, v in sweep))]
+    filenames = [_cell_filename(assignments) for assignments in cells]
+    repeated = sorted({name for names in (fields, filenames) for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
+    make_dir(out_dir)
     paths = []
-    for combo in itertools.product(*value_lists):
-        assignments = list(zip(fields, combo))
+    for assignments, filename in zip(cells, filenames):
         overrides = [f"{field}={json.dumps(value)}" for field, value in assignments]
         doc = apply_overrides(base_doc, overrides)
-        filename = _cell_filename(assignments)
         doc["metrics_path"] = os.path.join(out_dir, filename)
         config = parse_config(doc)
-        records = run(config)
-        write_metrics(records, config, config.metrics_path)
+        write_metrics(run(config), config, config.metrics_path)
         paths.append(config.metrics_path)
     return paths

@@ -1,14 +1,14 @@
 """Substream derivation for reproducible simulation randomness.
 
 All randomness flows through the Philox counter-based bit generator. Each
-consumer derives its own stream from (master_seed, stream tag, indices...)
-so results never depend on the order in which tensors happen to be drawn.
-Within a stream, each tensor is drawn in one vectorized call, in a documented
-order and axis layout, which pins the counter assignment of every scalar.
-
-One stream carries no tag: ``data.partition`` draws the devices' local sets,
-device by device, from ``generator(master_seed)``, the Philox stream seeded
-by the master seed alone.
+consumer derives its own stream from (master_seed, stream tag, indices...),
+so results never depend on the order in which tensors are drawn. Within a
+stream, each tensor is drawn in one vectorized call, in a documented order
+and axis layout, which pins the counter assignment of every scalar. A
+training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
+iteration t, keyed (master_seed, tag, t). One stream carries no tag:
+``data.partition`` draws the devices' local sets, device by device, from
+``generator(master_seed)``, the Philox stream seeded by the master seed alone.
 """
 
 import numpy as np

@@ -18,6 +18,7 @@ import itertools
 import numpy as np
 
 from . import channel, ota, rng, statcheck
+from .config import ConfigError
 
 __all__ = [
     "interference_samples",
@@ -115,7 +116,7 @@ def hardening_checks(trials: int, seed: int) -> list:
 def stat_suite(trials: int, seed: int) -> list:
     """All statistical checks, as run by the verify-stats command."""
     if trials < 1000:
-        raise ValueError(f"need at least 1000 trials for stable checks, got {trials}")
+        raise ConfigError(f"need at least 1000 trials for stable checks, got {trials}")
     results = interference_checks(trials, seed)
     # Hardening ratios stabilize well below 1e5 draws; cap to keep runtime flat.
     results.extend(hardening_checks(min(trials, 10_000), seed))

@@ -110,6 +110,31 @@ def test_run_unreadable_dataset_exits_2(tmp_path, make_config):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_creates_a_missing_metrics_directory(tmp_path):
+    config = _write_fast_config(tmp_path)
+    target = tmp_path / "new" / "deeper" / "x.csv"
+    proc = _cli("run", "--config", str(config), "--set", f"metrics_path={json.dumps(str(target))}")
+    assert proc.returncode == 0, proc.stderr
+    assert target.read_text().startswith("# config: ")
+
+
+@pytest.mark.parametrize("args, path", [
+    (["run", "--out", "{f}"], "{f}"),
+    (["run", "--set", "metrics_path=\"{f}/x.csv\""], "{f}"),
+    (["sweep", "--out", "{f}/sub", "--sweep", "K=1,5"], "{f}/sub"),
+], ids=["run-out", "run-metrics_path", "sweep-out"])
+def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, path):
+    config = _write_fast_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    verb, *rest = (arg.format(f=afile) for arg in args)
+    proc = _cli(verb, "--config", str(config), *rest)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: cannot create output directory {path.format(f=afile)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_run_numeric_abort_exits_3(tmp_path):
     config = _write_fast_config(
         tmp_path, sigma_h_sq=1e200,

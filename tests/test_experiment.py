@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from airsgd import channel, cli, experiment, learner, ota, verify
+from airsgd import channel, cli, experiment, learner, ota, rng, verify
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
@@ -104,9 +104,10 @@ GOLDEN_METRICS_SHA256 = {
     "ota": "e72014c7f4f1732a680b206d10b2fffa58de887e86e3026e224cbb8b7b0ca5f4",
     "error_free": "3514bbf4c5872f74ff29cb3d9649725bd2b037a721c2f103154772fdd363ca8f",
 }
-# The same ota run with batch_size=16: pins the BATCH substreams and the
-# minibatch gradient path.
-GOLDEN_BATCH_METRICS_SHA256 = "e0fbb99135cbb23b15eb2eb19f050d7c7c2765b3155b330f10e73823bf82802d"
+# The same ota run with batch_size=16: pins the BATCH substreams, one per
+# iteration, the smallest-keys selection in key order, and the minibatch
+# gradient path.
+GOLDEN_BATCH_METRICS_SHA256 = "460d4982371681b83d0013dfffc670c139dca77f47b78ce2e513bb54328309da"
 
 
 def _golden_digest(tmp_path, *overrides):
@@ -123,6 +124,54 @@ def test_metrics_file_matches_golden_digest(tmp_path, mode):
 
 def test_batch_metrics_file_matches_golden_digest(tmp_path):
     assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
+
+
+def test_batch_positions_draw_uniform_ordered_pairs():
+    # 5 positions, batches of 2: each of the 20 ordered pairs is equally
+    # likely on every device; chi-square 0.999 quantile at df=19 is 43.82
+    config = parse_config(_toy_doc(M=3, partition={"per_device": 5}, batch_size=2, master_seed=11))
+    batches = np.stack([experiment._batch_positions(config, t) for t in range(1, 4001)])
+    assert batches.shape == (4000, 3, 2)
+    assert np.all(batches[..., 0] != batches[..., 1])
+    pairs = [(a, b) for a in range(5) for b in range(5) if a != b]
+    for device in range(3):
+        first, second = batches[:, device].T
+        counts = np.array([np.sum((first == a) & (second == b)) for a, b in pairs])
+        assert counts.sum() == 4000
+        assert np.sum((counts - 200.0) ** 2 / 200.0) < 43.82
+
+
+@pytest.mark.parametrize("partition", ["numpy", "reversed_sides"])
+def test_batch_positions_are_the_smallest_keys_in_key_order(monkeypatch, partition):
+    # numpy leaves the order inside each side of a partition unspecified; a
+    # valid argpartition that reverses both sides must not move a batch
+    argpartition = np.argpartition
+
+    def reversed_sides(a, kth, axis):
+        out = argpartition(a, kth, axis=axis)
+        return np.concatenate([out[:, :kth][:, ::-1], out[:, kth:kth + 1],
+                               out[:, kth + 1:][:, ::-1]], axis=1)
+
+    if partition == "reversed_sides":
+        monkeypatch.setattr(np, "argpartition", reversed_sides)
+    config = parse_config(_toy_doc(M=4, partition={"per_device": 40}, batch_size=12, master_seed=3))
+    for t in (1, 2, 3):
+        keys = rng.generator(rng.substream(3, rng.BATCH, t)).random((4, 40))
+        np.testing.assert_array_equal(experiment._batch_positions(config, t),
+                                      np.argsort(keys, axis=1)[:, :12])
+
+
+def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
+    keys = []
+    substream = rng.substream
+
+    def recording(master_seed, tag, *indices):
+        keys.append((master_seed, tag, *indices))
+        return substream(master_seed, tag, *indices)
+
+    monkeypatch.setattr(rng, "substream", recording)
+    run(parse_config(_toy_doc(T=6, batch_size=8, master_seed=5)))
+    assert [key for key in keys if key[1] == rng.BATCH] == [(5, rng.BATCH, t) for t in range(1, 7)]
 
 
 # sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
@@ -230,6 +279,20 @@ def test_run_matrix_empty_sweep_single_run(tmp_path):
 def test_run_matrix_unknown_field(tmp_path):
     with pytest.raises(ConfigError):
         run_matrix(_toy_doc(), [("antennas", [1, 2])], tmp_path)
+
+
+@pytest.mark.parametrize("sweep, repeated", [
+    ([("K", [4, 4])], "metrics_K=4.csv"),
+    ([("K", [4]), ("sigma_z_sq", [1.0]), ("K", [8])], "K"),
+], ids=["value", "field"])
+def test_run_matrix_rejects_repeats_before_any_cell(tmp_path, monkeypatch, sweep, repeated):
+    def forbidden(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment, "run", forbidden)
+    with pytest.raises(ConfigError, match=f"sweep repeats .*{re.escape(repeated)}"):
+        run_matrix(_toy_doc(T=2), sweep, tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
 
 
 def test_idx_dataset_runs_end_to_end(tmp_path):
