@@ -18,8 +18,6 @@ from .learner import (
     apply_update,
     evaluate_accuracy,
     init_params,
-    local_gradient,
-    local_loss,
 )
 from .ota import (
     Decomposition,
@@ -38,8 +36,8 @@ __all__ = [
     "PowerSchedule", "transmit", "combine", "estimate_average_gradient",
     "interference_statistic", "decompose", "Decomposition",
     "LocalDataset", "SyntheticSpec", "make_synthetic", "partition", "load_idx",
-    "OptimizerSpec", "OptimizerState", "init_params", "local_gradient",
-    "local_loss", "apply_update", "evaluate_accuracy",
+    "OptimizerSpec", "OptimizerState", "init_params", "apply_update",
+    "evaluate_accuracy",
     "RunConfig", "ConfigError", "load_config", "parse_config", "template",
     "run", "run_matrix", "write_metrics",
     "MetricsRecord", "NumericAbort",

@@ -80,7 +80,7 @@ def _cmd_run(args) -> int:
         config = replace(
             config, metrics_path=os.path.join(args.out, os.path.basename(config.metrics_path))
         )
-    experiment.make_dir(os.path.dirname(config.metrics_path))  # fail before iteration 1
+    experiment.check_metrics_path(config.metrics_path)  # fail before iteration 1
     records = experiment.run(config)
     experiment.write_metrics(records, config, config.metrics_path)
     final = records[-1]

@@ -20,9 +20,6 @@ from . import rng
 __all__ = [
     "LocalDataset",
     "DataError",
-    "IdxFormatError",
-    "IdxTruncatedError",
-    "IdxCountMismatchError",
     "load_idx",
     "write_idx_images",
     "write_idx_labels",
@@ -37,19 +34,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class DataError(Exception):
-    """Base class for dataset errors."""
-
-
-class IdxFormatError(DataError):
-    """Bad magic number or out-of-range content in an IDX file."""
-
-
-class IdxTruncatedError(DataError):
-    """IDX file shorter than its header promises."""
-
-
-class IdxCountMismatchError(DataError):
-    """Image and label files disagree on the sample count."""
+    """A malformed dataset: bad shapes, or an IDX file that is bad, short or mismatched."""
 
 
 @dataclass
@@ -76,7 +61,7 @@ class LocalDataset:
 def _read_exact(f, count: int, path, what: str) -> bytes:
     buf = f.read(count)
     if len(buf) != count:
-        raise IdxTruncatedError(f"{path}: expected {count} bytes of {what}, got {len(buf)}")
+        raise DataError(f"{path}: expected {count} bytes of {what}, got {len(buf)}")
     return buf
 
 
@@ -90,21 +75,21 @@ def load_idx(images_path, labels_path) -> LocalDataset:
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
         if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{images_path}: bad image magic 0x{magic:08x}")
+            raise DataError(f"{images_path}: bad image magic 0x{magic:08x}")
         pixels = np.frombuffer(
             _read_exact(f, count * rows * cols, images_path, "pixel data"), dtype=np.uint8
         )
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path, "header"))
         if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
+            raise DataError(f"{labels_path}: bad label magic 0x{magic:08x}")
         labels = np.frombuffer(_read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
     if label_count != count:
-        raise IdxCountMismatchError(
+        raise DataError(
             f"{images_path} holds {count} images but {labels_path} holds {label_count} labels"
         )
     if labels.size and labels.max() >= 10:
-        raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, 10)")
+        raise DataError(f"{labels_path}: label {labels.max()} outside [0, 10)")
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     return LocalDataset(features, labels.astype(np.int64))
 

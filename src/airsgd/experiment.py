@@ -20,7 +20,7 @@ so every data file is reproducible on its own.
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from urllib.parse import quote
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "NumericAbort",
     "build_dataset",
     "make_dir",
+    "check_metrics_path",
     "run",
     "write_metrics",
     "run_matrix",
@@ -255,6 +256,13 @@ def make_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
+def check_metrics_path(path) -> None:
+    """Make the directory of metrics file ``path``; ``path`` itself must not be a directory."""
+    make_dir(os.path.dirname(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"metrics path {path} is a directory")
+
+
 def _cell_filename(assignments) -> str:
     """One filename per cell, inside the sweep's directory whatever the values.
 
@@ -276,21 +284,27 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
 
     ``sweep`` is a list of (field, values) pairs where field is a config key
     in override syntax (dots for nesting). Returns the metrics paths written,
-    one per cell, named by its assignments; a repeated field or cell is a ConfigError.
+    one per cell, named by its assignments. Every cell is parsed before any
+    runs; a repeated field, or two cells with one config, is a ConfigError.
     """
     fields = [field for field, _ in sweep]
-    cells = [list(zip(fields, combo)) for combo in itertools.product(*(v for _, v in sweep))]
-    filenames = [_cell_filename(assignments) for assignments in cells]
-    repeated = sorted({name for names in (fields, filenames) for name in names if names.count(name) > 1})
-    if repeated:
-        raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
-    make_dir(out_dir)
-    paths = []
-    for assignments, filename in zip(cells, filenames):
+    repeated = sorted({field for field in fields if fields.count(field) > 1})
+    configs = []
+    for combo in itertools.product(*(values for _, values in sweep)):
+        assignments = list(zip(fields, combo))
         overrides = [f"{field}={json.dumps(value)}" for field, value in assignments]
         doc = apply_overrides(base_doc, overrides)
-        doc["metrics_path"] = os.path.join(out_dir, filename)
-        config = parse_config(doc)
+        doc["metrics_path"] = os.path.join(out_dir, _cell_filename(assignments))
+        configs.append(parse_config(doc))
+    paths = [config.metrics_path for config in configs]
+    # two cells repeat each other when their configs differ in metrics_path only
+    cells = [replace(config, metrics_path="metrics.csv") for config in configs]
+    repeated += sorted({os.path.basename(path) for path, cell in zip(paths, cells)
+                        if cells.count(cell) > 1})
+    if repeated:
+        raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
+    for path in paths:
+        check_metrics_path(path)
+    for config in configs:
         write_metrics(run(config), config, config.metrics_path)
-        paths.append(config.metrics_path)
     return paths

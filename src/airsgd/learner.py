@@ -10,7 +10,7 @@ Gradients are averages of the cross-entropy gradient over a batch; the
 aggregated (or channel-estimated) average gradient drives the optimizer,
 whose state lives at the parameter server only. A training run computes the
 gradients and losses of all M devices at once, from an (M, n, F) stack of
-their rows; ``local_gradient`` and ``local_loss`` are the M = 1 case.
+their rows.
 """
 
 from dataclasses import dataclass, replace
@@ -26,8 +26,6 @@ __all__ = [
     "check_labels",
     "gradients",
     "losses",
-    "local_gradient",
-    "local_loss",
     "evaluate_accuracy",
     "OptimizerSpec",
     "OptimizerState",
@@ -105,23 +103,6 @@ def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     """Mean cross-entropy of each of M row sets, shape (M,), from (M, n) labels."""
     M, n = y.shape
     return -log_probs[np.arange(M)[:, None], np.arange(n), y].mean(axis=1)
-
-
-def local_gradient(theta: np.ndarray, dataset: LocalDataset) -> np.ndarray:
-    """Average cross-entropy gradient of the softmax model over a local set.
-
-    Deterministic given theta. This is the M = 1 case of :func:`gradients`.
-    """
-    log_probs = log_probabilities(theta, dataset.features)
-    check_labels(dataset.labels, log_probs.shape[-1])
-    return gradients(dataset.features[None], dataset.labels[None], log_probs[None])[0]
-
-
-def local_loss(theta: np.ndarray, dataset: LocalDataset) -> float:
-    """Mean cross-entropy of the softmax model over a local set (M = 1 of :func:`losses`)."""
-    log_probs = log_probabilities(theta, dataset.features)
-    check_labels(dataset.labels, log_probs.shape[-1])
-    return float(losses(dataset.labels[None], log_probs[None])[0])
 
 
 def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset) -> float:

@@ -1,7 +1,9 @@
 """Statistical pass/fail checks for Monte Carlo experiments.
 
-Not a hypothesis-testing library; just the three checks the verification
-suite needs, each returning an auditable record of what was compared.
+Not a hypothesis-testing library; just three checks, each returning an
+auditable record of what was compared. The verification suite uses the
+zero-mean and variance checks; the trend check serves the acceptance gate's
+antenna-count ordering.
 Thresholds are sized so that failures indicate bugs rather than unlucky
 draws: 4 standard errors for means (false alarm ~1e-4 per check) and a 5%
 variance window at 1e5 trials (a ~10 sigma margin under chi-square

@@ -118,21 +118,26 @@ def test_run_creates_a_missing_metrics_directory(tmp_path):
     assert target.read_text().startswith("# config: ")
 
 
-@pytest.mark.parametrize("args, path", [
-    (["run", "--out", "{f}"], "{f}"),
-    (["run", "--set", "metrics_path=\"{f}/x.csv\""], "{f}"),
-    (["sweep", "--out", "{f}/sub", "--sweep", "K=1,5"], "{f}/sub"),
-], ids=["run-out", "run-metrics_path", "sweep-out"])
-def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, path):
+@pytest.mark.parametrize("args, message", [
+    (["run", "--out", "{f}"], "cannot create output directory {f}"),
+    (["run", "--set", "metrics_path=\"{f}/x.csv\""], "cannot create output directory {f}"),
+    (["sweep", "--out", "{f}/sub", "--sweep", "K=1,5"], "cannot create output directory {f}/sub"),
+    (["run", "--set", "metrics_path=\"{d}\""], "metrics path {d} is a directory"),
+], ids=["run-out", "run-metrics_path", "sweep-out", "run-metrics_path-directory"])
+def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, message):
     config = _write_fast_config(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("")
-    verb, *rest = (arg.format(f=afile) for arg in args)
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    verb, *rest = (arg.format(f=afile, d=adir) for arg in args)
     proc = _cli(verb, "--config", str(config), *rest)
     assert proc.returncode == 2, proc.stderr
-    assert f"config error: cannot create output directory {path.format(f=afile)}" in proc.stderr
+    assert f"config error: {message.format(f=afile, d=adir)}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_run_numeric_abort_exits_3(tmp_path):

@@ -6,9 +6,7 @@ import pytest
 
 from airsgd import rng
 from airsgd.data import (
-    IdxCountMismatchError,
-    IdxFormatError,
-    IdxTruncatedError,
+    DataError,
     LocalDataset,
     SyntheticSpec,
     load_idx,
@@ -18,8 +16,8 @@ from airsgd.data import (
     write_idx_images,
     write_idx_labels,
 )
-from airsgd.learner import OptimizerSpec, apply_update, evaluate_accuracy
-from airsgd.learner import init_optimizer_state, init_params, local_gradient
+from airsgd.learner import OptimizerSpec, apply_update, evaluate_accuracy, gradients
+from airsgd.learner import init_optimizer_state, init_params, log_probabilities
 
 PIXELS = np.array(
     [[[0, 64], [128, 255]], [[1, 2], [3, 4]]], dtype=np.uint8
@@ -60,7 +58,7 @@ def test_load_idx_bad_magic(tmp_path):
     raw = bytearray(images.read_bytes())
     raw[3] = 0x55
     images.write_bytes(bytes(raw))
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(DataError, match="bad image magic 0x00000855"):
         load_idx(images, labels)
 
 
@@ -68,7 +66,7 @@ def test_load_idx_truncated(tmp_path):
     images, labels = _write_fixture(tmp_path)
     raw = images.read_bytes()
     images.write_bytes(raw[:-3])
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(DataError, match="expected 8 bytes of pixel data, got 5"):
         load_idx(images, labels)
 
 
@@ -77,7 +75,7 @@ def test_load_idx_count_mismatch(tmp_path):
     labels = tmp_path / "lbls.idx"
     write_idx_images(images, PIXELS)
     write_idx_labels(labels, np.array([1, 2, 3], dtype=np.uint8))
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(DataError, match="holds 2 images but .* holds 3 labels"):
         load_idx(images, labels)
 
 
@@ -86,7 +84,7 @@ def test_load_idx_rejects_label_out_of_range(tmp_path):
     labels = tmp_path / "lbls.idx"
     write_idx_images(images, PIXELS)
     write_idx_labels(labels, np.array([0, 12], dtype=np.uint8))
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(DataError, match=r"label 12 outside \[0, 10\)"):
         load_idx(images, labels)
 
 
@@ -129,11 +127,14 @@ def test_synthetic_wide_margin_is_separable():
     spec = SyntheticSpec(classes=4, features=16, train_per_class=50,
                          test_per_class=50, margin=10.0, seed=8)
     train, test = make_synthetic(spec)
+    # four equal device shards; their mean gradient is the whole set's
+    X, y = train.features.reshape(4, -1, 16), train.labels.reshape(4, -1)
     theta = init_params(16, 4)
     opt = OptimizerSpec(kind="sgd", learning_rate=0.5)
     state = init_optimizer_state(theta.size)
     for _ in range(150):
-        theta, state = apply_update(theta, local_gradient(theta, train), opt, state)
+        grad = gradients(X, y, log_probabilities(theta, X)).mean(axis=0)
+        theta, state = apply_update(theta, grad, opt, state)
     assert evaluate_accuracy(theta, test) >= 0.99
 
 

@@ -284,7 +284,8 @@ def test_run_matrix_unknown_field(tmp_path):
 @pytest.mark.parametrize("sweep, repeated", [
     ([("K", [4, 4])], "metrics_K=4.csv"),
     ([("K", [4]), ("sigma_z_sq", [1.0]), ("K", [8])], "K"),
-], ids=["value", "field"])
+    ([("sigma_z_sq", [20, 20.0])], "metrics_sigma_z_sq=20.0.csv, metrics_sigma_z_sq=20.csv"),
+], ids=["value", "field", "parsed_value"])
 def test_run_matrix_rejects_repeats_before_any_cell(tmp_path, monkeypatch, sweep, repeated):
     def forbidden(config):
         raise AssertionError("a cell ran")
@@ -292,6 +293,16 @@ def test_run_matrix_rejects_repeats_before_any_cell(tmp_path, monkeypatch, sweep
     monkeypatch.setattr(experiment, "run", forbidden)
     with pytest.raises(ConfigError, match=f"sweep repeats .*{re.escape(repeated)}"):
         run_matrix(_toy_doc(T=2), sweep, tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
+
+
+def test_run_matrix_parses_every_cell_before_any_runs(tmp_path, monkeypatch):
+    def forbidden(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment, "run", forbidden)
+    with pytest.raises(ConfigError, match="K must be a positive integer"):
+        run_matrix(_toy_doc(T=2), [("K", [4, 0])], tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
 
 
@@ -360,14 +371,18 @@ def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["ota", "error_free"])
 @pytest.mark.parametrize("batch_size", [None, 8])
-def test_run_makes_no_per_device_learner_call(monkeypatch, mode, batch_size):
-    # all M gradients and losses come from one batched computation
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-device learner call from a training run")
+def test_run_makes_one_batched_backward_per_iteration(monkeypatch, mode, batch_size):
+    # all M gradients of an iteration come from one learner.gradients call
+    calls = []
 
-    for name in ("local_gradient", "local_loss"):
-        monkeypatch.setattr(learner, name, forbidden)
+    def counting(X, y, log_probs):
+        calls.append(X.shape[0])
+        return backward(X, y, log_probs)
+
+    backward = learner.gradients
+    monkeypatch.setattr(learner, "gradients", counting)
     records = run(parse_config(_toy_doc(T=3, eval_every=1, mode=mode, batch_size=batch_size)))
+    assert calls == [2] * 3  # T calls, each over all M = 2 devices
     assert len(records) == 3
     assert all(r.loss > 0 for r in records)
 

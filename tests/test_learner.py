@@ -8,9 +8,8 @@ from airsgd.learner import (
     evaluate_accuracy,
     gradients,
     init_optimizer_state,
+    check_labels,
     init_params,
-    local_gradient,
-    local_loss,
     log_probabilities,
     losses,
     param_count,
@@ -27,33 +26,35 @@ def test_param_count_matches_flat_layout():
 def test_gradient_at_zero_closed_form():
     # At theta = 0 all classes get probability 1/2; the gradient is the
     # residual (p - onehot) outer features, bias last per class.
-    data = LocalDataset(np.array([[1.0, 2.0]]), np.array([0]))
-    grad = local_gradient(np.zeros(6), data)
+    X, y = np.array([[[1.0, 2.0]]]), np.array([[0]])
+    grad = gradients(X, y, log_probabilities(np.zeros(6), X))[0]
     expected = np.array([-0.5, -1.0, -0.5, 0.5, 1.0, 0.5])
     assert np.allclose(grad, expected, rtol=1e-15)
 
 
 def test_gradient_duplicate_batch_invariance():
     gen = np.random.default_rng(0)
-    data = LocalDataset(gen.normal(size=(6, 4)), gen.integers(0, 3, size=6))
+    X, y = gen.normal(size=(6, 4)), gen.integers(0, 3, size=6)
     theta = gen.normal(size=param_count(4, 3))
-    rows = [0, 1, 2]
-    once = local_gradient(theta, LocalDataset(data.features[rows], data.labels[rows]))
-    doubled = local_gradient(theta, LocalDataset(data.features[rows * 2], data.labels[rows * 2]))
-    assert np.allclose(once, doubled, rtol=1e-13)
+    once = np.array([[0, 1, 2]])
+    # two devices, each holding rows 0-2 twice, in different orders
+    doubled = np.array([[0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2]])
+    once_grad = gradients(X[once], y[once], log_probabilities(theta, X[once]))
+    doubled_grads = gradients(X[doubled], y[doubled], log_probabilities(theta, X[doubled]))
+    assert np.allclose(once_grad, doubled_grads, rtol=1e-13)
 
 
 def test_gradient_matches_finite_differences():
     gen = np.random.default_rng(1)
-    data = LocalDataset(gen.normal(size=(12, 5)), gen.integers(0, 4, size=12))
+    X, y = gen.normal(size=(1, 12, 5)), gen.integers(0, 4, size=(1, 12))
     theta = gen.normal(size=param_count(5, 4)) * 0.5
-    grad = local_gradient(theta, data)
+    grad = gradients(X, y, log_probabilities(theta, X))[0]
     step = 1e-6
     for _ in range(20):
         direction = gen.normal(size=theta.size)
         direction /= np.linalg.norm(direction)
-        plus = local_loss(theta + step * direction, data)
-        minus = local_loss(theta - step * direction, data)
+        plus = losses(y, log_probabilities(theta + step * direction, X))[0]
+        minus = losses(y, log_probabilities(theta - step * direction, X))[0]
         numeric = (plus - minus) / (2 * step)
         analytic = float(grad @ direction)
         assert abs(numeric - analytic) <= 1e-5 * max(abs(analytic), 1e-8)
@@ -64,9 +65,10 @@ def test_gradient_rejects_empty_batch_and_bad_labels():
     theta = np.zeros(param_count(3, 2))
     with pytest.raises(DataError, match="nonempty"):
         LocalDataset(data.features[[]], data.labels[[]])
-    bad = LocalDataset(np.ones((1, 3)), np.array([5]))
+    # the labels are checked against the class count before any gradient
+    X, y = np.ones((2, 1, 3)), np.array([[1], [5]])
     with pytest.raises(ValueError):
-        local_gradient(theta, bad)
+        check_labels(y, log_probabilities(theta, X).shape[-1])
 
 
 def test_sgd_one_step_arithmetic():
@@ -133,11 +135,14 @@ def test_accuracy_perfect_with_oracle_weights():
         SyntheticSpec(classes=3, features=6, train_per_class=30,
                       test_per_class=20, margin=12.0, seed=5)
     )
+    # three equal device shards; their mean gradient is the whole set's
+    X, y = train.features.reshape(3, -1, 6), train.labels.reshape(3, -1)
     theta = np.zeros(param_count(6, 3))
     state = init_optimizer_state(theta.size)
     spec = OptimizerSpec(kind="sgd", learning_rate=0.5)
     for _ in range(100):
-        theta, state = apply_update(theta, local_gradient(theta, train), spec, state)
+        grad = gradients(X, y, log_probabilities(theta, X)).mean(axis=0)
+        theta, state = apply_update(theta, grad, spec, state)
     assert evaluate_accuracy(theta, test) == 1.0
 
 
@@ -152,16 +157,21 @@ def test_loss_monotone_under_small_step_sgd():
         SyntheticSpec(classes=4, features=8, train_per_class=40,
                       test_per_class=10, margin=4.0, seed=2)
     )
+    # four equal device shards; their mean loss and gradient are the whole set's
+    X, y = train.features.reshape(4, -1, 8), train.labels.reshape(4, -1)
     theta = np.zeros(param_count(8, 4))
     spec = OptimizerSpec(kind="sgd", learning_rate=0.01)
     state = init_optimizer_state(theta.size)
-    losses = [local_loss(theta, train)]
+    log_probs = log_probabilities(theta, X)
+    history = [losses(y, log_probs).mean()]
     for _ in range(200):
-        theta, state = apply_update(theta, local_gradient(theta, train), spec, state)
-        losses.append(local_loss(theta, train))
-    diffs = np.diff(losses)
+        grad = gradients(X, y, log_probs).mean(axis=0)
+        theta, state = apply_update(theta, grad, spec, state)
+        log_probs = log_probabilities(theta, X)
+        history.append(losses(y, log_probs).mean())
+    diffs = np.diff(history)
     assert np.all(diffs <= 1e-12)
-    assert losses[-1] < losses[0]
+    assert history[-1] < history[0]
 
 
 def _shared_pool_devices(M, n, pool, F, C, seed):
@@ -192,10 +202,12 @@ def test_batched_gradient_and_loss_equal_per_device_bit_for_bit(M, n, pool, F, C
     X = np.stack([s.features for s in sets])
     y = np.stack([s.labels for s in sets])
     log_probs = log_probabilities(theta, X)
-    expected_grads = np.stack([local_gradient(theta, s) for s in sets])
-    expected_losses = [local_loss(theta, s) for s in sets]
-    assert np.array_equal(gradients(X, y, log_probs), expected_grads)
-    assert losses(y, log_probs).tolist() == expected_losses
+    grads, loss = gradients(X, y, log_probs), losses(y, log_probs)
+    for m, s in enumerate(sets):
+        # the set alone: a 2-d forward pass and a stack of one
+        alone = log_probabilities(theta, s.features)[None]
+        assert np.array_equal(grads[m], gradients(s.features[None], s.labels[None], alone)[0])
+        assert loss[m] == losses(s.labels[None], alone)[0]
 
 
 def test_log_probabilities_of_a_stack_equal_each_set_alone():
