@@ -140,19 +140,31 @@ def sample_combined(
     Stream contract: the channel seed's generator draws the gamma array
     (N, s) first, then the standard normals (N, M, s, 2) behind f; the noise
     seed's generator draws the normals (N, s, 2) behind w.
+
+    An ensemble of cells that share both seeds passes K and sigma_z_sq as (R,)
+    arrays and gets outputs with that leading axis: the channel stream is drawn
+    once per distinct K and the noise normals once, scaled for each cell, so
+    each cell gets the bytes of its own call.
     """
-    _check_dims(N=N, M=M, K=K, s=s)
+    K, sigma_z_sq = np.broadcast_arrays(np.asarray(K), np.asarray(sigma_z_sq, dtype=np.float64))
+    _check_dims(N=N, M=M, K=K.min(), s=s)
     _check_gain_variance(sigma_h_sq)
-    _check_noise_variance(sigma_z_sq)
-    gen = rng.generator(channel_seed)
-    r = sigma_h_sq * gen.standard_gamma(K, size=(N, s))
-    # f / sqrt(sigma^2 r), centred over the devices, then scaled and shifted in place
-    coeffs = _complex_normal(gen, (N, M, s), 1.0)
-    coeffs -= coeffs.mean(axis=1, keepdims=True)
-    coeffs *= (np.sqrt(M * sigma_h_sq * r) / K)[:, None, :]
-    coeffs += (r / K)[:, None, :]
-    if sigma_z_sq == 0:
-        noise = np.zeros((N, s), dtype=np.complex128)
-    else:
-        noise = _complex_normal(rng.generator(noise_seed), (N, s), sigma_z_sq * M * r / K**2)
+    _check_noise_variance(sigma_z_sq.min())
+    r = np.empty(K.shape + (N, s))
+    coeffs = np.empty(K.shape + (N, M, s), dtype=np.complex128)
+    for k in map(int, np.unique(K)):
+        gen = rng.generator(channel_seed)
+        r_k = sigma_h_sq * gen.standard_gamma(k, size=(N, s))
+        # f / sqrt(sigma^2 r), centred over the devices, then scaled and shifted in place
+        c = _complex_normal(gen, (N, M, s), 1.0)
+        c -= c.mean(axis=1, keepdims=True)
+        c *= (np.sqrt(M * sigma_h_sq * r_k) / k)[:, None, :]
+        c += (r_k / k)[:, None, :]
+        r[K == k], coeffs[K == k] = r_k, c
+    noise = np.zeros(K.shape + (N, s), dtype=np.complex128)
+    if sigma_z_sq.max() > 0:
+        scale = np.sqrt(sigma_z_sq[..., None, None] * M * r / K[..., None, None] ** 2 / 2.0)
+        parts = rng.generator(noise_seed).standard_normal((N, s, 2)) * scale[..., None]
+        noise = parts.view(np.complex128)[..., 0]
+        noise[sigma_z_sq == 0] = 0  # sqrt(0) times a negative normal is -0.0
     return coeffs, noise

@@ -13,6 +13,11 @@ error_free mode skips the channel and hands the optimizer the exact
 device-average gradient, giving the idealized baseline the noisy runs are
 compared against.
 
+Cells that differ only in K and sigma_z_sq run as one ensemble (``run_cells``)
+on a leading cell axis: data, partition, batches and each iteration's CHANNEL
+and NOISE draws are made once per group, and every (cell, device) product keeps
+its solo shape, so each cell's metrics are the bytes of its own run.
+
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
 """
@@ -35,6 +40,7 @@ __all__ = [
     "make_dir",
     "check_metrics_path",
     "run",
+    "run_cells",
     "write_metrics",
     "run_matrix",
 ]
@@ -57,10 +63,11 @@ class MetricsRecord:
 class NumericAbort(Exception):
     """A run produced non-finite numbers; carries where it happened."""
 
-    def __init__(self, iteration: int, stage: str):
+    def __init__(self, iteration: int, stage: str, path: str):
         self.iteration = iteration
         self.stage = stage
-        super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r}")
+        self.path = path  # metrics path of the run that aborted
+        super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r} of {path}")
 
 
 def _load_idx(images_path, labels_path) -> data.LocalDataset:
@@ -113,6 +120,19 @@ def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
     return np.take_along_axis(picked, np.argsort(np.take_along_axis(keys, picked, 1), 1), 1)
 
 
+def _group_key(config: RunConfig) -> RunConfig:
+    """What the cells of one ensemble share: the config but K, sigma_z_sq and metrics_path."""
+    return replace(config, K=1, sigma_z_sq=0.0, metrics_path="metrics.csv")
+
+
+def _check_finite(values, t: int, stage: str, configs) -> None:
+    """NumericAbort naming the first cell whose row of ``values`` is not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        cell = int(np.argmin(finite.reshape(len(configs), -1).all(axis=1)))
+        raise NumericAbort(t, stage, configs[cell].metrics_path)
+
+
 def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
     """Execute a full training run; returns one MetricsRecord per iteration.
 
@@ -126,10 +146,29 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
 
     Accuracy and training loss are computed every ``eval_every`` iterations
     and always at t = T; power is tracked every iteration. Raises
-    NumericAbort rather than continuing with non-finite numbers.
+    NumericAbort rather than continuing with non-finite numbers. This is the
+    one-cell case of :func:`run_cells`.
     """
+    (records,) = run_cells([config], gradient_fn, None if capture is None else [capture])
+    return records
+
+
+def run_cells(configs, gradient_fn=None, captures=None) -> list:
+    """Execute R runs as one ensemble; returns each cell's list of MetricsRecords.
+
+    The configs may differ in K, sigma_z_sq and metrics_path only; each cell
+    gets the bytes of its own :func:`run`. ``gradient_fn`` and a list of one
+    ``captures`` dict per cell act per cell as in :func:`run`, and a
+    NumericAbort names the metrics path of the cell it hit.
+    """
+    config = configs[0]
+    if any(_group_key(cell) != _group_key(config) for cell in configs):
+        raise ValueError("cells of one ensemble may differ in K, sigma_z_sq and metrics_path only")
+    R, M, d, s = len(configs), config.M, config.d, config.s
+    K = np.array([cell.K for cell in configs])
+    sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
     train, test, classes = build_dataset(config)
-    index = data.partition(train, config.M, config.partition.per_device, config.master_seed)
+    index = data.partition(train, M, config.partition.per_device, config.master_seed)
     # Devices share rows: the forward pass runs once over the distinct rows
     # they hold, and rows[m] gathers device m's local set back out of them.
     # A BLAS may round a row's product by the size of the matrix it sits in,
@@ -141,75 +180,76 @@ def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
     del train  # keep the held rows, not the whole pool
     X, y = held_X[rows], held_y[rows]
     learner.check_labels(y, classes)
-    device = np.arange(config.M)[:, None]
+    device = np.arange(M)[:, None]
 
-    theta = learner.init_params(X.shape[-1], classes)
-    state = learner.init_optimizer_state(config.d)
-    N = packing.block_count(config.d, config.s)
-    records = []
-    power_sum = 0.0
-    log_probs = None  # (M, n, C) local-set log-probabilities at the current theta, once computed
+    theta = np.tile(learner.init_params(X.shape[-1], classes), (R, 1))
+    state = learner.init_optimizer_state(d)  # its zero moments broadcast to (R, d)
+    N = packing.block_count(d, s)
+    records = [[] for _ in configs]
+    power_sum = np.zeros(R)
+    log_probs = None  # (R, M, n, C) local-set log-probabilities at the current theta, once computed
 
     for t in range(1, config.T + 1):
         alpha = config.power.alpha_at(t)
         if config.batch_size is None:
             if log_probs is None:
-                log_probs = learner.log_probabilities(theta, held_X)[rows]
+                log_probs = learner.log_probabilities(theta, held_X)[:, rows]
             grads = learner.gradients(X, y, log_probs)
         else:
             batch = _batch_positions(config, t)
             X_batch = X[device, batch]
             grads = learner.gradients(
-                X_batch, y[device, batch], learner.log_probabilities(theta, X_batch)
+                X_batch, y[device, batch], learner.log_probabilities(theta[:, None], X_batch)
             )
         if gradient_fn is not None:
-            grads = np.asarray(gradient_fn(theta, t, grads), dtype=np.float64)
-            if grads.shape != (config.M, config.d):
-                raise ValueError(
-                    f"gradient_fn returned shape {grads.shape}, expected {(config.M, config.d)}"
-                )
-        if not np.all(np.isfinite(grads)):
-            raise NumericAbort(t, "local_gradient")
-        true_avg = grads.mean(axis=0)
+            sent = [np.asarray(gradient_fn(cell_theta, t, cell_grads), dtype=np.float64)
+                    for cell_theta, cell_grads in zip(theta, grads)]
+            wrong = [cell_grads.shape for cell_grads in sent if cell_grads.shape != (M, d)]
+            if wrong:
+                raise ValueError(f"gradient_fn returned shape {wrong[0]}, expected {(M, d)}")
+            grads = np.stack(sent)
+        _check_finite(grads, t, "local_gradient", configs)
+        true_avg = grads.mean(axis=1)
 
         if config.mode == "ota":
-            tx = ota.transmit(grads, alpha, config.s)
+            tx = ota.transmit(grads.reshape(R * M, d), alpha, s).reshape(R, M, N, s)
             coeffs, noise = channel.sample_combined(
                 rng.substream(config.master_seed, rng.CHANNEL, t),
                 rng.substream(config.master_seed, rng.NOISE, t),
-                N, config.M, config.K, config.s, config.sigma_h_sq, config.sigma_z_sq,
+                N, M, K, s, config.sigma_h_sq, sigma_z_sq,
             )
-            obs = np.einsum("nmi,mni->ni", coeffs, tx) + noise
+            obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
+            # the R cells' (N, s) outputs unpack as the R * N blocks of one
+            # vector; row r of it, padding cut, is cell r's estimate
             estimate = ota.estimate_average_gradient(
-                obs, alpha, config.M, config.sigma_h_sq, config.d
-            )
-            if not np.all(np.isfinite(estimate)):
-                raise NumericAbort(t, "estimate")
-            est_mse = float(np.mean((estimate - true_avg) ** 2))
-            inst_power = float(np.mean(ota.transmit_energy(tx)) / N)
+                obs.reshape(R * N, s), alpha, M, config.sigma_h_sq, R * N * 2 * s
+            ).reshape(R, -1)[:, :d]
+            _check_finite(estimate, t, "estimate", configs)
+            est_mse = np.mean((estimate - true_avg) ** 2, axis=1).tolist()
+            inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
             update_grad = estimate
         else:
-            est_mse = None
-            inst_power = 0.0
+            est_mse = [None] * R
+            inst_power = np.zeros(R)
             update_grad = true_avg
 
         theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
-        if not np.all(np.isfinite(theta)):
-            raise NumericAbort(t, "update")
+        _check_finite(theta, t, "update", configs)
         log_probs = None
 
         power_sum += inst_power
         avg_power = power_sum / t
-        evaluate = (t % config.eval_every == 0) or (t == config.T)
-        accuracy = loss = None
-        if evaluate:
-            accuracy = learner.evaluate_accuracy(theta, test)
-            log_probs = learner.log_probabilities(theta, held_X)[rows]
+        accuracy = loss = [None] * R
+        if (t % config.eval_every == 0) or (t == config.T):
+            accuracy = learner.evaluate_accuracy(theta, test).tolist()
+            log_probs = learner.log_probabilities(theta, held_X)[:, rows]
             # mean over each device's set first, then over devices
-            loss = float(np.mean(learner.losses(y, log_probs)))
-        records.append(MetricsRecord(t, accuracy, loss, inst_power, avg_power, est_mse))
-    if capture is not None:
-        capture["theta"] = theta
+            loss = learner.losses(y, log_probs).mean(axis=1).tolist()
+        for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
+                                          avg_power.tolist(), est_mse)):
+            cell.append(MetricsRecord(t, *row))
+    for capture, cell_theta in zip(captures or [], theta):
+        capture["theta"] = cell_theta
     return records
 
 
@@ -286,6 +326,10 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     in override syntax (dots for nesting). Returns the metrics paths written,
     one per cell, named by its assignments. Every cell is parsed before any
     runs; a repeated field, or two cells with one config, is a ConfigError.
+
+    Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
+    group, whose files are written once it finishes: a NumericAbort leaves
+    the files of earlier groups and none of its own.
     """
     fields = [field for field, _ in sweep]
     repeated = sorted({field for field in fields if fields.count(field) > 1})
@@ -305,6 +349,10 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
         raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
     for path in paths:
         check_metrics_path(path)
+    groups = {}
     for config in configs:
-        write_metrics(run(config), config, config.metrics_path)
+        groups.setdefault(_group_key(config), []).append(config)
+    for group in groups.values():
+        for config, records in zip(group, run_cells(group)):
+            write_metrics(records, config, config.metrics_path)
     return paths

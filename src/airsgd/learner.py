@@ -10,7 +10,7 @@ Gradients are averages of the cross-entropy gradient over a batch; the
 aggregated (or channel-estimated) average gradient drives the optimizer,
 whose state lives at the parameter server only. A training run computes the
 gradients and losses of all M devices at once, from an (M, n, F) stack of
-their rows.
+their rows; an ensemble of R runs adds a leading cell axis to the parameters.
 """
 
 from dataclasses import dataclass, replace
@@ -44,17 +44,17 @@ def init_params(num_features: int, num_classes: int) -> np.ndarray:
 
 
 def _split_theta(theta: np.ndarray, num_features: int):
-    if theta.size % (num_features + 1) != 0:
+    if theta.shape[-1] % (num_features + 1) != 0:
         raise ValueError(
-            f"parameter length {theta.size} not divisible by features+1={num_features + 1}"
+            f"parameter length {theta.shape[-1]} not divisible by features+1={num_features + 1}"
         )
-    table = theta.reshape(-1, num_features + 1)
-    return table[:, :num_features], table[:, num_features]
+    table = theta.reshape(*theta.shape[:-1], -1, num_features + 1)
+    return table[..., :num_features], table[..., num_features]
 
 
 def _logits(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     W, b = _split_theta(theta, X.shape[-1])
-    return X @ W.T + b
+    return X @ W.swapaxes(-1, -2) + b[..., None, :]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -67,7 +67,8 @@ def log_probabilities(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     A 2-d X is one (rows, F) x (F, C) matrix product; an (M, n, F) stack is
     M products of shape (n, F) x (F, C), one per row set, so each set gets
-    the bytes it would get on its own.
+    the bytes it would get on its own. Leading axes of ``theta`` broadcast
+    against X's: (R, d) gives (R, rows, C), (R, 1, d) gives (R, M, n, C).
     """
     return _log_softmax(_logits(theta, X))
 
@@ -79,37 +80,39 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 
 def gradients(X: np.ndarray, y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """Average cross-entropy gradient of each of M row sets, shape (M, d).
+    """Average cross-entropy gradient of each of M row sets, shape (..., M, d).
 
     ``X`` is (M, n, F), ``y`` the (M, n) labels, already checked against
-    the class count, and ``log_probs`` the (M, n, C) output of
+    the class count, and ``log_probs`` the (..., M, n, C) output of
     :func:`log_probabilities` for X at the parameters the gradient is taken
-    at. Each set's backward product is its own (C, n) x (n, F) matrix
-    product inside one batched matmul, so row set m gives the same bytes
-    whatever sets come with it.
+    at, with any leading cell axes. Each (cell, set) backward product is its
+    own (C, n) x (n, F) matrix product inside one batched matmul, so row set
+    m gives the same bytes whatever sets and cells come with it.
     """
     M, n, F = X.shape
-    C = log_probs.shape[-1]
     probs = np.exp(log_probs)
-    probs[np.arange(M)[:, None], np.arange(n), y] -= 1.0
+    probs[..., np.arange(M)[:, None], np.arange(n), y] -= 1.0
     probs /= n
-    grad = np.empty((M, C, F + 1))
-    grad[:, :, :F] = np.matmul(probs.swapaxes(1, 2), X)
-    grad[:, :, F] = probs.sum(axis=1)
-    return grad.reshape(M, -1)
+    grad = np.empty(probs.shape[:-2] + (probs.shape[-1], F + 1))
+    grad[..., :F] = np.matmul(probs.swapaxes(-1, -2), X)
+    grad[..., F] = probs.sum(axis=-2)
+    return grad.reshape(*probs.shape[:-2], -1)
 
 
 def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy of each of M row sets, shape (M,), from (M, n) labels."""
+    """Mean cross-entropy of each of M row sets, shape (..., M), from (M, n) labels."""
     M, n = y.shape
-    return -log_probs[np.arange(M)[:, None], np.arange(n), y].mean(axis=1)
+    # A gather behind leading axes leaves them innermost in memory, and a mean
+    # over such a strided axis sums in another order than over a contiguous one.
+    picked = np.ascontiguousarray(log_probs[..., np.arange(M)[:, None], np.arange(n), y])
+    return -picked.mean(axis=-1)
 
 
-def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset):
+    """Fraction of argmax-correct predictions per parameter vector; ties go to the lowest class."""
     logits = _logits(theta, test_set.features)
-    check_labels(test_set.labels, logits.shape[1])
-    return float((logits.argmax(axis=1) == test_set.labels).mean())
+    check_labels(test_set.labels, logits.shape[-1])
+    return (logits.argmax(axis=-1) == test_set.labels).mean(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ so results never depend on the order in which tensors are drawn. Within a
 stream, each tensor is drawn in one vectorized call, in a documented order
 and axis layout, which pins the counter assignment of every scalar. A
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
-iteration t, keyed (master_seed, tag, t). One stream carries no tag:
+iteration t, keyed (master_seed, tag, t). The cells of one
+``experiment.run_cells`` ensemble share these substreams, and each shared
+draw is made once per iteration for the whole group. One stream carries no tag:
 ``data.partition`` draws the devices' local sets, device by device, from
 ``generator(master_seed)``, the Philox stream seeded by the master seed alone.
 """

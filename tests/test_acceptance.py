@@ -13,7 +13,7 @@ import pytest
 
 from airsgd import channel, ota, rng, verify
 from airsgd.config import parse_config, template
-from airsgd.experiment import run, write_metrics
+from airsgd.experiment import run, run_cells, write_metrics
 from airsgd.learner import gradients, log_probabilities, losses, param_count
 from airsgd.packing import pack, unpack
 from airsgd.statcheck import check_monotone
@@ -244,14 +244,15 @@ def desk_matrix():
     acc = {}
     power = {}
     baseline = []
+    cells = [(sigma_z, K) for sigma_z in DESK_SIGMA for K in DESK_K]
     for master in DESK_SEEDS:
         records = run(_desk_doc("error_free", 1, 20.0, master))
         baseline.append(records[-1].accuracy)
-        for sigma_z in DESK_SIGMA:
-            for K in DESK_K:
-                records = run(_desk_doc("ota", K, sigma_z, master))
-                acc.setdefault((sigma_z, K), []).append(records[-1].accuracy)
-                power.setdefault((sigma_z, K), []).append(records[-1].avg_power)
+        # a seed's ota cells differ in K and sigma_z_sq only: one ensemble
+        group = run_cells([_desk_doc("ota", K, sigma_z, master) for sigma_z, K in cells])
+        for key, records in zip(cells, group):
+            acc.setdefault(key, []).append(records[-1].accuracy)
+            power.setdefault(key, []).append(records[-1].avg_power)
     mean_acc = {key: float(np.mean(v)) for key, v in acc.items()}
     mean_power = {key: float(np.mean(v)) for key, v in power.items()}
     return mean_acc, mean_power, float(np.mean(baseline))

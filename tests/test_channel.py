@@ -190,6 +190,29 @@ def test_combined_zero_noise_is_exactly_zero():
     assert np.array_equal(coeffs, _combined()[0])  # the noise never touches the channel stream
 
 
+def test_combined_ensemble_gives_each_cell_its_own_bytes(monkeypatch):
+    # one generator per distinct K on the channel stream, one on the noise
+    # stream; a zero noise variance gives +0.0, never -0.0, as alone
+    generators = []
+    generator = rng.generator
+
+    def counting(seed):
+        generators.append(seed)
+        return generator(seed)
+
+    K = np.array([4, 1, 4, 1])
+    noise_var = np.array([0.0, 2.0, 2.0, 0.0])
+    monkeypatch.setattr(rng, "generator", counting)
+    coeffs, noise = _combined(K=K, noise_var=noise_var)
+    assert len(generators) == 3
+    monkeypatch.undo()
+    assert coeffs.shape == (4, 2, 3, 5) and noise.shape == (4, 2, 5)
+    for cell, (k, var) in enumerate(zip(K, noise_var)):
+        alone = _combined(K=int(k), noise_var=float(var))
+        assert coeffs[cell].tobytes() == alone[0].tobytes()
+        assert noise[cell].tobytes() == alone[1].tobytes()
+
+
 def test_combined_single_device_gain_is_real():
     # M = 1: no interference, the coefficient is the effective gain r / K
     coeffs, _ = _combined(M=1, K=7)
@@ -205,6 +228,10 @@ def test_combined_rejects_bad_arguments():
         sample_combined(*seeds, 1, 1, 1, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         sample_combined(*seeds, 1, 1, 1, 1, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        sample_combined(*seeds, 1, 1, np.array([2, 0]), 1, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        sample_combined(*seeds, 1, 1, 1, 1, 1.0, np.array([1.0, -1.0]))
 
 
 COMBINED_CASES = ((1, 4), (2, 1), (10, 5), (20, 40), (3, 200))

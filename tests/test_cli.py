@@ -151,6 +151,22 @@ def test_run_numeric_abort_exits_3(tmp_path):
     assert "iteration 1" in proc.stderr
 
 
+def test_sweep_numeric_abort_names_the_cell_and_keeps_finished_groups(tmp_path):
+    # the error_free group finishes; in the ota group only sigma_z_sq = 1e308
+    # diverges, and no file of that group is written
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    out = tmp_path / "grid"
+    proc = _cli("sweep", "--config", str(config), "--out", str(out),
+                "--sweep", "mode=error_free,ota", "--sweep", "sigma_z_sq=1,1e308")
+    assert proc.returncode == 3
+    assert "numeric abort" in proc.stderr
+    assert str(out / "metrics_mode=ota_sigma_z_sq=1e+308.csv") in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics_mode=error_free_sigma_z_sq=1.csv",
+        "metrics_mode=error_free_sigma_z_sq=1e+308.csv",
+    ]
+
+
 def test_sweep_writes_all_cells(tmp_path):
     config = _write_fast_config(tmp_path, T=2, eval_every=1)
     out = tmp_path / "grid"

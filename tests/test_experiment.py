@@ -14,6 +14,7 @@ from airsgd.experiment import (
     NumericAbort,
     build_dataset,
     run,
+    run_cells,
     run_matrix,
     write_metrics,
 )
@@ -287,23 +288,105 @@ def test_run_matrix_unknown_field(tmp_path):
     ([("sigma_z_sq", [20, 20.0])], "metrics_sigma_z_sq=20.0.csv, metrics_sigma_z_sq=20.csv"),
 ], ids=["value", "field", "parsed_value"])
 def test_run_matrix_rejects_repeats_before_any_cell(tmp_path, monkeypatch, sweep, repeated):
-    def forbidden(config):
+    def forbidden(configs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(experiment, "run", forbidden)
+    monkeypatch.setattr(experiment, "run_cells", forbidden)
     with pytest.raises(ConfigError, match=f"sweep repeats .*{re.escape(repeated)}"):
         run_matrix(_toy_doc(T=2), sweep, tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
 
 
 def test_run_matrix_parses_every_cell_before_any_runs(tmp_path, monkeypatch):
-    def forbidden(config):
+    def forbidden(configs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(experiment, "run", forbidden)
+    monkeypatch.setattr(experiment, "run_cells", forbidden)
     with pytest.raises(ConfigError, match="K must be a positive integer"):
         run_matrix(_toy_doc(T=2), [("K", [4, 0])], tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
+
+
+def _desk_doc(**updates):
+    # the desk shape: 10 devices and 10 classes, so every mean over devices
+    # and over a local set sums enough terms for its order to show
+    doc = _toy_doc(M=10, d=330, s=165, T=12, eval_every=1, master_seed=4)
+    doc["dataset"] = {"kind": "synthetic", "classes": 10, "features": 32,
+                      "train_per_class": 30, "test_per_class": 20, "margin": 4.0, "seed": 8}
+    doc["partition"] = {"per_device": 40}
+    doc["optimizer"] = {"kind": "adam", "learning_rate": 0.05}
+    doc.update(updates)
+    return doc
+
+
+def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
+    # Each batch_size runs as one group of four cells: two K values share
+    # their coefficient draws across two noise levels, one of them zero.
+    # Gathering log_probs[:, dev, pos, y] leaves the cell axis innermost in
+    # memory, so a mean over each local set sums in another order unless the
+    # gathered array is made contiguous: the loss then moves in its last bit
+    # on some rows, which this comparison catches.
+    sweep = [("K", [1, 4]), ("sigma_z_sq", [0.0, 20.0]), ("batch_size", [None, 8])]
+    paths = run_matrix(_desk_doc(), sweep, tmp_path / "grid")
+    assert len(paths) == 8
+    for path in paths:
+        with open(path, "rb") as f:
+            grid_bytes = f.read()
+        embedded = json.loads(grid_bytes.split(b"\n", 1)[0][len(b"# config: "):])
+        config = parse_config(embedded)
+        solo = tmp_path / "solo.csv"
+        write_metrics(run(config), config, solo)
+        assert solo.read_bytes() == grid_bytes, os.path.basename(path)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("batch_size", [None, 8]),
+    ("master_seed", [1, 2]),
+    ("mode", ["ota", "error_free"]),
+    ("power.alpha0", [1.0, 2.0]),
+])
+def test_run_matrix_groups_cells_that_differ_in_k_and_noise_only(tmp_path, monkeypatch,
+                                                                 field, values):
+    groups = []
+
+    def recording(configs):
+        groups.append(configs)
+        return ensemble(configs)
+
+    ensemble = experiment.run_cells
+    monkeypatch.setattr(experiment, "run_cells", recording)
+    sweep = [("K", [1, 4]), (field, values), ("sigma_z_sq", [0.0, 20.0])]
+    paths = run_matrix(_toy_doc(T=2, eval_every=1), sweep, tmp_path)
+    assert len(paths) == 8 and all(os.path.exists(path) for path in paths)
+    assert [len(group) for group in groups] == [4, 4]
+    for group in groups:
+        keys = {experiment._group_key(config) for config in group}
+        assert len(keys) == 1
+        assert sorted((c.K, c.sigma_z_sq) for c in group) == [(1, 0.0), (1, 20.0),
+                                                               (4, 0.0), (4, 20.0)]
+
+
+def test_run_cells_rejects_cells_that_differ_beyond_k_and_noise():
+    configs = [parse_config(_toy_doc()), parse_config(_toy_doc(batch_size=8))]
+    with pytest.raises(ValueError, match="differ in K, sigma_z_sq and metrics_path only"):
+        run_cells(configs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_numeric_abort_in_a_group_names_its_cell_and_keeps_earlier_groups(tmp_path):
+    # error_free ignores the noise and finishes; in ota, sigma_z_sq = 1e308
+    # overflows the noise variance while its sane neighbour is unharmed
+    out = tmp_path / "grid"
+    with pytest.raises(NumericAbort) as excinfo:
+        run_matrix(_toy_doc(T=3), [("mode", ["error_free", "ota"]),
+                                   ("sigma_z_sq", [1.0, 1e308])], out)
+    assert excinfo.value.path == str(out / "metrics_mode=ota_sigma_z_sq=1e+308.csv")
+    assert (excinfo.value.iteration, excinfo.value.stage) == (1, "estimate")
+    assert excinfo.value.path in str(excinfo.value)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics_mode=error_free_sigma_z_sq=1.0.csv",
+        "metrics_mode=error_free_sigma_z_sq=1e+308.csv",
+    ]
 
 
 def test_idx_dataset_runs_end_to_end(tmp_path):
