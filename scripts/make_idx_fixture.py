@@ -2,7 +2,8 @@
 
 Handy for exercising the idx dataset path of the CLI without real image
 data: writes four big-endian IDX files (train/test images and labels)
-whose pixel values are the synthetic features rescaled into 0..255 bytes.
+whose pixel values are the synthetic features rescaled into 0..255 bytes by
+the train split's range (test values outside it clip to 0 or 255).
 
 Usage:
     python3 scripts/make_idx_fixture.py --out data/fixture
@@ -16,9 +17,9 @@ import numpy as np
 from airsgd.data import SyntheticSpec, make_synthetic, write_idx_images, write_idx_labels
 
 
-def to_bytes(features):
-    lo, hi = features.min(), features.max()
-    scaled = (features - lo) / (hi - lo) * 255.0
+def to_bytes(features, lo, hi):
+    """Map features onto 0..255 with [lo, hi] spanning the byte range; values outside clip."""
+    scaled = np.clip((features - lo) / (hi - lo) * 255.0, 0.0, 255.0)
     side = int(np.sqrt(features.shape[1]))
     if side * side != features.shape[1]:
         raise SystemExit("feature count must be a perfect square for image layout")
@@ -44,9 +45,11 @@ def main():
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_idx_images(out / "train-images-idx3-ubyte", to_bytes(train.features))
+    # both splits share the train range, so a test byte means what a train byte means
+    lo, hi = train.features.min(), train.features.max()
+    write_idx_images(out / "train-images-idx3-ubyte", to_bytes(train.features, lo, hi))
     write_idx_labels(out / "train-labels-idx1-ubyte", train.labels.astype(np.uint8))
-    write_idx_images(out / "test-images-idx3-ubyte", to_bytes(test.features))
+    write_idx_images(out / "test-images-idx3-ubyte", to_bytes(test.features, lo, hi))
     write_idx_labels(out / "test-labels-idx1-ubyte", test.labels.astype(np.uint8))
 
     d = (args.side**2 + 1) * args.classes

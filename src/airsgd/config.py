@@ -205,23 +205,22 @@ def apply_overrides(doc: dict, overrides) -> dict:
     """Apply `a.b.c=value` assignments onto a config dict (returns a copy).
 
     Values are parsed as JSON when possible, otherwise taken as strings.
-    Keys must already exist in the document; the config has no use for
-    invented ones and a typo should not pass silently.
+    Every key but the last must name an object already in the document; the
+    last may be new, so an optional key the document leaves out can be set.
+    A key the config does not know fails later, in :func:`parse_config`.
     """
     result = json.loads(json.dumps(doc))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form KEY=VALUE")
         key, text = item.split("=", 1)
-        parts = key.split(".")
+        *parents, last = key.split(".")
         node = result
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"override key {key!r} does not match the config layout")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
             raise ConfigError(f"override key {key!r} does not match the config layout")
-        node[parts[-1]] = parse_value(text)
+        node[last] = parse_value(text)
     return result
 
 

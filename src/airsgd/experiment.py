@@ -112,12 +112,12 @@ def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
     """Each device's batch at iteration t: (M, batch_size) positions in its local set.
 
     BATCH substream t draws (M, per_device) uniform keys; row m-1 is device m's
-    and selects the positions of its batch_size smallest keys, in key order.
+    and selects the positions of its batch_size smallest keys, in key order
+    (a tie goes to the lower position).
     """
     keys = rng.generator(rng.substream(config.master_seed, rng.BATCH, t)).random(
         (config.M, config.partition.per_device))
-    picked = np.argpartition(keys, config.batch_size - 1, axis=1)[:, :config.batch_size]
-    return np.take_along_axis(picked, np.argsort(np.take_along_axis(keys, picked, 1), 1), 1)
+    return np.argsort(keys, axis=1, kind="stable")[:, :config.batch_size]
 
 
 def _group_key(config: RunConfig) -> RunConfig:
@@ -212,18 +212,14 @@ def run_cells(configs, gradient_fn=None, captures=None) -> list:
         true_avg = grads.mean(axis=1)
 
         if config.mode == "ota":
-            tx = ota.transmit(grads.reshape(R * M, d), alpha, s).reshape(R, M, N, s)
+            tx = ota.transmit(grads, alpha, s)
             coeffs, noise = channel.sample_combined(
                 rng.substream(config.master_seed, rng.CHANNEL, t),
                 rng.substream(config.master_seed, rng.NOISE, t),
                 N, M, K, s, config.sigma_h_sq, sigma_z_sq,
             )
             obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
-            # the R cells' (N, s) outputs unpack as the R * N blocks of one
-            # vector; row r of it, padding cut, is cell r's estimate
-            estimate = ota.estimate_average_gradient(
-                obs.reshape(R * N, s), alpha, M, config.sigma_h_sq, R * N * 2 * s
-            ).reshape(R, -1)[:, :d]
+            estimate = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
             _check_finite(estimate, t, "estimate", configs)
             est_mse = np.mean((estimate - true_avg) ** 2, axis=1).tolist()
             inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N

@@ -37,9 +37,9 @@ __all__ = [
 class PowerSchedule:
     """Per-iteration amplitude scaling alpha_t of the transmitted gradients.
 
-    kind "constant" keeps alpha_t = alpha0; "linear_ramp" grows it as
-    alpha0 + slope * t, useful because gradient magnitudes shrink over
-    training while the noise floor does not.
+    alpha_t = alpha0 + slope * t. kind "constant" keeps alpha_t = alpha0 and
+    takes no nonzero slope; "linear_ramp" grows it, useful because gradient
+    magnitudes shrink over training while the noise floor does not.
     """
 
     kind: str
@@ -51,11 +51,11 @@ class PowerSchedule:
             raise ValueError(f"unknown power schedule kind {self.kind!r}")
         if self.alpha0 <= 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if self.kind == "constant" and self.slope != 0:
+            raise ValueError(f"a constant power schedule takes no slope, got {self.slope}")
 
     def alpha_at(self, t: int) -> float:
         """Scaling factor at iteration t (1-based)."""
-        if self.kind == "constant":
-            return self.alpha0
         return self.alpha0 + self.slope * t
 
     def validate_horizon(self, T: int) -> None:
@@ -66,20 +66,14 @@ class PowerSchedule:
 
 
 def transmit(gradient, alpha_t: float, s: int) -> np.ndarray:
-    """Scale and pack a gradient into its (N, s) transmit blocks.
-
-    An (M, d) stack of gradients gives the (M, N, s) blocks of all M devices.
-    """
+    """Scale and pack gradients (..., d) into their transmit blocks (..., N, s)."""
     if alpha_t <= 0:
         raise ValueError(f"alpha_t must be positive, got {alpha_t}")
     return alpha_t * pack(gradient, s)
 
 
 def transmit_energy(blocks: np.ndarray):
-    """Total symbol energy sum_n ||x^n||^2 of an (N, s) block array.
-
-    For (M, N, s) blocks, one energy per device, shape (M,).
-    """
+    """Total symbol energy sum_n ||x^n||^2 of each (N, s) block array in (..., N, s)."""
     b = np.asarray(blocks)
     return np.sum(b.real**2 + b.imag**2, axis=(-2, -1))
 
@@ -104,13 +98,11 @@ def combine(rx: np.ndarray, h: np.ndarray) -> np.ndarray:
 def estimate_average_gradient(
     obs: np.ndarray, alpha_t: float, M: int, sigma_h_sq: float, d: int
 ) -> np.ndarray:
-    """Recover the length-d gradient-average estimate from combiner output.
+    """Recover length-d gradient-average estimates (..., d) from combiner output (..., N, s).
 
-    Divides by alpha_t * M * sigma_h_sq and reads real parts back into the
-    leading half of each 2s-chunk and imaginary parts into the trailing
-    half, dropping padding beyond d. sigma_h_sq is the configured gain
-    variance, not an empirical estimate: the receiver knows the channel
-    statistics.
+    Divides by alpha_t * M * sigma_h_sq and unpacks, dropping padding beyond
+    d. sigma_h_sq is the configured gain variance, not an empirical
+    estimate: the receiver knows the channel statistics.
     """
     if alpha_t <= 0 or sigma_h_sq <= 0:
         raise ValueError("alpha_t and sigma_h_sq must be positive")

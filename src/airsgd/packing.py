@@ -8,7 +8,9 @@ the imaginary parts of one block:
     block[n][i] = g[2*n*s + i] + 1j * g[(2*n + 1)*s + i]   (0-indexed)
 
 The map is linear and energy preserving: the summed squared magnitudes of the
-blocks equal the squared Euclidean norm of the padded vector.
+blocks equal the squared Euclidean norm of the padded vector. Both directions
+act on the last axis only, so a stack of vectors (..., d), one per device or
+per ensemble cell, folds to blocks (..., N, s) and back.
 """
 
 import numpy as np
@@ -26,16 +28,16 @@ def block_count(d: int, s: int) -> int:
 
 
 def pack(gradient, s: int) -> np.ndarray:
-    """Fold a real vector into an (N, s) complex128 array of symbol blocks.
+    """Fold real vectors (..., d) into complex128 symbol blocks (..., N, s).
 
-    An (M, d) stack of vectors folds row by row into (M, N, s). Entries
-    beyond the vector length read as zero padding. Rejects non-finite input
-    since those values would silently corrupt every downstream channel
-    statistic.
+    Leading axes, such as a device or cell axis, pass through unchanged.
+    Entries beyond the vector length read as zero padding. Rejects
+    non-finite input since those values would silently corrupt every
+    downstream channel statistic.
     """
     g = np.asarray(gradient, dtype=np.float64)
-    if g.ndim not in (1, 2):
-        raise ValueError(f"gradient must be a vector or a stack of vectors, got shape {g.shape}")
+    if g.ndim == 0:
+        raise ValueError("gradient must have a vector axis, got a scalar")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
     *lead, d = g.shape
@@ -47,21 +49,21 @@ def pack(gradient, s: int) -> np.ndarray:
 
 
 def unpack(blocks, d: int) -> np.ndarray:
-    """Invert :func:`pack`, recovering the first d real entries.
+    """Invert :func:`pack`: blocks (..., N, s) back to real vectors (..., d).
 
-    ``blocks`` is an (N, s) complex array with N = ceil(d / 2s); padding
-    positions beyond d are discarded. Exact inverse: no arithmetic is
-    performed on the values.
+    N must equal ceil(d / 2s); padding positions beyond d are discarded and
+    leading axes pass through. Exact inverse: no arithmetic is performed on
+    the values.
     """
     b = np.asarray(blocks, dtype=np.complex128)
-    if b.ndim != 2 or b.shape[0] == 0 or b.shape[1] == 0:
-        raise ValueError(f"blocks must be a nonempty (N, s) array, got shape {b.shape}")
-    n_blocks, s = b.shape
+    if b.ndim < 2 or b.size == 0:
+        raise ValueError(f"blocks must be a nonempty (..., N, s) array, got shape {b.shape}")
+    *lead, n_blocks, s = b.shape
     if n_blocks != block_count(d, s):
         raise ValueError(
             f"expected {block_count(d, s)} blocks of length {s} for d={d}, got {n_blocks}"
         )
-    flat = np.empty((n_blocks, 2, s), dtype=np.float64)
-    flat[:, 0, :] = b.real
-    flat[:, 1, :] = b.imag
-    return flat.reshape(-1)[:d].copy()
+    flat = np.empty((*lead, n_blocks, 2, s), dtype=np.float64)
+    flat[..., 0, :] = b.real
+    flat[..., 1, :] = b.imag
+    return flat.reshape(*lead, -1)[..., :d].copy()

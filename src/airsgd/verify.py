@@ -117,6 +117,8 @@ def stat_suite(trials: int, seed: int) -> list:
     """All statistical checks, as run by the verify-stats command."""
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials for stable checks, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     results = interference_checks(trials, seed)
     # Hardening ratios stabilize well below 1e5 draws; cap to keep runtime flat.
     results.extend(hardening_checks(min(trials, 10_000), seed))

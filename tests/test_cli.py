@@ -180,11 +180,30 @@ def test_sweep_writes_all_cells(tmp_path):
     assert "4 runs complete" in proc.stdout
 
 
+def test_an_omitted_batch_size_can_be_set_and_swept(tmp_path):
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    doc = json.loads(config.read_text())
+    del doc["batch_size"]
+    config.write_text(json.dumps(doc))
+    proc = _cli("run", "--config", str(config), "--set", "batch_size=8",
+                "--out", str(tmp_path / "one"))
+    assert proc.returncode == 0, proc.stderr
+    header = (tmp_path / "one" / "metrics.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(header[len("# config: "):])["batch_size"] == 8
+    proc = _cli("sweep", "--config", str(config), "--sweep", "batch_size=4,8",
+                "--out", str(tmp_path / "grid"))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == [
+        "metrics_batch_size=4.csv", "metrics_batch_size=8.csv",
+    ]
+
+
 def test_sweep_unknown_field_exits_2(tmp_path):
     config = _write_fast_config(tmp_path)
     proc = _cli("sweep", "--config", str(config), "--sweep", "foo=1,2",
                 "--out", str(tmp_path))
     assert proc.returncode == 2
+    assert "unknown key 'foo'" in proc.stderr
 
 
 def test_verify_stats_smoke():
@@ -195,9 +214,12 @@ def test_verify_stats_smoke():
     assert "hardening" in proc.stdout
 
 
-def test_verify_stats_rejects_tiny_trials():
-    proc = _cli("verify-stats", "--trials", "500")
+@pytest.mark.parametrize("args", [("--trials", "500"), ("--seed", "-1")],
+                         ids=["trials-500", "seed-negative"])
+def test_verify_stats_rejects_tiny_trials(args):
+    proc = _cli("verify-stats", *args)
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_jsonschema_unloaded():

@@ -75,6 +75,7 @@ def test_batch_size_bounded_by_per_device():
     (["sigma_z_sq=NaN"], "sigma_z_sq"),
     (["sigma_z_sq=Infinity"], "sigma_z_sq"),
     ([f"dataset.margin={10**400}"], "dataset.margin"),
+    (["power.kind=constant", "power.slope=0.5"], "power"),
 ])
 def test_invalid_value_names_its_key(overrides, key):
     doc = apply_overrides(template("minimal"), overrides)
@@ -108,8 +109,13 @@ def test_overrides_nested_and_typed():
 
 
 def test_override_unknown_key_rejected():
+    doc = apply_overrides(template("minimal"), ["Q=3"])
+    with pytest.raises(ConfigError, match="unknown key 'Q'"):
+        parse_config(doc)
     with pytest.raises(ConfigError, match="does not match"):
-        apply_overrides(template("minimal"), ["Q=3"])
+        apply_overrides(template("minimal"), ["nope.eps=1"])
+    with pytest.raises(ConfigError, match="does not match"):
+        apply_overrides(template("minimal"), ["K.x=1"])
     with pytest.raises(ConfigError, match="KEY=VALUE"):
         apply_overrides(template("minimal"), ["K"])
 

@@ -144,8 +144,8 @@ def test_batch_positions_draw_uniform_ordered_pairs():
 
 @pytest.mark.parametrize("partition", ["numpy", "reversed_sides"])
 def test_batch_positions_are_the_smallest_keys_in_key_order(monkeypatch, partition):
-    # numpy leaves the order inside each side of a partition unspecified; a
-    # valid argpartition that reverses both sides must not move a batch
+    # numpy leaves the order inside each side of a partition unspecified; the
+    # batch must not move under a valid argpartition that reverses both sides
     argpartition = np.argpartition
 
     def reversed_sides(a, kth, axis):
@@ -160,6 +160,19 @@ def test_batch_positions_are_the_smallest_keys_in_key_order(monkeypatch, partiti
         keys = rng.generator(rng.substream(3, rng.BATCH, t)).random((4, 40))
         np.testing.assert_array_equal(experiment._batch_positions(config, t),
                                       np.argsort(keys, axis=1)[:, :12])
+
+
+def test_batch_positions_break_key_ties_by_position(monkeypatch):
+    keys = np.array([[0.5, 0.2, 0.5, 0.2, 0.9], [0.7, 0.7, 0.7, 0.1, 0.7]])
+
+    class FixedKeys:
+        def random(self, shape):
+            assert shape == keys.shape
+            return keys
+
+    monkeypatch.setattr(rng, "generator", lambda seed_seq: FixedKeys())
+    config = parse_config(_toy_doc(M=2, partition={"per_device": 5}, batch_size=3))
+    np.testing.assert_array_equal(experiment._batch_positions(config, 1), [[1, 3, 0], [3, 0, 1]])
 
 
 def test_batch_run_derives_one_substream_per_iteration(monkeypatch):

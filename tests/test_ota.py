@@ -34,6 +34,8 @@ def test_schedule_rejects_bad_parameters():
         PowerSchedule(kind="constant", alpha0=0.0)
     with pytest.raises(ValueError):
         PowerSchedule(kind="exp", alpha0=1.0)
+    with pytest.raises(ValueError, match="slope"):
+        PowerSchedule(kind="constant", alpha0=1.0, slope=0.5)
     with pytest.raises(ValueError):
         PowerSchedule(kind="linear_ramp", alpha0=1.0, slope=-2.0).validate_horizon(10)
 
@@ -148,7 +150,7 @@ def test_decomposition_identity_random_instance():
     gen = np.random.default_rng(3)
     M, K, s, N = 3, 2, 2, 1
     g = gen.normal(size=(M, 2 * s * N))
-    blocks = np.stack([pack(gm, s) for gm in g])
+    blocks = pack(g, s)
     h = sample_channel(rng.substream(9, rng.CHANNEL, 0), N, M, K, s, 1.0)
     z = sample_noise(rng.substream(9, rng.NOISE, 0), N, K, s, 2.0)
     alpha = 1.3

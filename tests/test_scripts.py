@@ -3,6 +3,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
+from airsgd.data import SyntheticSpec, load_idx, make_synthetic
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -19,3 +23,22 @@ def test_antenna_study_writes_one_csv_per_cell_naming_itself(tmp_path):
     for path in paths:
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert json.loads(header[len("# config: "):])["metrics_path"] == str(path)
+
+
+def test_idx_fixture_maps_both_splits_with_the_train_range(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_idx_fixture.py"), "--out", str(tmp_path),
+         "--side", "3", "--train-per-class", "20", "--test-per-class", "10"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = SyntheticSpec(classes=10, features=9, train_per_class=20, test_per_class=10,
+                         margin=4.0, seed=42)
+    train, test = make_synthetic(spec)
+    lo, hi = train.features.min(), train.features.max()
+    assert test.features.min() < lo  # so a test value must clip rather than wrap
+    for split, name in ((train, "train"), (test, "test")):
+        expected = np.clip((split.features - lo) / (hi - lo) * 255.0, 0.0, 255.0).astype(np.uint8)
+        written = load_idx(tmp_path / f"{name}-images-idx3-ubyte", tmp_path / f"{name}-labels-idx1-ubyte")
+        assert np.array_equal(written.features, expected)
+        assert np.array_equal(written.labels, split.labels)
