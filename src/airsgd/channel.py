@@ -66,7 +66,10 @@ def sample_channel(rng_seed, N: int, M: int, K: int, s: int, sigma_h_sq: float) 
     """Draw an (N, M, K, s) tensor of fading gains, each CN(0, sigma_h_sq).
 
     Deterministic given the seed: the tensor is drawn in a single call with
-    fixed axis order, so the value at every (n, m, k, i) is pinned.
+    fixed axis order, so the value at every (n, m, k, i) is pinned. Given a
+    ``Generator`` instead of a seed, the draw continues that generator's
+    stream, so consecutive calls on one generator for N1, N2, ... matrices
+    concatenate along the first axis to the one-call (N1 + N2 + ...) tensor.
     """
     _check_dims(N=N, M=M, K=K, s=s)
     _check_gain_variance(sigma_h_sq)

@@ -4,7 +4,9 @@ All randomness flows through the Philox counter-based bit generator. Each
 consumer derives its own stream from (master_seed, stream tag, indices...),
 so results never depend on the order in which tensors are drawn. Within a
 stream, each tensor is drawn in one vectorized call, in a documented order
-and axis layout, which pins the counter assignment of every scalar. A
+and axis layout, which pins the counter assignment of every scalar; a
+tensor drawn in consecutive slices along its first axis from one
+``Generator`` has the same bytes, since the stream fills in C order. A
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
 iteration t, keyed (master_seed, tag, t). The cells of one
 ``experiment.run_cells`` ensemble share these substreams, and each shared
@@ -29,7 +31,14 @@ def substream(master_seed: int, tag: int, *indices: int) -> np.random.SeedSequen
 
 
 def generator(seed) -> np.random.Generator:
-    """Philox generator from an int, tuple, or SeedSequence seed."""
+    """Philox generator from an int, tuple, or SeedSequence seed.
+
+    A ``Generator`` is returned as is, so a sampler handed one continues its
+    stream: N matrices drawn in consecutive slices from one generator are
+    the bytes of one N-matrix draw.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))

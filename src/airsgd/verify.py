@@ -9,11 +9,21 @@ Two suites, both built on fresh channel draws:
   quadrupling K should roughly halve it.
 
 These back the `verify-stats` CLI verb and the statistical acceptance
-tests. Every check draws its channel matrices in chunks (``_chunks``), so
-trial counts in the 1e5 range stay inside a laptop's memory.
+tests. Every check draws its channel matrices in chunks of at most
+``_CHUNK`` (``_chunks``); chunk c of check ``index`` reads its own substream
+(seed, CHANNEL, index, c), so the chunks are independent and run on
+``_WORKERS`` threads (numpy releases the GIL while it fills and reduces
+arrays). A chunk is drawn from one generator in blocks of about
+``_BLOCK_BYTES`` of channel gains, and each block is reduced before the next
+is drawn, so no chunk-sized tensor is ever held. The report's bytes do not
+depend on either constant: consecutive blocks of one generator are the
+bytes of the one-call chunk draw, both statistics reduce each matrix on its
+own, and results are combined in chunk order.
 """
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +40,12 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# Bytes of channel gains (16 per complex gain) drawn and reduced per block.
+_BLOCK_BYTES = 1 << 19
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    _WORKERS = os.cpu_count() or 1
 
 # (M, K, sigma_h_sq) triples exercised by the interference suite.
 INTERFERENCE_CASES = ((2, 4, 1.0), (4, 8, 1.0), (8, 16, 2.0))
@@ -52,16 +68,36 @@ def _chunks(trials: int, seed: int, index: int) -> list:
     ]
 
 
+def _map_chunks(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:
+    """``statistic`` of each chunk's (n, M, K, 1) channel draw, in chunk order.
+
+    The chunks run on ``_WORKERS`` threads. Each is drawn from one generator
+    in blocks of at least one matrix, and the per-block statistics, which
+    must be per-matrix, are concatenated along the first axis.
+    """
+    rows = max(1, _BLOCK_BYTES // (16 * M * K))
+
+    def chunk(seed_and_size):
+        seed_seq, n = seed_and_size
+        gen = rng.generator(seed_seq)
+        return np.concatenate([
+            statistic(channel.sample_channel(gen, min(rows, n - start), M, K, 1, sigma_h_sq))
+            for start in range(0, n, rows)
+        ])
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return list(pool.map(chunk, _chunks(trials, seed, index)))
+
+
 def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:
     """Draw `trials` independent realizations of the interference statistic.
 
     Each draw uses an independent channel matrix with a single subchannel;
     the statistic is scale-free in the gradients so no signal is needed.
     """
-    return np.concatenate([
-        ota.interference_statistic(channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq))[:, 0]
-        for seed_seq, n in _chunks(trials, seed, case_index)
-    ])
+    return np.concatenate(_map_chunks(
+        lambda h: ota.interference_statistic(h)[:, 0], M, K, sigma_h_sq, trials, seed, case_index,
+    ))
 
 
 def interference_checks(trials: int, seed: int) -> list:
@@ -80,10 +116,8 @@ def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
     """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
     total = 0.0
     count = 0
-    for seed_seq, n in _chunks(trials, seed, k_index):
-        h = channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq)
-        gains = ota.effective_signal_gains(h)  # (n, M, 1)
-        total += float(((gains - sigma_h_sq) ** 2).sum())
+    for gains in _map_chunks(ota.effective_signal_gains, M, K, sigma_h_sq, trials, seed, k_index):
+        total += float(((gains - sigma_h_sq) ** 2).sum())  # gains: (n, M, 1)
         count += gains.size
     return float(np.sqrt(total / count) / sigma_h_sq)
 

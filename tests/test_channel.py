@@ -59,6 +59,19 @@ def test_zero_noise_variance_gives_zeros():
     assert z.shape == (2, 3, 4)
 
 
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("rows", [1, 4, 20])
+def test_slices_from_one_generator_are_the_one_call_draw(rows, s):
+    # 13 matrices in slices of 1, of 4 (an uneven tail of 1) and of 20 (one slice)
+    seed_seq = rng.substream(5, rng.CHANNEL, 2)
+    whole = sample_channel(seed_seq, 13, 3, 4, s, 2.0)
+    gen = rng.generator(seed_seq)
+    assert rng.generator(gen) is gen
+    slices = [sample_channel(gen, min(rows, 13 - start), 3, 4, s, 2.0)
+              for start in range(0, 13, rows)]
+    assert np.array_equal(np.concatenate(slices), whole)
+
+
 def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample_channel(rng.substream(1, rng.CHANNEL, 0), 0, 1, 1, 1, 1.0)

@@ -142,24 +142,12 @@ def test_batch_positions_draw_uniform_ordered_pairs():
         assert np.sum((counts - 200.0) ** 2 / 200.0) < 43.82
 
 
-@pytest.mark.parametrize("partition", ["numpy", "reversed_sides"])
-def test_batch_positions_are_the_smallest_keys_in_key_order(monkeypatch, partition):
-    # numpy leaves the order inside each side of a partition unspecified; the
-    # batch must not move under a valid argpartition that reverses both sides
-    argpartition = np.argpartition
-
-    def reversed_sides(a, kth, axis):
-        out = argpartition(a, kth, axis=axis)
-        return np.concatenate([out[:, :kth][:, ::-1], out[:, kth:kth + 1],
-                               out[:, kth + 1:][:, ::-1]], axis=1)
-
-    if partition == "reversed_sides":
-        monkeypatch.setattr(np, "argpartition", reversed_sides)
+def test_batch_positions_are_the_smallest_keys_in_key_order():
     config = parse_config(_toy_doc(M=4, partition={"per_device": 40}, batch_size=12, master_seed=3))
     for t in (1, 2, 3):
         keys = rng.generator(rng.substream(3, rng.BATCH, t)).random((4, 40))
-        np.testing.assert_array_equal(experiment._batch_positions(config, t),
-                                      np.argsort(keys, axis=1)[:, :12])
+        expected = [sorted(range(40), key=lambda j: (row[j], j))[:12] for row in keys]
+        np.testing.assert_array_equal(experiment._batch_positions(config, t), expected)
 
 
 def test_batch_positions_break_key_ties_by_position(monkeypatch):
@@ -190,19 +178,46 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 
 # sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
 # reference channel streams and the chunking of verify's draws: with chunks
-# of 512 matrices each check draws four chunks, the last one short.
+# of 512 matrices each check draws four chunks, the last one short. The
+# report must not depend on the worker count or the block size, so the
+# digests are also checked with 1 and 3 workers and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
     4096: "21d4a8e6107403c81ccfb1bf1223d01deb85a181106089e46e9cb8a48c2968f8",
     512: "83c569180034e83786c8a2278f549a18d23aa2f3f1d934725114aff351a4fb49",
 }
 
 
-@pytest.mark.parametrize("chunk", sorted(GOLDEN_VERIFY_SHA256))
-def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk):
+@pytest.mark.parametrize("chunk, settings", [
+    pytest.param(chunk, settings, id="-".join([str(chunk), *(f"{k}={v}" for k, v in settings.items())]))
+    for chunk in sorted(GOLDEN_VERIFY_SHA256)
+    for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, {"_BLOCK_BYTES": 1})
+])
+def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, settings):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
+    for name, value in settings.items():
+        monkeypatch.setattr(verify, name, value)
     cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
+
+
+@pytest.mark.parametrize("workers, block_matrices", [(1, 5), (3, 1), (3, 5)])
+def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_matrices):
+    # The report prints rounded figures; this reference, one draw per chunk
+    # reduced and summed in chunk order, pins the values exactly.
+    M, K, sigma_h_sq, trials = 3, 8, 1.5, 1300  # chunks of 512, 512 and 276
+    monkeypatch.setattr(verify, "_CHUNK", 512)
+    monkeypatch.setattr(verify, "_WORKERS", workers)
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", 16 * M * K * block_matrices)
+    draws = [channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq)
+             for seed_seq, n in verify._chunks(trials, 4, 0)]
+    expected = np.concatenate([ota.interference_statistic(h)[:, 0] for h in draws])
+    assert np.array_equal(verify.interference_samples(M, K, sigma_h_sq, trials, 4, 0), expected)
+    total = 0.0
+    for h in draws:
+        total += float(((ota.effective_signal_gains(h) - sigma_h_sq) ** 2).sum())
+    rms = float(np.sqrt(total / (trials * M)) / sigma_h_sq)
+    assert verify.hardening_rms_deviation(M, K, sigma_h_sq, trials, 4, 0) == rms
 
 
 def test_metrics_file_layout(tmp_path):
