@@ -142,11 +142,28 @@ def test_batch_positions_draw_uniform_ordered_pairs():
         assert np.sum((counts - 200.0) ** 2 / 200.0) < 43.82
 
 
-def test_batch_positions_are_the_smallest_keys_in_key_order():
+@pytest.mark.parametrize("layout", ["numpy", "reversed_sides"])
+def test_batch_positions_are_the_smallest_keys_in_key_order(monkeypatch, layout):
+    # [reversed_sides] lays each row of drawn keys out in descending order, so
+    # both sides of the split run against position order: the batch is then the
+    # last 12 positions, the smallest key's last
+    generator = rng.generator
+
+    class Descending:
+        def __init__(self, seed_seq):
+            self.gen = generator(seed_seq)
+
+        def random(self, shape):
+            return np.sort(self.gen.random(shape), axis=1)[:, ::-1]
+
+    if layout == "reversed_sides":
+        monkeypatch.setattr(rng, "generator", Descending)
     config = parse_config(_toy_doc(M=4, partition={"per_device": 40}, batch_size=12, master_seed=3))
     for t in (1, 2, 3):
         keys = rng.generator(rng.substream(3, rng.BATCH, t)).random((4, 40))
         expected = [sorted(range(40), key=lambda j: (row[j], j))[:12] for row in keys]
+        if layout == "reversed_sides":
+            assert expected == [list(range(39, 27, -1))] * 4
         np.testing.assert_array_equal(experiment._batch_positions(config, t), expected)
 
 
