@@ -19,6 +19,7 @@ from typing import ClassVar, Optional, Union
 from .data import SyntheticSpec
 from .learner import OptimizerSpec
 from .ota import PowerSchedule
+from .rng import SEED_LIMIT
 
 __all__ = [
     "ConfigError",
@@ -92,8 +93,8 @@ class RunConfig:
             raise ConfigError(f"mode must be 'ota' or 'error_free', got {self.mode!r}")
         if self.mode == "ota" and self.sigma_h_sq <= 0:
             raise ConfigError("ota mode needs sigma_h_sq > 0")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ConfigError(f"master_seed must lie in [0, 2**32), got {self.master_seed}")
         if not self.metrics_path:
             raise ConfigError("metrics_path must be a nonempty path")
         if self.batch_size is not None and self.batch_size < 1:

@@ -9,6 +9,7 @@ partition is a matrix of pool indices, one row per device, not copies of
 the rows.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import ClassVar
@@ -59,10 +60,15 @@ class LocalDataset:
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise DataError(f"{path}: expected {count} bytes of {what}, got {len(buf)}")
-    return buf
+    """The next ``count`` bytes of ``f``, checked against the bytes the file has left.
+
+    The check comes before the read, so a header that claims more than the
+    file holds fails here instead of allocating, or overflowing, its claim.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise DataError(f"{path}: expected {count} bytes of {what}, got {left}")
+    return f.read(count)
 
 
 def load_idx(images_path, labels_path) -> LocalDataset:
@@ -76,6 +82,8 @@ def load_idx(images_path, labels_path) -> LocalDataset:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
         if magic != IDX_IMAGE_MAGIC:
             raise DataError(f"{images_path}: bad image magic 0x{magic:08x}")
+        if count == 0:
+            raise DataError(f"{images_path} holds no images")
         pixels = np.frombuffer(
             _read_exact(f, count * rows * cols, images_path, "pixel data"), dtype=np.uint8
         )
@@ -141,8 +149,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < rng.SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 def make_synthetic(spec: SyntheticSpec):

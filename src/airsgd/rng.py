@@ -13,6 +13,19 @@ iteration t, keyed (master_seed, tag, t). The cells of one
 draw is made once per iteration for the whole group. One stream carries no tag:
 ``data.partition`` draws the devices' local sets, device by device, from
 ``generator(master_seed)``, the Philox stream seeded by the master seed alone.
+
+The key (seed, tag, *indices) is handed to ``SeedSequence`` as its entropy,
+and that encoding is not one-to-one, so two rules keep keys apart:
+
+* trailing zeros are dropped: ``(s, tag)``, ``(s, tag, 0)`` and
+  ``(s, tag, 0, 0)`` give one stream. No two keys of one run, or of one
+  verify-stats call, differ only in trailing zeros. A run and a verify-stats
+  call at one seed do share streams this way (verify's (s, CHANNEL, 1, 0)
+  is a run's (s, CHANNEL, 1)), but no figure draws on both;
+* an int of ``SEED_LIMIT`` (2^32) or more spans two words, so
+  ``(5 + 2**32, tag, 3)`` is ``(5, tag, 1, 3)``. Every seed the program
+  accepts (``master_seed``, ``dataset.seed``, ``verify-stats --seed``) is
+  checked to lie below it.
 """
 
 import numpy as np
@@ -23,6 +36,9 @@ CHANNEL = 1
 NOISE = 2
 BATCH = 4
 DATASET = 5
+
+# Seeds lie in [0, SEED_LIMIT): one 32-bit word of SeedSequence entropy.
+SEED_LIMIT = 2**32
 
 
 def substream(master_seed: int, tag: int, *indices: int) -> np.random.SeedSequence:

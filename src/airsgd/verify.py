@@ -9,16 +9,19 @@ Two suites, both built on fresh channel draws:
   quadrupling K should roughly halve it.
 
 These back the `verify-stats` CLI verb and the statistical acceptance
-tests. Every check draws its channel matrices in chunks of at most
-``_CHUNK`` (``_chunks``); chunk c of check ``index`` reads its own substream
-(seed, CHANNEL, index, c), so the chunks are independent and run on
-``_WORKERS`` threads (numpy releases the GIL while it fills and reduces
-arrays). A chunk is drawn from one generator in blocks of about
-``_BLOCK_BYTES`` of channel gains, and each block is reduced before the next
-is drawn, so no chunk-sized tensor is ever held. The report's bytes do not
-depend on either constant: consecutive blocks of one generator are the
-bytes of the one-call chunk draw, both statistics reduce each matrix on its
-own, and results are combined in chunk order.
+tests. ``map_chunks`` is the one chunked Monte Carlo runner: it cuts a
+trial count into chunks, runs each on ``_WORKERS`` threads (numpy releases
+the GIL while it fills and reduces arrays) and returns the results in
+chunk order. Both suites run on it, and so do the reference loops of the
+estimator acceptance check and of the combined-sampler tests. Here every
+check draws its channel matrices in chunks of at most ``_CHUNK``; chunk c
+of check ``index`` reads its own substream (seed, CHANNEL, index, c), so
+the chunks are independent. A chunk is drawn from one generator in blocks
+of about ``_BLOCK_BYTES`` of channel gains, and each block is reduced
+before the next is drawn, so no chunk-sized tensor is ever held. The
+report's bytes do not depend on either constant: consecutive blocks of one
+generator are the bytes of the one-call chunk draw, both statistics reduce
+each matrix on its own, and results are combined in chunk order.
 """
 
 import itertools
@@ -31,6 +34,7 @@ from . import channel, ota, rng, statcheck
 from .config import ConfigError
 
 __all__ = [
+    "map_chunks",
     "interference_samples",
     "interference_checks",
     "hardening_rms_deviation",
@@ -60,33 +64,38 @@ def interference_variance(M: int, K: int, sigma_h_sq: float) -> float:
     return M * (M - 1) * sigma_h_sq**2 / K
 
 
-def _chunks(trials: int, seed: int, index: int) -> list:
-    """(substream, size) pairs of at most _CHUNK draws: chunk c reads (seed, CHANNEL, index, c)."""
-    return [
-        (rng.substream(seed, rng.CHANNEL, index, chunk), min(_CHUNK, trials - start))
-        for chunk, start in enumerate(range(0, trials, _CHUNK))
-    ]
+def map_chunks(fn, trials: int, chunk: int) -> list:
+    """``fn(c, n)`` for each chunk c of ``trials`` cut into chunks of at most ``chunk``.
+
+    Chunk c holds n = min(chunk, trials - c * chunk) trials. The chunks run
+    on ``_WORKERS`` threads; the results come back in chunk order, and an
+    exception raised in one chunk propagates. Callers key chunk c's
+    randomness by c and combine the results in order, so the outcome does
+    not depend on the worker count.
+    """
+    sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return list(pool.map(fn, range(len(sizes)), sizes))
 
 
-def _map_chunks(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:
+def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:
     """``statistic`` of each chunk's (n, M, K, 1) channel draw, in chunk order.
 
-    The chunks run on ``_WORKERS`` threads. Each is drawn from one generator
-    in blocks of at least one matrix, and the per-block statistics, which
-    must be per-matrix, are concatenated along the first axis.
+    Chunk c holds at most ``_CHUNK`` matrices and reads (seed, CHANNEL,
+    index, c). It is drawn from one generator in blocks of at least one
+    matrix, and the per-block statistics, which must be per-matrix, are
+    concatenated along the first axis.
     """
     rows = max(1, _BLOCK_BYTES // (16 * M * K))
 
-    def chunk(seed_and_size):
-        seed_seq, n = seed_and_size
-        gen = rng.generator(seed_seq)
+    def chunk(c, n):
+        gen = rng.generator(rng.substream(seed, rng.CHANNEL, index, c))
         return np.concatenate([
             statistic(channel.sample_channel(gen, min(rows, n - start), M, K, 1, sigma_h_sq))
             for start in range(0, n, rows)
         ])
 
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return list(pool.map(chunk, _chunks(trials, seed, index)))
+    return map_chunks(chunk, trials, _CHUNK)
 
 
 def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:
@@ -95,7 +104,7 @@ def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarr
     Each draw uses an independent channel matrix with a single subchannel;
     the statistic is scale-free in the gradients so no signal is needed.
     """
-    return np.concatenate(_map_chunks(
+    return np.concatenate(_channel_statistics(
         lambda h: ota.interference_statistic(h)[:, 0], M, K, sigma_h_sq, trials, seed, case_index,
     ))
 
@@ -116,7 +125,8 @@ def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
     """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
     total = 0.0
     count = 0
-    for gains in _map_chunks(ota.effective_signal_gains, M, K, sigma_h_sq, trials, seed, k_index):
+    chunks = _channel_statistics(ota.effective_signal_gains, M, K, sigma_h_sq, trials, seed, k_index)
+    for gains in chunks:
         total += float(((gains - sigma_h_sq) ** 2).sum())  # gains: (n, M, 1)
         count += gains.size
     return float(np.sqrt(total / count) / sigma_h_sq)
@@ -151,8 +161,8 @@ def stat_suite(trials: int, seed: int) -> list:
     """All statistical checks, as run by the verify-stats command."""
     if trials < 1000:
         raise ConfigError(f"need at least 1000 trials for stable checks, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not 0 <= seed < rng.SEED_LIMIT:
+        raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
     results = interference_checks(trials, seed)
     # Hardening ratios stabilize well below 1e5 draws; cap to keep runtime flat.
     results.extend(hardening_checks(min(trials, 10_000), seed))

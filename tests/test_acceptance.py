@@ -117,22 +117,20 @@ def _criterion_4(observe, label):
     max_dev = {}
     mse = {}
     for K in (1, 8, 64):
+        def chunk_sums(ci, n):
+            tx = np.broadcast_to(alpha * blocks, (M, n, s))
+            obs = observe(n, M, K, s, sigma_h, sigma_z, tx, K, ci)
+            ests = ota.estimate_average_gradient(obs[:, None, :], alpha, M, sigma_h, d)
+            return ests.sum(axis=0), (ests**2).sum(axis=0), ((ests - true_avg) ** 2).sum()
+
         chunk = max(1000, min(20_000, int(4e6 // (M * K * s))))
         total = np.zeros(d)
         total_sq = np.zeros(d)
         err_sq = 0.0
-        done = 0
-        ci = 0
-        while done < trials:
-            n = min(chunk, trials - done)
-            tx = np.broadcast_to(alpha * blocks, (M, n, s))
-            obs = observe(n, M, K, s, sigma_h, sigma_z, tx, K, ci)
-            ests = ota.estimate_average_gradient(obs[:, None, :], alpha, M, sigma_h, d)
-            total += ests.sum(axis=0)
-            total_sq += (ests**2).sum(axis=0)
-            err_sq += ((ests - true_avg) ** 2).sum()
-            done += n
-            ci += 1
+        for chunk_total, chunk_sq, chunk_err in verify.map_chunks(chunk_sums, trials, chunk):
+            total += chunk_total
+            total_sq += chunk_sq
+            err_sq += chunk_err
         mean = total / trials
         var = (total_sq - trials * mean**2) / (trials - 1)
         se = np.sqrt(var / trials)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from airsgd import rng
+from airsgd import rng, verify
 from airsgd.channel import propagate, sample_channel, sample_combined, sample_noise
 from airsgd.ota import combine
 
@@ -259,20 +259,15 @@ def _reference_combiner(seed, M, K):
     delivers when device m alone sends a unit symbol, so combine(h[:, m], h)
     is device m's coefficient, and combine(z, h) is the combined noise.
     """
-    coeffs = np.empty((SAMPLES, M), dtype=np.complex128)
-    noise = np.empty(SAMPLES, dtype=np.complex128)
-    chunk = max(1, 2_000_000 // (M * K))
-    done = chunk_index = 0
-    while done < SAMPLES:
-        n = min(chunk, SAMPLES - done)
-        h = sample_channel(rng.substream(seed, rng.CHANNEL, chunk_index), 1, M, K, n, SIG_H)
-        z = sample_noise(rng.substream(seed, rng.NOISE, chunk_index), 1, K, n, SIG_Z)
-        for m in range(M):
-            coeffs[done:done + n, m] = combine(h[:, m], h)[0]
-        noise[done:done + n] = combine(z, h)[0]
-        done += n
-        chunk_index += 1
-    return coeffs, noise
+    def chunk_draw(c, n):
+        h = sample_channel(rng.substream(seed, rng.CHANNEL, c), 1, M, K, n, SIG_H)
+        z = sample_noise(rng.substream(seed, rng.NOISE, c), 1, K, n, SIG_Z)
+        coeffs = np.stack([combine(h[:, m], h)[0] for m in range(M)], axis=1)
+        return coeffs, combine(z, h)[0]
+
+    chunks = verify.map_chunks(chunk_draw, SAMPLES, max(1, 2_000_000 // (M * K)))
+    return (np.concatenate([coeffs for coeffs, _ in chunks]),
+            np.concatenate([noise for _, noise in chunks]))
 
 
 def _moment_samples(coeffs, noise, mu):

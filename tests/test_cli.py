@@ -1,11 +1,12 @@
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from airsgd.config import parse_config
+from airsgd.config import parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 
 
@@ -17,8 +18,7 @@ def _cli(*args):
 
 
 def _write_fast_config(tmp_path, **updates):
-    proc = _cli("template", "minimal")
-    doc = json.loads(proc.stdout)
+    doc = template("minimal")
     doc.update(T=6, eval_every=2, K=4)
     doc.update(updates)
     path = tmp_path / "config.json"
@@ -99,8 +99,17 @@ def _truncated_idx_config(tmp_path):
     return _write_fast_config(tmp_path, dataset=dataset), str(images)
 
 
-@pytest.mark.parametrize("make_config", [_paper_scale_config, _truncated_idx_config],
-                         ids=["missing", "truncated"])
+def _overflowing_idx_config(tmp_path):
+    # a header that claims (2^32 - 1)^3 pixel bytes: refused before any read or allocation
+    config, images = _truncated_idx_config(tmp_path)
+    with open(images, "r+b") as f:
+        f.write(struct.pack(">IIII", 0x803, *[2**32 - 1] * 3))
+    return config, images
+
+
+@pytest.mark.parametrize("make_config",
+                         [_paper_scale_config, _truncated_idx_config, _overflowing_idx_config],
+                         ids=["missing", "truncated", "overflowing"])
 def test_run_unreadable_dataset_exits_2(tmp_path, make_config):
     config, dataset_file = make_config(tmp_path)
     proc = _cli("run", "--config", str(config))
@@ -214,8 +223,8 @@ def test_verify_stats_smoke():
     assert "hardening" in proc.stdout
 
 
-@pytest.mark.parametrize("args", [("--trials", "500"), ("--seed", "-1")],
-                         ids=["trials-500", "seed-negative"])
+@pytest.mark.parametrize("args", [("--trials", "500"), ("--seed", "-1"), ("--seed", str(2**32))],
+                         ids=["trials-500", "seed-negative", "seed-two-words"])
 def test_verify_stats_rejects_tiny_trials(args):
     proc = _cli("verify-stats", *args)
     assert proc.returncode == 2

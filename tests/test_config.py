@@ -76,6 +76,8 @@ def test_batch_size_bounded_by_per_device():
     (["sigma_z_sq=Infinity"], "sigma_z_sq"),
     ([f"dataset.margin={10**400}"], "dataset.margin"),
     (["power.kind=constant", "power.slope=0.5"], "power"),
+    ([f"master_seed={2**32}"], "master_seed"),
+    ([f"dataset.seed={2**32}"], "dataset: seed must lie"),
 ])
 def test_invalid_value_names_its_key(overrides, key):
     doc = apply_overrides(template("minimal"), overrides)

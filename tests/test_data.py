@@ -70,6 +70,22 @@ def test_load_idx_truncated(tmp_path):
         load_idx(images, labels)
 
 
+@pytest.mark.parametrize("which, header, message", [
+    # (2^32 - 1)^3 pixel bytes: checked against the file, not read
+    ("images", (0x803, 2**32 - 1, 2**32 - 1, 2**32 - 1), f"expected {(2**32 - 1)**3} bytes of pixel"),
+    ("images", (0x803, 3, 2, 2), "expected 12 bytes of pixel data, got 8"),
+    ("labels", (0x801, 5), "expected 5 bytes of label data, got 2"),
+    # zero images of (2^32 - 1)^2 pixels would otherwise reach an impossible reshape
+    ("images", (0x803, 0, 2**32 - 1, 2**32 - 1), "holds no images"),
+], ids=["overflowing", "more-images", "more-labels", "no-images"])
+def test_load_idx_rejects_a_header_the_file_cannot_hold(tmp_path, which, header, message):
+    paths = dict(zip(("images", "labels"), _write_fixture(tmp_path)))
+    payload = paths[which].read_bytes()[4 * len(header):]
+    paths[which].write_bytes(struct.pack(f">{len(header)}I", *header) + payload)
+    with pytest.raises(DataError, match=message):
+        load_idx(paths["images"], paths["labels"])
+
+
 def test_load_idx_count_mismatch(tmp_path):
     images = tmp_path / "imgs.idx"
     labels = tmp_path / "lbls.idx"
@@ -142,6 +158,9 @@ def test_synthetic_rejects_bad_spec():
     with pytest.raises(ValueError):
         SyntheticSpec(classes=1, features=4, train_per_class=10,
                       test_per_class=5, margin=1.0, seed=0)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\)"):
+        SyntheticSpec(classes=2, features=4, train_per_class=10,
+                      test_per_class=5, margin=1.0, seed=2**32)
     with pytest.raises(ValueError):
         SyntheticSpec(classes=2, features=4, train_per_class=0,
                       test_per_class=5, margin=1.0, seed=0)

@@ -226,8 +226,8 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     monkeypatch.setattr(verify, "_CHUNK", 512)
     monkeypatch.setattr(verify, "_WORKERS", workers)
     monkeypatch.setattr(verify, "_BLOCK_BYTES", 16 * M * K * block_matrices)
-    draws = [channel.sample_channel(seed_seq, n, M, K, 1, sigma_h_sq)
-             for seed_seq, n in verify._chunks(trials, 4, 0)]
+    draws = [channel.sample_channel(rng.substream(4, rng.CHANNEL, 0, c), n, M, K, 1, sigma_h_sq)
+             for c, n in enumerate((512, 512, 276))]
     expected = np.concatenate([ota.interference_statistic(h)[:, 0] for h in draws])
     assert np.array_equal(verify.interference_samples(M, K, sigma_h_sq, trials, 4, 0), expected)
     total = 0.0
@@ -235,6 +235,70 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
         total += float(((ota.effective_signal_gains(h) - sigma_h_sq) ** 2).sum())
     rms = float(np.sqrt(total / (trials * M)) / sigma_h_sq)
     assert verify.hardening_rms_deviation(M, K, sigma_h_sq, trials, 4, 0) == rms
+
+
+@pytest.mark.parametrize("trials, chunk, sizes", [
+    (1536, 512, [512, 512, 512]),
+    (1300, 512, [512, 512, 276]),
+    (300, 512, [300]),
+], ids=["multiple", "short-last", "one-short"])
+def test_map_chunks_cuts_trials_into_chunks(trials, chunk, sizes):
+    assert verify.map_chunks(lambda c, n: (c, n), trials, chunk) == list(enumerate(sizes))
+
+
+def test_map_chunks_returns_chunk_order_under_any_worker_count(monkeypatch):
+    def draw(c, n):
+        return rng.generator(rng.substream(9, rng.CHANNEL, c)).standard_normal(n)
+
+    results = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(verify, "_WORKERS", workers)
+        results[workers] = verify.map_chunks(draw, 1000, 128)
+    assert len(results[1]) == 8
+    expected = [draw(c, min(128, 1000 - 128 * c)) for c in range(8)]
+    for chunks in results.values():
+        assert all(np.array_equal(a, b) for a, b in zip(chunks, expected, strict=True))
+
+
+def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
+    monkeypatch.setattr(verify, "_WORKERS", 3)
+
+    def fn(c, n):
+        if c == 2:
+            raise ValueError(f"chunk {c} of {n}")
+        return c
+
+    with pytest.raises(ValueError, match="chunk 2 of 100"):
+        verify.map_chunks(fn, 1000, 100)
+
+
+def test_a_run_and_a_verify_call_derive_distinct_streams(monkeypatch):
+    # Every stream the program draws is seeded through rng.generator. The
+    # run uses one seed for the master seed and the dataset, and sets a
+    # batch, so it derives every kind of key; verify-stats cuts each check
+    # into four chunks. A run and a verify-stats call at one seed share
+    # streams by the trailing-zero rule (rng's docstring), so the call here
+    # takes another seed.
+    seeds = []
+    generator = rng.generator
+
+    def recording(seed):
+        if not isinstance(seed, np.random.Generator):
+            seeds.append(seed)
+        return generator(seed)
+
+    monkeypatch.setattr(rng, "generator", recording)
+    doc = _toy_doc(T=6, batch_size=8, master_seed=5, sigma_z_sq=1.0)
+    doc["dataset"]["seed"] = 5
+    run(parse_config(doc))
+    run_seeds = len(seeds)
+    assert run_seeds == 1 + 1 + 3 * 6  # dataset, partition, then batch/channel/noise per t
+    monkeypatch.setattr(verify, "_CHUNK", 512)
+    verify.stat_suite(2000, 6)
+    assert len(seeds) - run_seeds == 4 * (len(verify.INTERFERENCE_CASES) + len(verify.HARDENING_K))
+    states = {tuple(np.random.SeedSequence(seed).generate_state(4)) if isinstance(seed, int)
+              else tuple(seed.generate_state(4)) for seed in seeds}
+    assert len(states) == len(seeds)
 
 
 def test_metrics_file_layout(tmp_path):
