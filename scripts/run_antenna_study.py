@@ -11,7 +11,6 @@ Usage:
 """
 
 import argparse
-import csv
 
 import numpy as np
 
@@ -36,13 +35,6 @@ def desk_doc(iters):
     return doc
 
 
-def last_row(path):
-    """The final evaluation row of a metrics CSV, as column name -> float."""
-    with open(path, encoding="utf-8") as f:
-        rows = list(csv.reader(line for line in f if not line.startswith("#")))
-    return {name: float(value) for name, value in zip(rows[0], rows[-1]) if value}
-
-
 def print_table(values):
     """One row per noise level of a (seeds, noise levels, antenna counts) array's seed mean."""
     print("sigma_z^2 " + "".join(f"{'K=' + str(K):>10}" for K in ANTENNAS))
@@ -63,17 +55,17 @@ def main():
 
     doc = desk_doc(args.iters)
     baseline_grid = [("mode", ["error_free"]), ("master_seed", args.seeds)]
-    baseline = [last_row(path)["accuracy"] for path in run_matrix(doc, baseline_grid, args.out)]
-    # run_matrix runs the cells in itertools.product order: seed, noise level, K.
+    baseline = [records[-1].accuracy for _, records in run_matrix(doc, baseline_grid, args.out)]
+    # run_matrix returns the cells in itertools.product order: seed, noise level, K.
     grid = [("master_seed", args.seeds), ("sigma_z_sq", NOISE_VARS), ("K", ANTENNAS)]
-    rows = [last_row(path) for path in run_matrix(doc, grid, args.out)]
+    finals = [records[-1] for _, records in run_matrix(doc, grid, args.out)]
     shape = (len(args.seeds), len(NOISE_VARS), len(ANTENNAS))
 
     print(f"\nmean final accuracy over seeds {args.seeds} "
           f"(error-free baseline {np.mean(baseline):.3f})")
-    print_table(np.reshape([row["accuracy"] for row in rows], shape))
+    print_table(np.reshape([final.accuracy for final in finals], shape))
     print("\nmean realized transmit power")
-    print_table(np.reshape([row["avg_power"] for row in rows], shape))
+    print_table(np.reshape([final.avg_power for final in finals], shape))
     print(f"\nper-cell metrics written to {args.out}/")
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs:
-  run           one experiment from a JSON config, metrics to CSV
+  run           one experiment from a JSON config, metrics to CSV (a one-cell sweep)
   sweep         cartesian product of parameter values over a base config
   verify-stats  Monte Carlo checks of the aggregation statistics
   template      print a ready-to-edit config (minimal | paper_scale)
@@ -12,12 +12,10 @@ file included), 3 numeric abort mid-run, 4 statistical check failure.
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 
 from . import experiment, verify
-from .config import ConfigError, apply_overrides, load_config, load_document, parse_value, template
+from .config import ConfigError, apply_overrides, load_document, parse_value, template
 
 __all__ = ["main"]
 
@@ -75,28 +73,20 @@ def _parse_sweep_args(items) -> list:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config, args.set)
-    if args.out is not None:
-        config = replace(
-            config, metrics_path=os.path.join(args.out, os.path.basename(config.metrics_path))
-        )
-    experiment.check_metrics_path(config.metrics_path)  # fail before iteration 1
-    records = experiment.run(config)
-    experiment.write_metrics(records, config, config.metrics_path)
-    final = records[-1]
-    print(f"final accuracy: {final.accuracy:.4f}")
-    print(f"average power:  {final.avg_power:.6g}")
-    print(f"metrics: {config.metrics_path}")
+    doc = apply_overrides(load_document(args.config), args.set)
+    ((path, records),) = experiment.run_matrix(doc, [], args.out)
+    print(f"final accuracy: {records[-1].accuracy:.4f}")
+    print(f"average power:  {records[-1].avg_power:.6g}")
+    print(f"metrics: {path}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     doc = apply_overrides(load_document(args.config), args.set)
-    sweep = _parse_sweep_args(args.sweep)
-    paths = experiment.run_matrix(doc, sweep, args.out)
-    for path in paths:
+    cells = experiment.run_matrix(doc, _parse_sweep_args(args.sweep), args.out)
+    for path, _ in cells:
         print(f"metrics: {path}")
-    print(f"{len(paths)} runs complete")
+    print(f"{len(cells)} runs complete")
     return EXIT_OK
 
 

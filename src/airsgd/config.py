@@ -179,8 +179,10 @@ def load_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -37,8 +37,6 @@ __all__ = [
     "MetricsRecord",
     "NumericAbort",
     "build_dataset",
-    "make_dir",
-    "check_metrics_path",
     "run",
     "run_cells",
     "write_metrics",
@@ -219,15 +217,18 @@ def run_cells(configs, gradient_fn=None, captures=None) -> list:
                 N, M, K, s, config.sigma_h_sq, sigma_z_sq,
             )
             obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
-            estimate = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
-            _check_finite(estimate, t, "estimate", configs)
-            est_mse = np.mean((estimate - true_avg) ** 2, axis=1).tolist()
+            update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
+            _check_finite(update_grad, t, "estimate", configs)
             inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
-            update_grad = estimate
+            _check_finite(inst_power, t, "power", configs)
+            est_mse = np.mean((update_grad - true_avg) ** 2, axis=1)
+            _check_finite(est_mse, t, "est_mse", configs)
+            est_mse = est_mse.tolist()
         else:
+            update_grad = true_avg
+            _check_finite(update_grad, t, "average", configs)
             est_mse = [None] * R
             inst_power = np.zeros(R)
-            update_grad = true_avg
 
         theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
         _check_finite(theta, t, "update", configs)
@@ -284,17 +285,13 @@ def write_metrics(records, config: RunConfig, path) -> None:
         raise
 
 
-def make_dir(path) -> None:
-    """Create directory ``path`` (and its parents) unless it exists; "" is the working one."""
-    try:
-        os.makedirs(path or ".", exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
-
-
-def check_metrics_path(path) -> None:
+def _prepare_metrics_path(path) -> None:
     """Make the directory of metrics file ``path``; ``path`` itself must not be a directory."""
-    make_dir(os.path.dirname(path))
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: {exc.strerror}") from exc
     if os.path.isdir(path):
         raise ConfigError(f"metrics path {path} is a directory")
 
@@ -306,8 +303,6 @@ def _cell_filename(assignments) -> str:
     name another directory. Numbers, None and booleans come through
     unchanged; "+" is kept for exponents such as 1e+20.
     """
-    if not assignments:
-        return "metrics.csv"
     parts = [
         f"{field.replace('.', '-')}={quote(str(value), safe='+')}"
         for field, value in assignments
@@ -319,9 +314,13 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     """Run the cartesian product of parameter sweeps over a base config dict.
 
     ``sweep`` is a list of (field, values) pairs where field is a config key
-    in override syntax (dots for nesting). Returns the metrics paths written,
-    one per cell, named by its assignments. Every cell is parsed before any
-    runs; a repeated field, or two cells with one config, is a ConfigError.
+    in override syntax (dots for nesting). Each cell's metrics file lies in
+    ``out_dir``, named by its assignments, or by its config's ``metrics_path``
+    file name when the sweep has no field; ``out_dir`` None keeps each
+    config's own ``metrics_path``. Returns one (metrics path, records) pair
+    per cell, in cell order. Every cell is parsed before any runs; a repeated
+    field, two cells with one config, or two cells with one metrics path is
+    a ConfigError.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
     group, whose files are written once it finishes: a NumericAbort leaves
@@ -333,22 +332,27 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     for combo in itertools.product(*(values for _, values in sweep)):
         assignments = list(zip(fields, combo))
         overrides = [f"{field}={json.dumps(value)}" for field, value in assignments]
-        doc = apply_overrides(base_doc, overrides)
-        doc["metrics_path"] = os.path.join(out_dir, _cell_filename(assignments))
-        configs.append(parse_config(doc))
+        config = parse_config(apply_overrides(base_doc, overrides))
+        if out_dir is not None:
+            own_name = os.path.basename(config.metrics_path)
+            name = _cell_filename(assignments) if assignments else own_name
+            config = replace(config, metrics_path=os.path.join(out_dir, name))
+        configs.append(config)
     paths = [config.metrics_path for config in configs]
     # two cells repeat each other when their configs differ in metrics_path only
     cells = [replace(config, metrics_path="metrics.csv") for config in configs]
     repeated += sorted({os.path.basename(path) for path, cell in zip(paths, cells)
-                        if cells.count(cell) > 1})
+                        if cells.count(cell) > 1 or paths.count(path) > 1})
     if repeated:
         raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
     for path in paths:
-        check_metrics_path(path)
+        _prepare_metrics_path(path)
     groups = {}
     for config in configs:
         groups.setdefault(_group_key(config), []).append(config)
+    records = {}
     for group in groups.values():
-        for config, records in zip(group, run_cells(group)):
-            write_metrics(records, config, config.metrics_path)
-    return paths
+        for config, cell_records in zip(group, run_cells(group)):
+            write_metrics(cell_records, config, config.metrics_path)
+            records[config.metrics_path] = cell_records
+    return [(path, records[path]) for path in paths]

@@ -151,14 +151,12 @@ def apply_update(
     """One optimizer step on the aggregated gradient; returns (theta, state).
 
     SGD: theta - lr * grad. ADAM: standard bias-corrected moment update.
-    Rejects non-finite gradients so a corrupted aggregation round fails
-    loudly instead of poisoning the moments.
+    The gradient is not checked for finiteness: ``experiment.run_cells``
+    does that, naming the stage that produced it.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite gradient")
     step = state.step + 1
     if spec.kind == "sgd":
         return theta - spec.learning_rate * grad, replace(state, step=step)

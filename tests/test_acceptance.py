@@ -89,11 +89,18 @@ def test_criterion_3_decomposition_identity():
 
 
 def _reference_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):
-    h = channel.sample_channel(rng.substream(123, rng.CHANNEL, K_index, chunk_index),
-                               n, M, K, s, sigma_h)
-    z = channel.sample_noise(rng.substream(123, rng.NOISE, K_index, chunk_index),
-                             n, K, s, sigma_z)
-    return ota.combine(channel.propagate(tx, h, z), h)
+    # drawn and combined in blocks of about verify._BLOCK_BYTES of fading
+    # gains: consecutive slices of one generator are the bytes of one draw
+    h_gen = rng.generator(rng.substream(123, rng.CHANNEL, K_index, chunk_index))
+    z_gen = rng.generator(rng.substream(123, rng.NOISE, K_index, chunk_index))
+    rows = max(1, verify._BLOCK_BYTES // (16 * M * K * s))
+    obs = []
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        h = channel.sample_channel(h_gen, stop - start, M, K, s, sigma_h)
+        z = channel.sample_noise(z_gen, stop - start, K, s, sigma_z)
+        obs.append(ota.combine(channel.propagate(tx[:, start:stop], h, z), h))
+    return np.concatenate(obs)
 
 
 def _combined_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):

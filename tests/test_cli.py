@@ -1,16 +1,37 @@
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from airsgd import cli
 from airsgd.config import parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 
 
 def _cli(*args):
+    """``airsgd *args`` run in this process, its outcome as a CompletedProcess.
+
+    A RuntimeWarning (numpy's overflow on the way to a numeric abort) is not
+    an error, as in a child process; it is ignored rather than printed.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
+def _cli_process(*args):
     return subprocess.run(
         [sys.executable, "-m", "airsgd", *args],
         capture_output=True, text=True,
@@ -42,7 +63,7 @@ def test_template_paper_scale_contents():
 
 def test_run_smoke(tmp_path):
     config = _write_fast_config(tmp_path)
-    proc = _cli("run", "--config", str(config), "--out", str(tmp_path))
+    proc = _cli_process("run", "--config", str(config), "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "final accuracy:" in proc.stdout
     assert "average power:" in proc.stdout
@@ -62,6 +83,21 @@ def test_run_missing_config_exits_2(tmp_path):
     proc = _cli("run", "--config", str(tmp_path / "absent.json"))
     assert proc.returncode == 2
     assert "absent.json" in proc.stderr
+
+
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--sweep", "K=1"]], ids=["run", "sweep"])
+@pytest.mark.parametrize("make_config", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe{}"),
+], ids=["directory", "not-utf-8"])
+def test_an_unreadable_config_file_exits_2(tmp_path, verb, make_config):
+    config = tmp_path / "config.json"
+    make_config(config)
+    proc = _cli(verb[0], "--config", str(config), *verb[1:], "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "config error: " in proc.stderr and str(config) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override, key", [

@@ -363,7 +363,7 @@ def test_power_report_unit_norm_constant_gradient():
 def test_run_matrix_antenna_sweep(tmp_path):
     doc = _toy_doc(M=20, T=2, eval_every=1)
     doc["partition"] = {"per_device": 20}
-    paths = run_matrix(doc, [("K", [1, 5, 40, 800])], tmp_path)
+    paths = [path for path, _ in run_matrix(doc, [("K", [1, 5, 40, 800])], tmp_path)]
     assert len(paths) == 4
     for K, path in zip((1, 5, 40, 800), paths):
         assert f"K={K}" in path
@@ -373,7 +373,8 @@ def test_run_matrix_antenna_sweep(tmp_path):
 
 def test_run_matrix_cartesian_product(tmp_path):
     doc = _toy_doc(T=2, eval_every=1)
-    paths = run_matrix(doc, [("sigma_z_sq", [20.0, 100.0]), ("K", [1, 5])], tmp_path)
+    paths = [path for path, _ in run_matrix(doc, [("sigma_z_sq", [20.0, 100.0]), ("K", [1, 5])],
+                                           tmp_path)]
     assert len(paths) == 4
     names = [p.rsplit("/", 1)[-1] for p in paths]
     assert "metrics_sigma_z_sq=20.0_K=1.csv" in names
@@ -381,9 +382,38 @@ def test_run_matrix_cartesian_product(tmp_path):
 
 
 def test_run_matrix_empty_sweep_single_run(tmp_path):
-    paths = run_matrix(_toy_doc(T=2, eval_every=1), [], tmp_path)
-    assert len(paths) == 1
-    assert paths[0].endswith("metrics.csv")
+    # a cell with no swept field is named after its config's metrics_path
+    doc = _toy_doc(T=2, eval_every=1, metrics_path="elsewhere/run.csv")
+    ((path, _),) = run_matrix(doc, [], tmp_path)
+    assert path == str(tmp_path / "run.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
+
+def test_run_matrix_returns_each_cells_path_and_records_in_cell_order(tmp_path):
+    doc = _toy_doc(T=2, eval_every=1)
+    cells = run_matrix(doc, [("mode", ["ota", "error_free"]), ("K", [4, 1])], tmp_path)
+    assert [os.path.basename(path) for path, _ in cells] == [
+        "metrics_mode=ota_K=4.csv", "metrics_mode=ota_K=1.csv",
+        "metrics_mode=error_free_K=4.csv", "metrics_mode=error_free_K=1.csv",
+    ]
+    for path, records in cells:
+        with open(path, encoding="utf-8") as f:
+            config = parse_config(json.loads(f.readline()[len("# config: "):]))
+        assert records == run(config)
+
+
+def test_no_out_dir_keeps_each_configs_metrics_path(tmp_path):
+    target = tmp_path / "new" / "x.csv"
+    ((path, records),) = run_matrix(_toy_doc(T=2, eval_every=1, metrics_path=str(target)), [], None)
+    assert path == str(target) and target.exists()
+    assert [record.iteration for record in records] == [1, 2]
+
+
+def test_two_cells_with_one_metrics_path_are_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="sweep repeats a field or a cell: metrics.csv"):
+        run_matrix(_toy_doc(T=2), [("K", [1, 4])], None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_matrix_unknown_field(tmp_path):
@@ -436,9 +466,9 @@ def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
     # gathered array is made contiguous: the loss then moves in its last bit
     # on some rows, which this comparison catches.
     sweep = [("K", [1, 4]), ("sigma_z_sq", [0.0, 20.0]), ("batch_size", [None, 8])]
-    paths = run_matrix(_desk_doc(), sweep, tmp_path / "grid")
-    assert len(paths) == 8
-    for path in paths:
+    cells = run_matrix(_desk_doc(), sweep, tmp_path / "grid")
+    assert len(cells) == 8
+    for path, _ in cells:
         with open(path, "rb") as f:
             grid_bytes = f.read()
         embedded = json.loads(grid_bytes.split(b"\n", 1)[0][len(b"# config: "):])
@@ -465,8 +495,8 @@ def test_run_matrix_groups_cells_that_differ_in_k_and_noise_only(tmp_path, monke
     ensemble = experiment.run_cells
     monkeypatch.setattr(experiment, "run_cells", recording)
     sweep = [("K", [1, 4]), (field, values), ("sigma_z_sq", [0.0, 20.0])]
-    paths = run_matrix(_toy_doc(T=2, eval_every=1), sweep, tmp_path)
-    assert len(paths) == 8 and all(os.path.exists(path) for path in paths)
+    cells = run_matrix(_toy_doc(T=2, eval_every=1), sweep, tmp_path)
+    assert len(cells) == 8 and all(os.path.exists(path) for path, _ in cells)
     assert [len(group) for group in groups] == [4, 4]
     for group in groups:
         keys = {experiment._group_key(config) for config in group}
@@ -587,6 +617,33 @@ def test_gradient_fn_must_return_one_row_per_device():
         run(parse_config(_toy_doc(T=2)), gradient_fn=one_row)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("mode, value, stage", [("error_free", 1e308, "average"),
+                                                ("ota", 1e200, "power")])
+def test_finite_gradients_that_overflow_later_abort(mode, value, stage):
+    # every row is finite, but the device mean (error_free) or the transmit
+    # energy (ota) overflows: the run stops there, before any update or record
+    def huge(theta, t, grads):
+        return np.full_like(grads, value)
+
+    with pytest.raises(NumericAbort) as excinfo:
+        run(parse_config(_toy_doc(mode=mode)), gradient_fn=huge)
+    assert (excinfo.value.iteration, excinfo.value.stage) == (1, stage)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("mode, margin, stage", [("error_free", 1e308, "average"),
+                                                 ("ota", 1.5e307, "power")])
+def test_an_overflowing_dataset_aborts_and_writes_no_file(tmp_path, mode, margin, stage):
+    doc = template("minimal")
+    doc.update(M=20, T=3, mode=mode, partition={"per_device": 100})
+    doc["dataset"]["margin"] = margin
+    with pytest.raises(NumericAbort) as excinfo:
+        run_matrix(doc, [], tmp_path / "out")
+    assert excinfo.value.stage == stage
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_cell_filename_keeps_plain_values():
     cells = [("K", 5), ("sigma_z_sq", 20.0), ("batch_size", None), ("x", True),
              ("y", 1e20), ("z", -0.5), ("optimizer.learning_rate", 1e-05)]
@@ -617,9 +674,9 @@ def test_run_matrix_path_values_stay_inside_out_dir(tmp_path, monkeypatch):
     values = [f"{data_dir}/../data/img.idx", "../data/img.idx"]
     out_dir = tmp_path / "out"
     before = sorted(p for p in tmp_path.rglob("*"))
-    paths = run_matrix(doc, [("dataset.train_images", values)], out_dir)
-    assert len(paths) == 2
-    for path, value in zip(paths, values):
+    cells = run_matrix(doc, [("dataset.train_images", values)], out_dir)
+    assert len(cells) == 2
+    for (path, _), value in zip(cells, values):
         assert os.path.dirname(path) == str(out_dir)
         with open(path) as f:
             assert json.loads(f.readline()[len("# config: "):])["dataset"]["train_images"] == value
