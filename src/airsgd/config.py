@@ -118,7 +118,7 @@ def _json_text(value) -> str:
 def _build(hint, value, path: str):
     """Check ``value`` against the type ``hint`` and return it built.
 
-    ``int`` takes an int but never a bool or a float; ``float`` takes a finite
+    ``int`` takes a 64-bit int but never a bool or a float; ``float`` takes a finite
     int or float and stores a float; ``Optional[...]`` takes null; dataclasses
     are built from objects, and a union of dataclasses dispatches on the
     object's ``kind``. ``path`` is the dotted key named in every error.
@@ -140,6 +140,8 @@ def _build(hint, value, path: str):
         return _build_dataclass(hint, value, path)
     numeric = isinstance(value, (int, hint)) and not isinstance(value, bool)
     if hint is int and numeric:
+        if not -(2**63) <= value < 2**63:  # numpy sizes and seeds are 64-bit
+            raise _invalid(path, f"expected an integer that fits in 64 bits, got {value}")
         return value
     if hint is float and numeric and abs(value) <= sys.float_info.max:  # false for NaN too
         return float(value)

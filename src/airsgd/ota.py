@@ -7,9 +7,10 @@ gains, combines its K antennas per symbol n and subchannel i as
     y^n_i = (1/K) sum_k ( sum_m h^n_{m,k,i} )^* y^n_{k,i}
 
 which splits algebraically into a signal part weighted by the per-device
-effective gains (1/K) sum_k |h|^2, a zero-mean cross-device interference
-part with variance M(M-1) sigma_h^4 / K per coefficient, and a combined
-noise part. As K grows the effective gains concentrate at sigma_h^2
+effective gains (1/K) sum_k |h|^2, a cross-device interference part and a
+combined noise part. The interference gain, summed over ordered device
+pairs, is real, with zero mean and variance M(M-1) sigma_h^4 / K per
+coefficient. As K grows the effective gains concentrate at sigma_h^2
 (channel hardening), so dividing the combined observation by
 alpha_t * M * sigma_h^2 recovers the gradient average.
 """
@@ -125,20 +126,19 @@ def effective_signal_gains(h: np.ndarray) -> np.ndarray:
 
 
 def interference_statistic(h: np.ndarray) -> np.ndarray:
-    """Cross-device gain statistic per (symbol, subchannel), shape (N, s).
+    """Cross-device gain statistic per (symbol, subchannel), real, shape (N, s).
 
-    (1/K) sum_k sum_m sum_{m' != m} conj(h[m]) h[m'], computed as the
-    squared magnitude of the device-summed gain minus the per-device
-    magnitudes. Zero mean; second moment M(M-1) sigma_h^4 / K. Identically
-    zero for M = 1.
+    (1/K) sum_k sum_m sum_{m' != m} conj(h[m]) h[m'], a sum over ordered
+    device pairs and so real: |sum_m h|^2 - sum_m |h|^2, averaged over the
+    K antennas. Zero mean, variance M(M-1) sigma_h^4 / K. Exactly zero for
+    M = 1, where both terms are the same products.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 4:
         raise ValueError(f"expected h (N,M,K,s), got shape {h.shape}")
-    K = h.shape[2]
     total = h.sum(axis=1)
-    pair_sum = total.conj() * total - (h.conj() * h).sum(axis=1)
-    return pair_sum.sum(axis=1) / K
+    pair_sum = total.real**2 + total.imag**2 - (h.real**2 + h.imag**2).sum(axis=1)
+    return pair_sum.mean(axis=1)
 
 
 @dataclass
@@ -165,25 +165,20 @@ def decompose(
     ``gradient_blocks`` holds the unscaled packed gradients, shape (M, N, s);
     the alpha_t scaling is applied here. This is a diagnostics path: it needs
     per-device gradients the receiver never observes separately. The noise
-    part (1/K) sum_k (sum_m h)^* z_k is contracted antenna-first, as the
-    combiner does, so signal + interference + noise_out equals
+    part is combine(z, h), so signal + interference + noise_out equals
     combine(propagate(...)).
     """
     g = np.asarray(gradient_blocks, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
     if g.ndim != 3 or h.ndim != 4:
         raise ValueError(f"expected gradient_blocks (M,N,s) and h (N,M,K,s); got {g.shape}, {h.shape}")
     N, M, K, s = h.shape
     if g.shape != (M, N, s):
         raise ValueError(f"gradient blocks shape {g.shape} inconsistent with channel shape {h.shape}")
-    if z.shape != (N, K, s):
-        raise ValueError(f"noise shape {z.shape} inconsistent with channel shape {h.shape}")
 
     gains = effective_signal_gains(h)
     signal = alpha_t * np.einsum("nmi,mni->ni", gains, g)
 
-    summed = h.sum(axis=1)
     if M == 1:
         # The m' != m sum is empty; keep it exactly zero instead of leaving
         # cancellation residue from computing the same product two ways.
@@ -191,7 +186,6 @@ def decompose(
     else:
         weighted = np.einsum("nmki,mni->nki", h, g)
         own = np.einsum("nmki,mni->nki", (h.real**2 + h.imag**2).astype(np.complex128), g)
-        interference = alpha_t * (summed.conj() * weighted - own).sum(axis=1) / K
+        interference = alpha_t * (h.sum(axis=1).conj() * weighted - own).sum(axis=1) / K
 
-    noise_out = (summed.conj() * z).sum(axis=1) / K
-    return Decomposition(signal=signal, interference=interference, noise_out=noise_out)
+    return Decomposition(signal=signal, interference=interference, noise_out=combine(z, h))

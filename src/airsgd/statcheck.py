@@ -1,9 +1,10 @@
 """Statistical pass/fail checks for Monte Carlo experiments.
 
-Not a hypothesis-testing library; just three checks, each returning an
-auditable record of what was compared. The verification suite uses the
-zero-mean and variance checks; the trend check serves the acceptance gate's
-antenna-count ordering.
+Not a hypothesis-testing library; just three checks on real numbers, each
+returning one auditable record of what was compared. The verification
+suite uses the zero-mean and variance checks; the nondecreasing-trend check
+serves the acceptance gate's antenna-count ordering. Complex samples are
+refused rather than silently cut to their real part.
 Thresholds are sized so that failures indicate bugs rather than unlucky
 draws: 4 standard errors for means (false alarm ~1e-4 per check) and a 5%
 variance window at 1e5 trials (a ~10 sigma margin under chi-square
@@ -36,54 +37,45 @@ class CheckResult:
         )
 
 
-def _mean_component(name: str, values: np.ndarray, max_se: float) -> CheckResult:
-    n = values.size
-    mean = float(values.mean())
-    sem = float(values.std(ddof=1)) / np.sqrt(n)
-    if sem == 0.0:
-        passed = mean == 0.0  # constant samples: only an exactly-zero mean passes
-    else:
-        passed = abs(mean) <= max_se * sem
-    return CheckResult(
-        name=name, observed=mean, expected=0.0,
-        kind="standard_errors", tolerance=max_se, trials=n, passed=passed,
-    )
-
-
-def check_mean_zero(name: str, samples, max_standard_errors: float = 4.0) -> list:
-    """Is the sample mean within max_standard_errors of zero?
-
-    Complex samples are checked on real and imaginary parts separately;
-    returns one CheckResult per component.
-    """
+def _real_samples(samples) -> np.ndarray:
     values = np.asarray(samples).ravel()
+    if np.iscomplexobj(values):
+        raise ValueError(f"samples must be real, got {values.dtype}")
+    return values.astype(np.float64, copy=False)
+
+
+def check_mean_zero(name: str, samples, max_standard_errors: float = 4.0) -> CheckResult:
+    """Is the mean of real samples within max_standard_errors of zero?"""
+    values = _real_samples(samples)
     if values.size < 2:
         raise ValueError("need at least 2 samples")
     if max_standard_errors <= 0:
         raise ValueError("max_standard_errors must be positive")
-    if np.iscomplexobj(values):
-        return [
-            _mean_component(f"{name}.re", values.real, max_standard_errors),
-            _mean_component(f"{name}.im", values.imag, max_standard_errors),
-        ]
-    return [_mean_component(name, values.astype(np.float64), max_standard_errors)]
+    mean = float(values.mean())
+    sem = float(values.std(ddof=1)) / np.sqrt(values.size)
+    if sem == 0.0:
+        passed = mean == 0.0  # constant samples: only an exactly-zero mean passes
+    else:
+        passed = abs(mean) <= max_standard_errors * sem
+    return CheckResult(
+        name=name, observed=mean, expected=0.0,
+        kind="standard_errors", tolerance=max_standard_errors, trials=values.size, passed=passed,
+    )
 
 
 def check_variance(name: str, samples, expected: float, rel_tol: float = 0.05) -> CheckResult:
-    """Is the sample variance within rel_tol (relative) of the expectation?
+    """Is the variance of real samples within rel_tol (relative) of the expectation?
 
-    Complex samples use the complex variance E[|x - mean|^2]. Sample
-    variance uses the n-1 normalization.
+    Sample variance uses the n-1 normalization.
     """
-    values = np.asarray(samples).ravel()
+    values = _real_samples(samples)
     if values.size < 100:
         raise ValueError("need at least 100 samples for a variance check")
     if expected <= 0:
         raise ValueError("expected variance must be positive")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    centered = values - values.mean()
-    var = float((centered.real**2 + centered.imag**2).sum() / (values.size - 1))
+    var = float(values.var(ddof=1))
     passed = abs(var - expected) <= rel_tol * expected
     return CheckResult(
         name=name, observed=var, expected=expected,
@@ -91,16 +83,14 @@ def check_variance(name: str, samples, expected: float, rel_tol: float = 0.05) -
     )
 
 
-def check_monotone(name: str, series, direction: str, noise_margin: float = 0.0) -> CheckResult:
-    """Does the metric move in the stated direction along the parameter axis?
+def check_monotone(name: str, series, noise_margin: float = 0.0) -> CheckResult:
+    """Is the metric nondecreasing along the parameter axis?
 
     ``series`` is a list of (parameter, metric) pairs; parameters must be
     strictly increasing (a shuffled series would make the comparison
-    meaningless). Each successive step may violate the direction by at most
-    noise_margin. ``observed`` reports the worst adverse step.
+    meaningless). Each successive step may fall by at most noise_margin.
+    ``observed`` reports the worst step.
     """
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     if noise_margin < 0:
         raise ValueError("noise_margin must be nonnegative")
     points = list(series)
@@ -109,11 +99,8 @@ def check_monotone(name: str, series, direction: str, noise_margin: float = 0.0)
     params = [p for p, _ in points]
     if any(b <= a for a, b in zip(params, params[1:])):
         raise ValueError(f"parameter values must be strictly increasing, got {params}")
-    metrics = np.asarray([m for _, m in points], dtype=np.float64)
-    steps = np.diff(metrics)
-    if direction == "decreasing":
-        steps = -steps
-    worst = float(steps.min())  # most adverse step; negative means a violation
+    steps = np.diff(np.asarray([m for _, m in points], dtype=np.float64))
+    worst = float(steps.min())  # most adverse step; negative means a fall
     passed = bool(worst >= -noise_margin)
     return CheckResult(
         name=name, observed=worst, expected=0.0,

@@ -264,7 +264,7 @@ def test_criterion_7_antenna_accuracy_ordering(desk_matrix):
     # (a) mean final accuracy nondecreasing in K, 0.02 noise margin
     for sigma_z in DESK_SIGMA:
         series = [(K, mean_acc[(sigma_z, K)]) for K in DESK_K]
-        result = check_monotone(f"accuracy@sz{sigma_z:g}", series, "increasing", 0.02)
+        result = check_monotone(f"accuracy@sz{sigma_z:g}", series, 0.02)
         print("   " + result.describe()
               + "  " + " ".join(f"K={K}:{a:.3f}" for K, a in series))
         ok = ok and result.passed

@@ -105,7 +105,12 @@ def test_an_unreadable_config_file_exits_2(tmp_path, verb, make_config):
     ("K=true", "K"),
     ("partition.per_device=80.0", "partition.per_device"),
     ("master_seed=1.0", "master_seed"),
-], ids=["K=0", "K=true", "per_device=80.0", "master_seed=1.0"])
+    (f"K={2**63}", "K"),
+    (f"K={2**64}", "K"),
+    (f"dataset.classes={10**20}", "dataset.classes"),
+    (f"dataset.train_per_class={10**20}", "dataset.train_per_class"),
+], ids=["K=0", "K=true", "per_device=80.0", "master_seed=1.0",
+        "K=2**63", "K=2**64", "classes=10**20", "train_per_class=10**20"])
 def test_run_invalid_config_exits_2(tmp_path, override, key):
     config = _write_fast_config(tmp_path)
     proc = _cli("run", "--config", str(config), "--set", override, "--out", str(tmp_path))
@@ -257,6 +262,18 @@ def test_verify_stats_smoke():
     assert "checks passed" in proc.stdout
     assert "interference" in proc.stdout
     assert "hardening" in proc.stdout
+
+
+def test_verify_stats_exits_4_on_a_failed_check():
+    # at 2000 draws the 5% variance window is under two standard errors
+    # wide, and this seed's last interference case falls outside it
+    proc = _cli("verify-stats", "--trials", "2000", "--seed", "3")
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert failed[0].startswith("[FAIL] interference(M=8,K=16,sig_h2=2).var:")
+    assert "8/9 checks passed" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("args", [("--trials", "500"), ("--seed", "-1"), ("--seed", str(2**32))],

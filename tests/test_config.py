@@ -78,6 +78,10 @@ def test_batch_size_bounded_by_per_device():
     (["power.kind=constant", "power.slope=0.5"], "power"),
     ([f"master_seed={2**32}"], "master_seed"),
     ([f"dataset.seed={2**32}"], "dataset: seed must lie"),
+    ([f"K={2**63}"], "K"),
+    ([f"K={2**64}"], "K"),
+    ([f"dataset.classes={10**20}"], "dataset.classes"),
+    ([f"dataset.train_per_class={10**20}"], "dataset.train_per_class"),
 ])
 def test_invalid_value_names_its_key(overrides, key):
     doc = apply_overrides(template("minimal"), overrides)

@@ -199,8 +199,8 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 # report must not depend on the worker count or the block size, so the
 # digests are also checked with 1 and 3 workers and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
-    4096: "21d4a8e6107403c81ccfb1bf1223d01deb85a181106089e46e9cb8a48c2968f8",
-    512: "83c569180034e83786c8a2278f549a18d23aa2f3f1d934725114aff351a4fb49",
+    4096: "017ae2a849d43687dbc47317556b3f031140610086ce780cbe6ff688ddbc0035",
+    512: "b0a8da75aa2ead358dfa3477d30d03eaf4d66ba2f2882635d769b9a7211eb8d3",
 }
 
 
