@@ -166,7 +166,8 @@ def sample_combined(
         r[K == k], coeffs[K == k] = r_k, c
     noise = np.zeros(K.shape + (N, s), dtype=np.complex128)
     if sigma_z_sq.max() > 0:
-        scale = np.sqrt(sigma_z_sq[..., None, None] * M * r / K[..., None, None] ** 2 / 2.0)
+        K_sq = np.square(K[..., None, None], dtype=np.float64)  # an int64 square wraps past 3e9
+        scale = np.sqrt(sigma_z_sq[..., None, None] * M * r / K_sq / 2.0)
         parts = rng.generator(noise_seed).standard_normal((N, s, 2)) * scale[..., None]
         noise = parts.view(np.complex128)[..., 0]
         noise[sigma_z_sq == 0] = 0  # sqrt(0) times a negative normal is -0.0

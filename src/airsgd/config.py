@@ -119,9 +119,10 @@ def _build(hint, value, path: str):
     """Check ``value`` against the type ``hint`` and return it built.
 
     ``int`` takes a 64-bit int but never a bool or a float; ``float`` takes a finite
-    int or float and stores a float; ``Optional[...]`` takes null; dataclasses
-    are built from objects, and a union of dataclasses dispatches on the
-    object's ``kind``. ``path`` is the dotted key named in every error.
+    int or float and stores a float; ``str`` takes a string without a NUL byte;
+    ``Optional[...]`` takes null; dataclasses are built from objects, and a union
+    of dataclasses dispatches on the object's ``kind``. ``path`` is the dotted
+    key named in every error.
     """
     if typing.get_origin(hint) is Union:
         options = [a for a in typing.get_args(hint) if a is not type(None)]
@@ -146,6 +147,8 @@ def _build(hint, value, path: str):
     if hint is float and numeric and abs(value) <= sys.float_info.max:  # false for NaN too
         return float(value)
     if hint is str and isinstance(value, str):
+        if "\0" in value:  # no file path can hold one, and the other strings are names
+            raise _invalid(path, f"expected a string without a NUL byte, got {_json_text(value)}")
         return value
     expected = {int: "an integer", float: "a finite number", str: "a string"}[hint]
     raise _invalid(path, f"expected {expected}, got {_json_text(value)}")
@@ -192,10 +195,9 @@ def load_document(path) -> dict:
     return doc
 
 
-def load_config(path, overrides=()) -> RunConfig:
-    """Read a JSON config file, apply key=value overrides, and validate."""
-    doc = apply_overrides(load_document(path), overrides)
-    return parse_config(doc)
+def load_config(path) -> RunConfig:
+    """Read a JSON config file and validate it."""
+    return parse_config(load_document(path))
 
 
 def parse_value(text: str):

@@ -178,14 +178,8 @@ def decompose(
 
     gains = effective_signal_gains(h)
     signal = alpha_t * np.einsum("nmi,mni->ni", gains, g)
-
-    if M == 1:
-        # The m' != m sum is empty; keep it exactly zero instead of leaving
-        # cancellation residue from computing the same product two ways.
-        interference = np.zeros_like(signal)
-    else:
-        weighted = np.einsum("nmki,mni->nki", h, g)
-        own = np.einsum("nmki,mni->nki", (h.real**2 + h.imag**2).astype(np.complex128), g)
-        interference = alpha_t * (h.sum(axis=1).conj() * weighted - own).sum(axis=1) / K
+    # device m's gain times the other devices' conjugated gains: exactly 0 at M = 1
+    others = (h.sum(axis=1, keepdims=True) - h).conj()
+    interference = alpha_t * np.einsum("nmki,nmki,mni->ni", others, h, g) / K
 
     return Decomposition(signal=signal, interference=interference, noise_out=combine(z, h))

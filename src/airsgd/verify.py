@@ -4,7 +4,9 @@ Two suites, both built on fresh channel draws:
 
 * interference: the cross-device gain of the combiner output, a real
   number per coefficient, has zero mean and variance M(M-1) sigma_h^4 / K;
-  the report has one mean and one variance line per case;
+  the report has one mean and one variance line per case, judged by
+  ``statcheck``, whose variance window widens with the standard error, so
+  a small trial count does not fail correct code by chance;
 * hardening: the per-device effective gain (1/K) sum_k |h|^2 concentrates
   at sigma_h^2, its relative RMS deviation shrinking like 1/sqrt(K), so
   quadrupling K should roughly halve it.
@@ -116,9 +118,9 @@ def interference_checks(trials: int, seed: int) -> list:
     for index, (M, K, sigma_h_sq) in enumerate(INTERFERENCE_CASES):
         samples = interference_samples(M, K, sigma_h_sq, trials, seed, index)
         label = f"interference(M={M},K={K},sig_h2={sigma_h_sq:g})"
-        results.append(statcheck.check_mean_zero(f"{label}.mean", samples, 4.0))
+        results.append(statcheck.check_mean_zero(f"{label}.mean", samples))
         expected = interference_variance(M, K, sigma_h_sq)
-        results.append(statcheck.check_variance(f"{label}.var", samples, expected, 0.05))
+        results.append(statcheck.check_variance(f"{label}.var", samples, expected))
     return results
 
 

@@ -16,7 +16,6 @@ from airsgd.config import parse_config, template
 from airsgd.experiment import run, run_cells, write_metrics
 from airsgd.learner import gradients, log_probabilities, losses, param_count
 from airsgd.packing import pack, unpack
-from airsgd.statcheck import check_monotone
 
 MC_SEED = 2026
 
@@ -263,11 +262,12 @@ def test_criterion_7_antenna_accuracy_ordering(desk_matrix):
 
     # (a) mean final accuracy nondecreasing in K, 0.02 noise margin
     for sigma_z in DESK_SIGMA:
-        series = [(K, mean_acc[(sigma_z, K)]) for K in DESK_K]
-        result = check_monotone(f"accuracy@sz{sigma_z:g}", series, 0.02)
-        print("   " + result.describe()
-              + "  " + " ".join(f"K={K}:{a:.3f}" for K, a in series))
-        ok = ok and result.passed
+        accs = [mean_acc[(sigma_z, K)] for K in DESK_K]
+        worst = float(np.diff(accs).min())  # most adverse step; negative means a fall
+        passed = worst >= -0.02
+        print(f"   [{'PASS' if passed else 'FAIL'}] accuracy@sz{sigma_z:g}: worst step {worst:.6g} "
+              "(margin 0.02)  " + " ".join(f"K={K}:{a:.3f}" for K, a in zip(DESK_K, accs)))
+        ok = ok and passed
 
     # (b) many-antenna run lands close to the error-free baseline
     gap_200 = baseline - mean_acc[(100.0, 200)]

@@ -185,6 +185,17 @@ def test_combined_follows_documented_stream_contract():
     assert np.allclose(noise, w, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("ensemble", [False, True], ids=["scalar", "ensemble"])
+def test_combined_noise_scale_holds_past_the_int64_square(ensemble):
+    # K**2 wraps in int64 from K ~ 3.04e9; the contract's scale squares K in float
+    N, M, K, s, var, noise_var = 2, 3, 2**32 + 1, 5, 1.5, 2.0
+    _, noise = _combined(N=N, M=M, K=np.array([K, K]) if ensemble else K, s=s)
+    r = var * rng.generator(rng.substream(42, rng.CHANNEL, 0)).standard_gamma(K, size=(N, s))
+    parts = rng.generator(rng.substream(42, rng.NOISE, 0)).standard_normal((N, s, 2))
+    w = np.sqrt(noise_var * M * r / float(K) ** 2 / 2) * (parts[..., 0] + 1j * parts[..., 1])
+    assert np.allclose(noise, np.broadcast_to(w, noise.shape), rtol=1e-12, atol=0)
+
+
 # sha256 of a small sample_combined draw: coefficient bytes, then noise bytes.
 # This pins the stream contract of the training path's channel.
 COMBINED_SHA256 = "a807f98818e50e435fe9f5884e317f43958d06437152b10cfff005d329f6370c"

@@ -82,6 +82,9 @@ def test_batch_size_bounded_by_per_device():
     ([f"K={2**64}"], "K"),
     ([f"dataset.classes={10**20}"], "dataset.classes"),
     ([f"dataset.train_per_class={10**20}"], "dataset.train_per_class"),
+    (['metrics_path="a\\u0000b.csv"'], "metrics_path: .*NUL byte"),
+    (['dataset={"kind": "idx", "train_images": "a\\u0000b", "train_labels": "l", '
+      '"test_images": "t", "test_labels": "u"}'], "dataset.train_images: .*NUL byte"),
 ])
 def test_invalid_value_names_its_key(overrides, key):
     doc = apply_overrides(template("minimal"), overrides)
@@ -132,12 +135,10 @@ def test_load_config_missing_file(tmp_path):
         load_config(missing)
 
 
-def test_load_config_applies_overrides(tmp_path):
+def test_load_config_reads_and_validates_the_file(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(template("minimal")))
-    config = load_config(path, ["K=3", "T=5"])
-    assert config.K == 3
-    assert config.T == 5
+    assert load_config(path) == parse_config(template("minimal"))
 
 
 def test_roundtrip_through_dict():

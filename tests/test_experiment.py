@@ -199,8 +199,8 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 # report must not depend on the worker count or the block size, so the
 # digests are also checked with 1 and 3 workers and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
-    4096: "017ae2a849d43687dbc47317556b3f031140610086ce780cbe6ff688ddbc0035",
-    512: "b0a8da75aa2ead358dfa3477d30d03eaf4d66ba2f2882635d769b9a7211eb8d3",
+    4096: "8456fa647bd6ae6fa47d03e52482756dcc84e2e1f5454b97e245bf99811800f7",
+    512: "204f7207ac0a55d514246053d986256e7d207a24450e993649f8b8c67ab47296",
 }
 
 
