@@ -154,7 +154,15 @@ class SyntheticSpec:
 
 
 def make_synthetic(spec: SyntheticSpec):
-    """Generate disjoint (train, test) draws of Gaussian class clusters."""
+    """Generate disjoint (train, test) draws of Gaussian class clusters.
+
+    One DATASET stream draws, in order, the means' normals (when C <= F), the
+    train split's normals and permutation, then the test split's. The test
+    split is drawn on ``verify.side_worker``'s thread while this one shifts
+    and permutes the train split, which touches no generator.
+    """
+    from . import verify  # verify imports config, which imports this module
+
     gen = rng.generator(rng.substream(spec.seed, rng.DATASET))
     C, F = spec.classes, spec.features
     if C <= F:
@@ -166,13 +174,18 @@ def make_synthetic(spec: SyntheticSpec):
         means[:, 0] = spec.margin * np.arange(C)
 
     def draw(per_class):
-        feats = gen.standard_normal((C, per_class, F))
-        feats += means[:, None, :]
-        labels = np.repeat(np.arange(C), per_class)
-        order = gen.permutation(per_class * C)
-        return LocalDataset(feats.reshape(C * per_class, F)[order], labels[order])
+        return gen.standard_normal((C, per_class, F)), gen.permutation(per_class * C)
 
-    return draw(spec.train_per_class), draw(spec.test_per_class)
+    def finish(feats, order):
+        feats += means[:, None, :]
+        labels = np.repeat(np.arange(C), feats.shape[1])
+        return LocalDataset(feats.reshape(order.size, F)[order], labels[order])
+
+    train = draw(spec.train_per_class)
+    with verify.side_worker() as start:
+        test = start(8 * C * spec.test_per_class * F,
+                     lambda: finish(*draw(spec.test_per_class)))
+        return finish(*train), test()
 
 
 def partition(train: LocalDataset, M: int, per_device: int, seed) -> np.ndarray:

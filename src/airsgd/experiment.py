@@ -18,6 +18,16 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
+Work that does not wait on the learner goes to ``verify.side_worker``'s one
+thread when there is a second CPU and the work fills at least 512 KiB (every
+draw and copy of an MNIST-size run, none of a desk-size one): the next
+iteration's CHANNEL and NOISE draw, started when this iteration's is taken
+(iteration 1's while the dataset is built), the first half of each row copy
+into the held rows and the device stack, and, in ``data.make_synthetic``, the
+test split. No output byte depends on which thread does it: a draw's bytes
+are fixed by its substream key, a row copy is a copy, and the learner's
+products run in this thread with unchanged shapes.
+
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
 """
@@ -30,7 +40,7 @@ from urllib.parse import quote
 
 import numpy as np
 
-from . import channel, data, learner, ota, packing, rng
+from . import channel, data, learner, ota, packing, rng, verify
 from .config import ConfigError, RunConfig, apply_overrides, parse_config, resolved_json
 
 __all__ = [
@@ -165,89 +175,119 @@ def run_cells(configs, gradient_fn=None, captures=None) -> list:
     R, M, d, s = len(configs), config.M, config.d, config.s
     K = np.array([cell.K for cell in configs])
     sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
-    train, test, classes = build_dataset(config)
-    index = data.partition(train, M, config.partition.per_device, config.master_seed)
-    # Devices share rows: the forward pass runs once over the distinct rows
-    # they hold, and rows[m] gathers device m's local set back out of them.
-    # A BLAS may round a row's product by the size of the matrix it sits in,
-    # so the last bit can differ from a per-device forward pass when a local
-    # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows).
-    held, rows = np.unique(index, return_inverse=True)
-    rows = rows.reshape(index.shape)
-    held_X, held_y = train.features[held], train.labels[held]
-    del train  # keep the held rows, not the whole pool
-    X, y = held_X[rows], held_y[rows]
-    learner.check_labels(y, classes)
-    device = np.arange(M)[:, None]
-
-    theta = np.tile(learner.init_params(X.shape[-1], classes), (R, 1))
-    state = learner.init_optimizer_state(d)  # its zero moments broadcast to (R, d)
     N = packing.block_count(d, s)
-    records = [[] for _ in configs]
-    power_sum = np.zeros(R)
-    log_probs = None  # (R, M, n, C) local-set log-probabilities at the current theta, once computed
 
-    for t in range(1, config.T + 1):
-        alpha = config.power.alpha_at(t)
-        if config.batch_size is None:
-            if log_probs is None:
+    def draw(t):
+        return channel.sample_combined(
+            rng.substream(config.master_seed, rng.CHANNEL, t),
+            rng.substream(config.master_seed, rng.NOISE, t),
+            N, M, K, s, config.sigma_h_sq, sigma_z_sq,
+        )
+
+    draw_bytes = 16 * R * N * (M + 1) * s  # the coefficients and the combined noise
+    with verify.side_worker() as start:
+        # One channel draw is in flight at a time: iteration 1's overlaps the
+        # dataset's synthesis, and t + 1's is started when t's is taken.
+        channel_draw = start(draw_bytes, draw, 1) if config.mode == "ota" else None
+        train, test, classes = build_dataset(config)
+        index = data.partition(train, M, config.partition.per_device, config.master_seed)
+        # Devices share rows: the forward pass runs once over the distinct rows
+        # they hold, and rows[m] gathers device m's local set back out of them.
+        # A BLAS may round a row's product by the size of the matrix it sits in,
+        # so the last bit can differ from a per-device forward pass when a local
+        # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows).
+        held, rows = np.unique(index, return_inverse=True)
+        rows = rows.reshape(index.shape)
+        held_X, held_y = _gather(start, train.features, held), train.labels[held]
+        del train  # keep the held rows, not the whole pool
+        y = held_y[rows]
+        learner.check_labels(y, classes)
+        device = np.arange(M)[:, None]
+        # the (M, n, F) device stack, in full-batch mode only; a batch gathers its own rows
+        X = _gather(start, held_X, rows) if config.batch_size is None else None
+
+        theta = np.tile(learner.init_params(held_X.shape[-1], classes), (R, 1))
+        state = learner.init_optimizer_state(d)  # its zero moments broadcast to (R, d)
+        records = [[] for _ in configs]
+        power_sum = np.zeros(R)
+        log_probs = None  # (R, M, n, C) local-set log-probabilities at the current theta, once computed
+
+        for t in range(1, config.T + 1):
+            alpha = config.power.alpha_at(t)
+            if X is not None:
+                if log_probs is None:
+                    log_probs = learner.log_probabilities(theta, held_X)[:, rows]
+                grads = learner.gradients(X, y, log_probs)
+            else:
+                batch = _batch_positions(config, t)
+                X_batch = held_X[rows[device, batch]]
+                grads = learner.gradients(
+                    X_batch, y[device, batch], learner.log_probabilities(theta[:, None], X_batch)
+                )
+            if gradient_fn is not None:
+                sent = [np.asarray(gradient_fn(cell_theta, t, cell_grads), dtype=np.float64)
+                        for cell_theta, cell_grads in zip(theta, grads)]
+                wrong = [cell_grads.shape for cell_grads in sent if cell_grads.shape != (M, d)]
+                if wrong:
+                    raise ValueError(f"gradient_fn returned shape {wrong[0]}, expected {(M, d)}")
+                grads = np.stack(sent)
+            _check_finite(grads, t, "local_gradient", configs)
+            true_avg = grads.mean(axis=1)
+
+            if config.mode == "ota":
+                tx = ota.transmit(grads, alpha, s)
+                coeffs, noise = channel_draw()
+                if t < config.T:
+                    channel_draw = start(draw_bytes, draw, t + 1)
+                obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
+                update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
+                _check_finite(update_grad, t, "estimate", configs)
+                inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
+                _check_finite(inst_power, t, "power", configs)
+                est_mse = np.mean((update_grad - true_avg) ** 2, axis=1)
+                _check_finite(est_mse, t, "est_mse", configs)
+                est_mse = est_mse.tolist()
+            else:
+                update_grad = true_avg
+                _check_finite(update_grad, t, "average", configs)
+                est_mse = [None] * R
+                inst_power = np.zeros(R)
+
+            theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
+            _check_finite(theta, t, "update", configs)
+            log_probs = None
+
+            power_sum += inst_power
+            avg_power = power_sum / t
+            accuracy = loss = [None] * R
+            if (t % config.eval_every == 0) or (t == config.T):
+                accuracy = learner.evaluate_accuracy(theta, test).tolist()
                 log_probs = learner.log_probabilities(theta, held_X)[:, rows]
-            grads = learner.gradients(X, y, log_probs)
-        else:
-            batch = _batch_positions(config, t)
-            X_batch = X[device, batch]
-            grads = learner.gradients(
-                X_batch, y[device, batch], learner.log_probabilities(theta[:, None], X_batch)
-            )
-        if gradient_fn is not None:
-            sent = [np.asarray(gradient_fn(cell_theta, t, cell_grads), dtype=np.float64)
-                    for cell_theta, cell_grads in zip(theta, grads)]
-            wrong = [cell_grads.shape for cell_grads in sent if cell_grads.shape != (M, d)]
-            if wrong:
-                raise ValueError(f"gradient_fn returned shape {wrong[0]}, expected {(M, d)}")
-            grads = np.stack(sent)
-        _check_finite(grads, t, "local_gradient", configs)
-        true_avg = grads.mean(axis=1)
-
-        if config.mode == "ota":
-            tx = ota.transmit(grads, alpha, s)
-            coeffs, noise = channel.sample_combined(
-                rng.substream(config.master_seed, rng.CHANNEL, t),
-                rng.substream(config.master_seed, rng.NOISE, t),
-                N, M, K, s, config.sigma_h_sq, sigma_z_sq,
-            )
-            obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
-            update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
-            _check_finite(update_grad, t, "estimate", configs)
-            inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
-            _check_finite(inst_power, t, "power", configs)
-            est_mse = np.mean((update_grad - true_avg) ** 2, axis=1)
-            _check_finite(est_mse, t, "est_mse", configs)
-            est_mse = est_mse.tolist()
-        else:
-            update_grad = true_avg
-            _check_finite(update_grad, t, "average", configs)
-            est_mse = [None] * R
-            inst_power = np.zeros(R)
-
-        theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
-        _check_finite(theta, t, "update", configs)
-        log_probs = None
-
-        power_sum += inst_power
-        avg_power = power_sum / t
-        accuracy = loss = [None] * R
-        if (t % config.eval_every == 0) or (t == config.T):
-            accuracy = learner.evaluate_accuracy(theta, test).tolist()
-            log_probs = learner.log_probabilities(theta, held_X)[:, rows]
-            # mean over each device's set first, then over devices
-            loss = learner.losses(y, log_probs).mean(axis=1).tolist()
-        for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
-                                          avg_power.tolist(), est_mse)):
-            cell.append(MetricsRecord(t, *row))
+                # mean over each device's set first, then over devices
+                loss = learner.losses(y, log_probs).mean(axis=1).tolist()
+            for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
+                                              avg_power.tolist(), est_mse)):
+                cell.append(MetricsRecord(t, *row))
     for capture, cell_theta in zip(captures or [], theta):
         capture["theta"] = cell_theta
     return records
+
+
+def _gather(start, src, index) -> np.ndarray:
+    """``src[index]``: the rows of 2-d ``src`` that an integer array names.
+
+    The copy is made in two halves, the first started through
+    ``verify.side_worker``'s ``start``, the second in this thread. The indices
+    come from ``np.unique`` and ``data.partition``, so they lie in range, and
+    mode "clip" spares ``np.take`` the buffered copy it makes under "raise".
+    """
+    out = np.empty(index.shape + src.shape[1:], dtype=src.dtype)
+    flat_index, flat_out = index.reshape(-1), out.reshape(-1, *src.shape[1:])
+    half = flat_index.size // 2
+    first = start(out.nbytes, np.take, src, flat_index[:half], 0, flat_out[:half], "clip")
+    np.take(src, flat_index[half:], axis=0, out=flat_out[half:], mode="clip")
+    first()
+    return out
 
 
 def _format_cell(value) -> str:
@@ -274,7 +314,7 @@ def write_metrics(records, config: RunConfig, path) -> None:
         )
     # Write a sibling temp file, then rename it over the target: a failed or
     # interrupted write leaves any earlier file at ``path`` as it was.
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
             f.write("\n".join(lines) + "\n")
@@ -285,8 +325,17 @@ def write_metrics(records, config: RunConfig, path) -> None:
         raise
 
 
+def _temp_path(path) -> str:
+    return f"{path}.{os.getpid()}.tmp"
+
+
 def _prepare_metrics_path(path) -> None:
-    """Make the directory of metrics file ``path``; ``path`` itself must not be a directory."""
+    """Make the directory of metrics file ``path`` and check the file can be written there.
+
+    ``path`` must not be a directory, and the temp file :func:`write_metrics`
+    writes first is created and removed, so a name the OS refuses (too long,
+    say) is a ConfigError before any cell runs.
+    """
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory or ".", exist_ok=True)
@@ -294,6 +343,13 @@ def _prepare_metrics_path(path) -> None:
         raise ConfigError(f"cannot create output directory {directory}: {exc.strerror}") from exc
     if os.path.isdir(path):
         raise ConfigError(f"metrics path {path} is a directory")
+    tmp = _temp_path(path)
+    try:
+        with open(tmp, "wb"):
+            pass
+        os.remove(tmp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write metrics file {path}: {exc.strerror}") from exc
 
 
 def _cell_filename(assignments) -> str:

@@ -10,7 +10,10 @@ tensor drawn in consecutive slices along its first axis from one
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
 iteration t, keyed (master_seed, tag, t). The cells of one
 ``experiment.run_cells`` ensemble share these substreams, and each shared
-draw is made once per iteration for the whole group. One stream carries no tag:
+draw is made once per iteration for the whole group. The thread a draw runs
+on does not matter, since its substream key fixes its bytes: a run may make
+iteration t + 1's draw on a worker thread while it trains on iteration t.
+One stream carries no tag:
 ``data.partition`` draws the devices' local sets, device by device, from
 ``generator(master_seed)``, the Philox stream seeded by the master seed alone.
 

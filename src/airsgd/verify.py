@@ -25,8 +25,14 @@ before the next is drawn, so no chunk-sized tensor is ever held. The
 report's bytes do not depend on either constant: consecutive blocks of one
 generator are the bytes of the one-call chunk draw, both statistics reduce
 each matrix on its own, and results are combined in chunk order.
+
+``side_worker`` is the package's other use of a second CPU: one worker
+thread beside the caller's, which a training run and dataset synthesis hand
+their large draws and row copies to.
 """
 
+import contextlib
+import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +44,7 @@ from .config import ConfigError
 
 __all__ = [
     "map_chunks",
+    "side_worker",
     "interference_samples",
     "interference_checks",
     "hardening_rms_deviation",
@@ -53,6 +60,11 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
+# Work that fills an array smaller than this stays in the caller's thread:
+# handing it over costs more than it overlaps. Every array of a desk-size
+# run is smaller (the largest, a 10-device stack of 150 x 32 rows, is
+# 384 KB); the draws and row copies of an MNIST-size run are 1.3-125 MB.
+_OFFLOAD_BYTES = 1 << 19
 
 # (M, K, sigma_h_sq) triples exercised by the interference suite.
 INTERFERENCE_CASES = ((2, 4, 1.0), (4, 8, 1.0), (8, 16, 2.0))
@@ -79,6 +91,33 @@ def map_chunks(fn, trials: int, chunk: int) -> list:
     sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
     with ThreadPoolExecutor(_WORKERS) as pool:
         return list(pool.map(fn, range(len(sizes)), sizes))
+
+
+@contextlib.contextmanager
+def side_worker():
+    """One worker thread for work that can overlap the caller's, as ``start``.
+
+    ``start(nbytes, fn, *args)`` returns a zero-argument callable that gives
+    ``fn(*args)``. When there are ``_WORKERS`` > 1 CPUs and fn fills an array
+    of at least ``_OFFLOAD_BYTES``, fn begins at once on the worker (numpy
+    releases the interpreter lock while it draws and copies) and the callable
+    waits for it; otherwise fn runs in the caller's thread when the callable
+    is called. Callers call every callable they start, so an exception from
+    the worker is raised where its result is used. Leaving the block cancels
+    work not yet begun and waits for the running one, so no thread outlives
+    it.
+    """
+    pool = ThreadPoolExecutor(1)
+
+    def start(nbytes, fn, *args):
+        if _WORKERS > 1 and nbytes >= _OFFLOAD_BYTES:
+            return pool.submit(fn, *args).result
+        return functools.partial(fn, *args)
+
+    try:
+        yield start
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:

@@ -237,17 +237,22 @@ def desk_matrix():
     10 devices, 10-class synthetic data (d=330), 300 iterations, the ramped
     power schedule, 5 master seeds; plus the error-free baseline per seed.
     Shared between the accuracy-ordering and power-ordering tests because
-    the grid is the expensive part.
+    the grid is the expensive part. The seeds are independent, so they run
+    as the chunks of ``verify.map_chunks``, one seed a chunk.
     """
     acc = {}
     power = {}
     baseline = []
     cells = [(sigma_z, K) for sigma_z in DESK_SIGMA for K in DESK_K]
-    for master in DESK_SEEDS:
-        records = run(_desk_doc("error_free", 1, 20.0, master))
-        baseline.append(records[-1].accuracy)
+
+    def seed_runs(c, n):
+        master = DESK_SEEDS[c]
         # a seed's ota cells differ in K and sigma_z_sq only: one ensemble
-        group = run_cells([_desk_doc("ota", K, sigma_z, master) for sigma_z, K in cells])
+        return (run(_desk_doc("error_free", 1, 20.0, master)),
+                run_cells([_desk_doc("ota", K, sigma_z, master) for sigma_z, K in cells]))
+
+    for records, group in verify.map_chunks(seed_runs, len(DESK_SEEDS), 1):
+        baseline.append(records[-1].accuracy)
         for key, records in zip(cells, group):
             acc.setdefault(key, []).append(records[-1].accuracy)
             power.setdefault(key, []).append(records[-1].avg_power)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import airsgd
-from airsgd import cli, verify
+from airsgd import cli, experiment, verify
 from airsgd.config import parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 
@@ -202,6 +202,23 @@ def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, message):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_a_metrics_file_name_the_os_refuses_exits_2_before_any_cell(tmp_path, monkeypatch, verb):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment, "run_cells", forbidden)
+    config = _write_fast_config(tmp_path)
+    out = tmp_path / "out"
+    name = "a" * 300 + ".csv"  # past the 255-byte file name limit
+    proc = _cli(verb, "--config", str(config), "--out", str(out),
+                "--set", f"metrics_path={json.dumps(name)}")
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: cannot write metrics file {out / name}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_run_numeric_abort_exits_3(tmp_path):

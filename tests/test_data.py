@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from airsgd import rng
+from airsgd import rng, verify
 from airsgd.data import (
     DataError,
     LocalDataset,
@@ -184,6 +184,14 @@ def test_synthetic_bytes_pinned(fields):
     for array in (train.features, train.labels, test.features, test.labels):
         digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == SYNTHETIC_SHA256[fields]
+
+
+@pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
+def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields):
+    # the test split is drawn on the side worker, the train split's finish here
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    monkeypatch.setattr(verify, "_OFFLOAD_BYTES", 0)
+    test_synthetic_bytes_pinned(fields)
 
 
 def _indexed_pool(n):

@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,13 +121,81 @@ def _golden_digest(tmp_path, *overrides):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_METRICS_SHA256))
-def test_metrics_file_matches_golden_digest(tmp_path, mode):
+# A minimal run's arrays are below the side worker's threshold; with these
+# settings its channel draws, row copies and test split run on the worker.
+ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
+
+
+def _set(monkeypatch, module, settings):
+    for name, value in settings.items():
+        monkeypatch.setattr(module, name, value)
+
+
+@pytest.mark.parametrize("mode, settings", [
+    pytest.param(mode, settings, id="-".join([mode, *(f"{k}={v}" for k, v in settings.items())]))
+    for mode in sorted(GOLDEN_METRICS_SHA256)
+    for settings in ({}, ON_THE_WORKER)
+])
+def test_metrics_file_matches_golden_digest(tmp_path, monkeypatch, mode, settings):
+    _set(monkeypatch, verify, settings)
     assert _golden_digest(tmp_path, f"mode={mode}") == GOLDEN_METRICS_SHA256[mode]
 
 
 def test_batch_metrics_file_matches_golden_digest(tmp_path):
     assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
+
+
+def test_batch_metrics_file_matches_golden_digest_on_the_worker(tmp_path, monkeypatch):
+    _set(monkeypatch, verify, ON_THE_WORKER)
+    assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
+
+
+def _recording_draws(monkeypatch):
+    """Patch channel.sample_combined to list the thread each call runs on."""
+    sample, threads = channel.sample_combined, []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return sample(*args)
+
+    monkeypatch.setattr(channel, "sample_combined", recording)
+    return threads
+
+
+def test_golden_digest_holds_on_the_worker_under_constant_thread_switching(tmp_path, monkeypatch):
+    _set(monkeypatch, verify, ON_THE_WORKER)
+    threads = _recording_draws(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        digest = _golden_digest(tmp_path, "mode=ota")
+    finally:
+        sys.setswitchinterval(interval)
+    assert digest == GOLDEN_METRICS_SHA256["ota"]
+    assert len(threads) == 12 and threading.get_ident() not in threads
+
+
+def test_an_abort_with_a_draw_in_flight_leaves_no_thread_behind(monkeypatch):
+    _set(monkeypatch, verify, ON_THE_WORKER)
+    threads = _recording_draws(monkeypatch)
+
+    def inf_at_3(theta, t, grads):
+        if t < 3:
+            return grads
+        deadline = time.monotonic() + 10
+        while len(threads) < 3 and time.monotonic() < deadline:  # iteration 3's draw has begun
+            time.sleep(0.001)
+        return np.full_like(grads, np.inf)
+
+    before = threading.active_count()
+    with pytest.raises(NumericAbort) as excinfo:
+        run(parse_config(apply_overrides(template("minimal"), ["T=12"])), gradient_fn=inf_at_3)
+    assert (excinfo.value.iteration, excinfo.value.stage) == (3, "local_gradient")
+    assert len(threads) == 3
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
 
 
 def test_batch_positions_draw_uniform_ordered_pairs():
@@ -270,6 +341,19 @@ def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
 
     with pytest.raises(ValueError, match="chunk 2 of 100"):
         verify.map_chunks(fn, 1000, 100)
+
+
+@pytest.mark.parametrize("workers, nbytes, on_worker", [
+    (2, verify._OFFLOAD_BYTES, True),
+    (2, verify._OFFLOAD_BYTES - 1, False),
+    (1, 1 << 30, False),
+], ids=["at-threshold", "below-threshold", "one-cpu"])
+def test_side_worker_takes_work_at_its_threshold_given_a_second_cpu(monkeypatch, workers,
+                                                                    nbytes, on_worker):
+    monkeypatch.setattr(verify, "_WORKERS", workers)
+    with verify.side_worker() as start:
+        ident = start(nbytes, threading.get_ident)
+        assert (ident() != threading.get_ident()) == on_worker
 
 
 def test_a_run_and_a_verify_call_derive_distinct_streams(monkeypatch):
