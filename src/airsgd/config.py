@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import ClassVar, Optional, Union
 
 from .data import SyntheticSpec
-from .learner import OptimizerSpec
+from .learner import OptimizerSpec, param_count
 from .ota import PowerSchedule
 from .rng import SEED_LIMIT
 
@@ -104,7 +104,20 @@ class RunConfig:
                 f"batch_size={self.batch_size} exceeds per-device sample count "
                 f"per_device={self.partition.per_device}"
             )
+        if self.dataset.kind == "synthetic":
+            spec = self.dataset
+            self.check_dataset(spec.features, spec.classes, spec.classes * spec.train_per_class)
         self.power.validate_horizon(self.T)
+
+    def check_dataset(self, features: int, classes: int, train_samples: int) -> None:
+        """Check d and per_device against a dataset's shape, as a ConfigError."""
+        expected = param_count(features, classes)
+        if self.d != expected:
+            raise ConfigError(f"model dimension mismatch: config d={self.d}, "
+                              f"dataset implies (features+1)*classes={expected}")
+        if self.partition.per_device > train_samples:
+            raise ConfigError(f"per_device={self.partition.per_device} exceeds "
+                              f"{train_samples} training samples")
 
 
 def _invalid(path: str, message: str) -> ConfigError:

@@ -27,7 +27,6 @@ __all__ = [
     "SyntheticSpec",
     "make_synthetic",
     "partition",
-    "scale_to_unit",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -74,9 +73,8 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
 def load_idx(images_path, labels_path) -> LocalDataset:
     """Load an IDX image/label file pair into a dataset.
 
-    Pixels become row-major float vectors with raw byte values (0..255);
-    apply :func:`scale_to_unit` for [0, 1] features. Labels must lie in
-    [0, 10).
+    Pixels become row-major float vectors with raw byte values (0..255).
+    Labels must lie in [0, 10).
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
@@ -158,11 +156,9 @@ def make_synthetic(spec: SyntheticSpec):
 
     One DATASET stream draws, in order, the means' normals (when C <= F), the
     train split's normals and permutation, then the test split's. The test
-    split is drawn on ``verify.side_worker``'s thread while this one shifts
+    split may be drawn on ``rng.side_worker``'s thread while this one shifts
     and permutes the train split, which touches no generator.
     """
-    from . import verify  # verify imports config, which imports this module
-
     gen = rng.generator(rng.substream(spec.seed, rng.DATASET))
     C, F = spec.classes, spec.features
     if C <= F:
@@ -182,7 +178,7 @@ def make_synthetic(spec: SyntheticSpec):
         return LocalDataset(feats.reshape(order.size, F)[order], labels[order])
 
     train = draw(spec.train_per_class)
-    with verify.side_worker() as start:
+    with rng.side_worker() as start:
         test = start(8 * C * spec.test_per_class * F,
                      lambda: finish(*draw(spec.test_per_class)))
         return finish(*train), test()
@@ -205,8 +201,3 @@ def partition(train: LocalDataset, M: int, per_device: int, seed) -> np.ndarray:
         raise ValueError(f"per_device must be >= 1, got {per_device}")
     gen = rng.generator(seed)
     return np.stack([gen.choice(len(train), size=per_device, replace=False) for _ in range(M)])
-
-
-def scale_to_unit(dataset: LocalDataset) -> LocalDataset:
-    """Rescale 0..255 pixel features into [0, 1]."""
-    return LocalDataset(dataset.features / 255.0, dataset.labels)

@@ -18,15 +18,10 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-Work that does not wait on the learner goes to ``verify.side_worker``'s one
-thread when there is a second CPU and the work fills at least 512 KiB (every
-draw and copy of an MNIST-size run, none of a desk-size one): the next
-iteration's CHANNEL and NOISE draw, started when this iteration's is taken
-(iteration 1's while the dataset is built), the first half of each row copy
-into the held rows and the device stack, and, in ``data.make_synthetic``, the
-test split. No output byte depends on which thread does it: a draw's bytes
-are fixed by its substream key, a row copy is a copy, and the learner's
-products run in this thread with unchanged shapes.
+Large draws and row copies that do not wait on the learner go to
+``rng.side_worker``'s thread; ``rng``'s docstring says which and why no output
+byte depends on it. The learner's products run in this thread with unchanged
+shapes.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -40,7 +35,7 @@ from urllib.parse import quote
 
 import numpy as np
 
-from . import channel, data, learner, ota, packing, rng, verify
+from . import channel, data, learner, ota, packing, rng
 from .config import ConfigError, RunConfig, apply_overrides, parse_config, resolved_json
 
 __all__ = [
@@ -81,39 +76,29 @@ class NumericAbort(Exception):
 def _load_idx(images_path, labels_path) -> data.LocalDataset:
     """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError."""
     try:
-        return data.scale_to_unit(data.load_idx(images_path, labels_path))
+        dataset = data.load_idx(images_path, labels_path)
     except (OSError, data.DataError) as exc:
         raise ConfigError(f"cannot load dataset {images_path}, {labels_path}: {exc}") from exc
+    dataset.features /= 255.0
+    return dataset
 
 
 def build_dataset(config: RunConfig):
     """Materialize (train, test) datasets described by the config.
 
-    IDX pixel features are rescaled to [0, 1]; synthetic features are used
-    as generated. In both cases d and per_device are checked against the
-    dataset before any training starts.
+    Synthetic features are used as generated; the config was checked
+    against them when it was parsed. IDX pixel features are rescaled to
+    [0, 1], and d and per_device are checked against the files here, before
+    any training starts.
     """
     if config.dataset.kind == "synthetic":
         train, test = data.make_synthetic(config.dataset)
-        classes = config.dataset.classes
-    else:
-        paths = config.dataset
-        train = _load_idx(paths.train_images, paths.train_labels)
-        test = _load_idx(paths.test_images, paths.test_labels)
-        classes = 10
-    n_features = train.features.shape[1]
-    expected = learner.param_count(n_features, classes)
-    if expected != config.d:
-        raise ConfigError(
-            f"model dimension mismatch: config d={config.d}, "
-            f"dataset implies (features+1)*classes={expected}"
-        )
-    if config.partition.per_device > train.features.shape[0]:
-        raise ConfigError(
-            f"per_device={config.partition.per_device} exceeds "
-            f"{train.features.shape[0]} training samples"
-        )
-    return train, test, classes
+        return train, test, config.dataset.classes
+    paths = config.dataset
+    train = _load_idx(paths.train_images, paths.train_labels)
+    test = _load_idx(paths.test_images, paths.test_labels)
+    config.check_dataset(train.features.shape[1], 10, len(train))
+    return train, test, 10
 
 
 def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
@@ -141,33 +126,31 @@ def _check_finite(values, t: int, stage: str, configs) -> None:
         raise NumericAbort(t, stage, configs[cell].metrics_path)
 
 
-def run(config: RunConfig, gradient_fn=None, capture=None) -> list:
+def run(config: RunConfig, gradient_fn=None) -> list:
     """Execute a full training run; returns one MetricsRecord per iteration.
 
     ``gradient_fn(theta, t, grads) -> (M, d) array`` receives the (M, d)
     local softmax gradients of iteration t and returns the gradients the
     devices send, which is the hook for studying the aggregation path under
     alternative local objectives (gradient clipping, synthetic gradient
-    streams, and so on). Passing a dict as ``capture`` stores the final
-    parameter vector under "theta" for trajectory-level analysis the records
-    do not carry.
+    streams, and so on).
 
     Accuracy and training loss are computed every ``eval_every`` iterations
     and always at t = T; power is tracked every iteration. Raises
     NumericAbort rather than continuing with non-finite numbers. This is the
     one-cell case of :func:`run_cells`.
     """
-    (records,) = run_cells([config], gradient_fn, None if capture is None else [capture])
+    (records,) = run_cells([config], gradient_fn)
     return records
 
 
-def run_cells(configs, gradient_fn=None, captures=None) -> list:
+def run_cells(configs, gradient_fn=None) -> list:
     """Execute R runs as one ensemble; returns each cell's list of MetricsRecords.
 
     The configs may differ in K, sigma_z_sq and metrics_path only; each cell
-    gets the bytes of its own :func:`run`. ``gradient_fn`` and a list of one
-    ``captures`` dict per cell act per cell as in :func:`run`, and a
-    NumericAbort names the metrics path of the cell it hit.
+    gets the bytes of its own :func:`run`. ``gradient_fn`` acts per cell as
+    in :func:`run`, and a NumericAbort names the metrics path of the cell it
+    hit.
     """
     config = configs[0]
     if any(_group_key(cell) != _group_key(config) for cell in configs):
@@ -185,7 +168,7 @@ def run_cells(configs, gradient_fn=None, captures=None) -> list:
         )
 
     draw_bytes = 16 * R * N * (M + 1) * s  # the coefficients and the combined noise
-    with verify.side_worker() as start:
+    with rng.side_worker() as start:
         # One channel draw is in flight at a time: iteration 1's overlaps the
         # dataset's synthesis, and t + 1's is started when t's is taken.
         channel_draw = start(draw_bytes, draw, 1) if config.mode == "ota" else None
@@ -261,15 +244,13 @@ def run_cells(configs, gradient_fn=None, captures=None) -> list:
             avg_power = power_sum / t
             accuracy = loss = [None] * R
             if (t % config.eval_every == 0) or (t == config.T):
-                accuracy = learner.evaluate_accuracy(theta, test).tolist()
+                accuracy = learner.evaluate_accuracy(theta, test.features, test.labels).tolist()
                 log_probs = learner.log_probabilities(theta, held_X)[:, rows]
                 # mean over each device's set first, then over devices
                 loss = learner.losses(y, log_probs).mean(axis=1).tolist()
             for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
                                               avg_power.tolist(), est_mse)):
                 cell.append(MetricsRecord(t, *row))
-    for capture, cell_theta in zip(captures or [], theta):
-        capture["theta"] = cell_theta
     return records
 
 
@@ -277,7 +258,7 @@ def _gather(start, src, index) -> np.ndarray:
     """``src[index]``: the rows of 2-d ``src`` that an integer array names.
 
     The copy is made in two halves, the first started through
-    ``verify.side_worker``'s ``start``, the second in this thread. The indices
+    ``rng.side_worker``'s ``start``, the second in this thread. The indices
     come from ``np.unique`` and ``data.partition``, so they lie in range, and
     mode "clip" spares ``np.take`` the buffered copy it makes under "raise".
     """

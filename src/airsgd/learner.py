@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LocalDataset
-
 __all__ = [
     "param_count",
     "init_params",
@@ -108,11 +106,14 @@ def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return -picked.mean(axis=-1)
 
 
-def evaluate_accuracy(theta: np.ndarray, test_set: LocalDataset):
-    """Fraction of argmax-correct predictions per parameter vector; ties go to the lowest class."""
-    logits = _logits(theta, test_set.features)
-    check_labels(test_set.labels, logits.shape[-1])
-    return (logits.argmax(axis=-1) == test_set.labels).mean(axis=-1)
+def evaluate_accuracy(theta: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Fraction of rows X whose argmax class is their label y, per parameter vector.
+
+    Ties go to the lowest class.
+    """
+    logits = _logits(theta, X)
+    check_labels(y, logits.shape[-1])
+    return (logits.argmax(axis=-1) == y).mean(axis=-1)
 
 
 @dataclass(frozen=True)

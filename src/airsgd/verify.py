@@ -12,30 +12,18 @@ Two suites, both built on fresh channel draws:
   quadrupling K should roughly halve it.
 
 These back the `verify-stats` CLI verb and the statistical acceptance
-tests. ``map_chunks`` is the one chunked Monte Carlo runner: it cuts a
-trial count into chunks, runs each on ``_WORKERS`` threads (numpy releases
-the GIL while it fills and reduces arrays) and returns the results in
-chunk order. Both suites run on it, and so do the reference loops of the
-estimator acceptance check and of the combined-sampler tests. Here every
-check draws its channel matrices in chunks of at most ``_CHUNK``; chunk c
-of check ``index`` reads its own substream (seed, CHANNEL, index, c), so
-the chunks are independent. A chunk is drawn from one generator in blocks
-of about ``_BLOCK_BYTES`` of channel gains, and each block is reduced
-before the next is drawn, so no chunk-sized tensor is ever held. The
-report's bytes do not depend on either constant: consecutive blocks of one
-generator are the bytes of the one-call chunk draw, both statistics reduce
-each matrix on its own, and results are combined in chunk order.
-
-``side_worker`` is the package's other use of a second CPU: one worker
-thread beside the caller's, which a training run and dataset synthesis hand
-their large draws and row copies to.
+tests. Every check draws its channel matrices in chunks of at most
+``_CHUNK``, run on ``rng.map_chunks``; chunk c of check ``index`` reads its
+own substream (seed, CHANNEL, index, c), so the chunks are independent. A
+chunk is drawn from one generator in blocks of about ``_BLOCK_BYTES`` of
+channel gains, and each block is reduced before the next is drawn, so no
+chunk-sized tensor is ever held. The report's bytes depend on neither
+constant nor the worker count: consecutive blocks of one generator are the
+bytes of the one-call chunk draw, both statistics reduce each matrix on its
+own, and results are combined in chunk order (``rng``'s docstring).
 """
 
-import contextlib
-import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,8 +31,6 @@ from . import channel, ota, rng, statcheck
 from .config import ConfigError
 
 __all__ = [
-    "map_chunks",
-    "side_worker",
     "interference_samples",
     "interference_checks",
     "hardening_rms_deviation",
@@ -56,15 +42,6 @@ __all__ = [
 _CHUNK = 4096
 # Bytes of channel gains (16 per complex gain) drawn and reduced per block.
 _BLOCK_BYTES = 1 << 19
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity mask on this platform
-    _WORKERS = os.cpu_count() or 1
-# Work that fills an array smaller than this stays in the caller's thread:
-# handing it over costs more than it overlaps. Every array of a desk-size
-# run is smaller (the largest, a 10-device stack of 150 x 32 rows, is
-# 384 KB); the draws and row copies of an MNIST-size run are 1.3-125 MB.
-_OFFLOAD_BYTES = 1 << 19
 
 # (M, K, sigma_h_sq) triples exercised by the interference suite.
 INTERFERENCE_CASES = ((2, 4, 1.0), (4, 8, 1.0), (8, 16, 2.0))
@@ -77,47 +54,6 @@ HARDENING_K = (4, 16, 64, 256)
 def interference_variance(M: int, K: int, sigma_h_sq: float) -> float:
     """Predicted per-coefficient variance of the cross-device term."""
     return M * (M - 1) * sigma_h_sq**2 / K
-
-
-def map_chunks(fn, trials: int, chunk: int) -> list:
-    """``fn(c, n)`` for each chunk c of ``trials`` cut into chunks of at most ``chunk``.
-
-    Chunk c holds n = min(chunk, trials - c * chunk) trials. The chunks run
-    on ``_WORKERS`` threads; the results come back in chunk order, and an
-    exception raised in one chunk propagates. Callers key chunk c's
-    randomness by c and combine the results in order, so the outcome does
-    not depend on the worker count.
-    """
-    sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
-
-
-@contextlib.contextmanager
-def side_worker():
-    """One worker thread for work that can overlap the caller's, as ``start``.
-
-    ``start(nbytes, fn, *args)`` returns a zero-argument callable that gives
-    ``fn(*args)``. When there are ``_WORKERS`` > 1 CPUs and fn fills an array
-    of at least ``_OFFLOAD_BYTES``, fn begins at once on the worker (numpy
-    releases the interpreter lock while it draws and copies) and the callable
-    waits for it; otherwise fn runs in the caller's thread when the callable
-    is called. Callers call every callable they start, so an exception from
-    the worker is raised where its result is used. Leaving the block cancels
-    work not yet begun and waits for the running one, so no thread outlives
-    it.
-    """
-    pool = ThreadPoolExecutor(1)
-
-    def start(nbytes, fn, *args):
-        if _WORKERS > 1 and nbytes >= _OFFLOAD_BYTES:
-            return pool.submit(fn, *args).result
-        return functools.partial(fn, *args)
-
-    try:
-        yield start
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:
@@ -137,7 +73,7 @@ def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> lis
             for start in range(0, n, rows)
         ])
 
-    return map_chunks(chunk, trials, _CHUNK)
+    return rng.map_chunks(chunk, trials, _CHUNK)
 
 
 def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:

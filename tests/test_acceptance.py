@@ -133,7 +133,7 @@ def _criterion_4(observe, label):
         total = np.zeros(d)
         total_sq = np.zeros(d)
         err_sq = 0.0
-        for chunk_total, chunk_sq, chunk_err in verify.map_chunks(chunk_sums, trials, chunk):
+        for chunk_total, chunk_sq, chunk_err in rng.map_chunks(chunk_sums, trials, chunk):
             total += chunk_total
             total_sq += chunk_sq
             err_sq += chunk_err
@@ -238,7 +238,7 @@ def desk_matrix():
     power schedule, 5 master seeds; plus the error-free baseline per seed.
     Shared between the accuracy-ordering and power-ordering tests because
     the grid is the expensive part. The seeds are independent, so they run
-    as the chunks of ``verify.map_chunks``, one seed a chunk.
+    as the chunks of ``rng.map_chunks``, one seed a chunk.
     """
     acc = {}
     power = {}
@@ -251,7 +251,7 @@ def desk_matrix():
         return (run(_desk_doc("error_free", 1, 20.0, master)),
                 run_cells([_desk_doc("ota", K, sigma_z, master) for sigma_z, K in cells]))
 
-    for records, group in verify.map_chunks(seed_runs, len(DESK_SEEDS), 1):
+    for records, group in rng.map_chunks(seed_runs, len(DESK_SEEDS), 1):
         baseline.append(records[-1].accuracy)
         for key, records in zip(cells, group):
             acc.setdefault(key, []).append(records[-1].accuracy)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from airsgd import rng, verify
+from airsgd import rng
 from airsgd.channel import propagate, sample_channel, sample_combined, sample_noise
 from airsgd.ota import combine
 
@@ -276,7 +276,7 @@ def _reference_combiner(seed, M, K):
         coeffs = np.stack([combine(h[:, m], h)[0] for m in range(M)], axis=1)
         return coeffs, combine(z, h)[0]
 
-    chunks = verify.map_chunks(chunk_draw, SAMPLES, max(1, 2_000_000 // (M * K)))
+    chunks = rng.map_chunks(chunk_draw, SAMPLES, max(1, 2_000_000 // (M * K)))
     return (np.concatenate([coeffs for coeffs, _ in chunks]),
             np.concatenate([noise for _, noise in chunks]))
 

@@ -316,11 +316,40 @@ def test_verify_stats_rejects_tiny_trials(args):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    code = "import sys, airsgd.cli; print('jsonschema' in sys.modules)"
+def _fresh_modules(code):
+    """The modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "; import sys; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    assert "jsonschema" not in _fresh_modules("import airsgd.cli")
+
+
+# The airsgd modules each statement loads: the leaves load no other, data
+# only rng (its thread helper included), experiment no statistics module.
+IMPORT_CASES = {
+    "rng": ("import airsgd.rng", {"rng"}),
+    "packing": ("import airsgd.packing", {"packing"}),
+    "statcheck": ("import airsgd.statcheck", {"statcheck"}),
+    "learner": ("import airsgd.learner", {"learner"}),
+    "data": ("import airsgd.data", {"data", "rng"}),
+    "data-make_synthetic": ("from airsgd import data; "
+                            "data.make_synthetic(data.SyntheticSpec(2, 2, 3, 3, 1.0, 0))",
+                            {"data", "rng"}),
+    "experiment": ("import airsgd.experiment", {"experiment", "channel", "config", "data",
+                                                 "learner", "ota", "packing", "rng"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+def test_importing_a_module_loads_only_the_airsgd_modules_it_needs(case):
+    code, expected = IMPORT_CASES[case]
+    loaded = {name.removeprefix("airsgd.") for name in _fresh_modules(code)
+              if name.startswith("airsgd.")}
+    assert loaded == expected
 
 
 def test_package_holds_its_version_and_every_module_imports():

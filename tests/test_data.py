@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from airsgd import rng, verify
+from airsgd import experiment, rng
 from airsgd.data import (
     DataError,
     LocalDataset,
@@ -12,7 +12,6 @@ from airsgd.data import (
     load_idx,
     make_synthetic,
     partition,
-    scale_to_unit,
     write_idx_images,
     write_idx_labels,
 )
@@ -105,8 +104,9 @@ def test_load_idx_rejects_label_out_of_range(tmp_path):
 
 
 def test_scale_to_unit(tmp_path):
+    # a run's IDX features: pixel bytes rescaled to [0, 1]
     images, labels = _write_fixture(tmp_path)
-    ds = scale_to_unit(load_idx(images, labels))
+    ds = experiment._load_idx(images, labels)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     assert ds.features[0, 3] == 1.0
 
@@ -151,7 +151,7 @@ def test_synthetic_wide_margin_is_separable():
     for _ in range(150):
         grad = gradients(X, y, log_probabilities(theta, X)).mean(axis=0)
         theta, state = apply_update(theta, grad, opt, state)
-    assert evaluate_accuracy(theta, test) >= 0.99
+    assert evaluate_accuracy(theta, test.features, test.labels) >= 0.99
 
 
 def test_synthetic_rejects_bad_spec():
@@ -189,8 +189,8 @@ def test_synthetic_bytes_pinned(fields):
 @pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
 def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields):
     # the test split is drawn on the side worker, the train split's finish here
-    monkeypatch.setattr(verify, "_WORKERS", 2)
-    monkeypatch.setattr(verify, "_OFFLOAD_BYTES", 0)
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    monkeypatch.setattr(rng, "_OFFLOAD_BYTES", 0)
     test_synthetic_bytes_pinned(fields)
 
 

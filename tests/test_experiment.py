@@ -75,17 +75,23 @@ def test_estimator_tracks_average_gradient_at_large_k():
 
 def test_ota_approaches_error_free_as_antennas_grow():
     # fixed gradient streams and no noise: the parameter gap after 10
-    # iterations shrinks monotonically as K runs through 4, 16, 64, 256
+    # iterations shrinks monotonically as K runs through 4, 16, 64, 256.
+    # gradient_fn sees theta before each update, so at t = 11 it sees the
+    # parameters after 10.
     grads = _fixed_grads(9)
-    reference = {}
-    run(parse_config(_toy_doc(mode="error_free", master_seed=7)),
-        gradient_fn=grads, capture=reference)
-    distances = []
-    for K in (4, 16, 64, 256):
-        captured = {}
-        run(parse_config(_toy_doc(K=K, master_seed=7)),
-            gradient_fn=grads, capture=captured)
-        distances.append(float(np.linalg.norm(captured["theta"] - reference["theta"])))
+
+    def final_theta(**updates):
+        seen = {}
+
+        def recording(theta, t, local):
+            seen[t] = theta.copy()
+            return grads(theta, t, local)
+
+        run(parse_config(_toy_doc(T=11, master_seed=7, **updates)), gradient_fn=recording)
+        return seen[11]
+
+    reference = final_theta(mode="error_free")
+    distances = [float(np.linalg.norm(final_theta(K=K) - reference)) for K in (4, 16, 64, 256)]
     assert all(b < a for a, b in zip(distances, distances[1:]))
 
 
@@ -126,9 +132,9 @@ def _golden_digest(tmp_path, *overrides):
 ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
 
 
-def _set(monkeypatch, module, settings):
+def _set(monkeypatch, settings):
     for name, value in settings.items():
-        monkeypatch.setattr(module, name, value)
+        monkeypatch.setattr(rng, name, value)
 
 
 @pytest.mark.parametrize("mode, settings", [
@@ -137,7 +143,7 @@ def _set(monkeypatch, module, settings):
     for settings in ({}, ON_THE_WORKER)
 ])
 def test_metrics_file_matches_golden_digest(tmp_path, monkeypatch, mode, settings):
-    _set(monkeypatch, verify, settings)
+    _set(monkeypatch, settings)
     assert _golden_digest(tmp_path, f"mode={mode}") == GOLDEN_METRICS_SHA256[mode]
 
 
@@ -146,7 +152,7 @@ def test_batch_metrics_file_matches_golden_digest(tmp_path):
 
 
 def test_batch_metrics_file_matches_golden_digest_on_the_worker(tmp_path, monkeypatch):
-    _set(monkeypatch, verify, ON_THE_WORKER)
+    _set(monkeypatch, ON_THE_WORKER)
     assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
 
 
@@ -163,7 +169,7 @@ def _recording_draws(monkeypatch):
 
 
 def test_golden_digest_holds_on_the_worker_under_constant_thread_switching(tmp_path, monkeypatch):
-    _set(monkeypatch, verify, ON_THE_WORKER)
+    _set(monkeypatch, ON_THE_WORKER)
     threads = _recording_draws(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -176,7 +182,7 @@ def test_golden_digest_holds_on_the_worker_under_constant_thread_switching(tmp_p
 
 
 def test_an_abort_with_a_draw_in_flight_leaves_no_thread_behind(monkeypatch):
-    _set(monkeypatch, verify, ON_THE_WORKER)
+    _set(monkeypatch, ON_THE_WORKER)
     threads = _recording_draws(monkeypatch)
 
     def inf_at_3(theta, t, grads):
@@ -283,7 +289,7 @@ GOLDEN_VERIFY_SHA256 = {
 def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, settings):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     for name, value in settings.items():
-        monkeypatch.setattr(verify, name, value)
+        monkeypatch.setattr(rng if name == "_WORKERS" else verify, name, value)
     cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
@@ -295,7 +301,7 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     # reduced and summed in chunk order, pins the values exactly.
     M, K, sigma_h_sq, trials = 3, 8, 1.5, 1300  # chunks of 512, 512 and 276
     monkeypatch.setattr(verify, "_CHUNK", 512)
-    monkeypatch.setattr(verify, "_WORKERS", workers)
+    monkeypatch.setattr(rng, "_WORKERS", workers)
     monkeypatch.setattr(verify, "_BLOCK_BYTES", 16 * M * K * block_matrices)
     draws = [channel.sample_channel(rng.substream(4, rng.CHANNEL, 0, c), n, M, K, 1, sigma_h_sq)
              for c, n in enumerate((512, 512, 276))]
@@ -314,7 +320,7 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     (300, 512, [300]),
 ], ids=["multiple", "short-last", "one-short"])
 def test_map_chunks_cuts_trials_into_chunks(trials, chunk, sizes):
-    assert verify.map_chunks(lambda c, n: (c, n), trials, chunk) == list(enumerate(sizes))
+    assert rng.map_chunks(lambda c, n: (c, n), trials, chunk) == list(enumerate(sizes))
 
 
 def test_map_chunks_returns_chunk_order_under_any_worker_count(monkeypatch):
@@ -323,8 +329,8 @@ def test_map_chunks_returns_chunk_order_under_any_worker_count(monkeypatch):
 
     results = {}
     for workers in (1, 3):
-        monkeypatch.setattr(verify, "_WORKERS", workers)
-        results[workers] = verify.map_chunks(draw, 1000, 128)
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        results[workers] = rng.map_chunks(draw, 1000, 128)
     assert len(results[1]) == 8
     expected = [draw(c, min(128, 1000 - 128 * c)) for c in range(8)]
     for chunks in results.values():
@@ -332,7 +338,7 @@ def test_map_chunks_returns_chunk_order_under_any_worker_count(monkeypatch):
 
 
 def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
-    monkeypatch.setattr(verify, "_WORKERS", 3)
+    monkeypatch.setattr(rng, "_WORKERS", 3)
 
     def fn(c, n):
         if c == 2:
@@ -340,18 +346,18 @@ def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
         return c
 
     with pytest.raises(ValueError, match="chunk 2 of 100"):
-        verify.map_chunks(fn, 1000, 100)
+        rng.map_chunks(fn, 1000, 100)
 
 
 @pytest.mark.parametrize("workers, nbytes, on_worker", [
-    (2, verify._OFFLOAD_BYTES, True),
-    (2, verify._OFFLOAD_BYTES - 1, False),
+    (2, rng._OFFLOAD_BYTES, True),
+    (2, rng._OFFLOAD_BYTES - 1, False),
     (1, 1 << 30, False),
 ], ids=["at-threshold", "below-threshold", "one-cpu"])
 def test_side_worker_takes_work_at_its_threshold_given_a_second_cpu(monkeypatch, workers,
                                                                     nbytes, on_worker):
-    monkeypatch.setattr(verify, "_WORKERS", workers)
-    with verify.side_worker() as start:
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    with rng.side_worker() as start:
         ident = start(nbytes, threading.get_ident)
         assert (ident() != threading.get_ident()) == on_worker
 
@@ -632,16 +638,21 @@ def test_idx_dataset_runs_end_to_end(tmp_path):
     assert records[-1].accuracy is not None
 
 
-@pytest.mark.parametrize("updates, message", [
-    ({"d": 12, "s": 1}, "config d=12, dataset implies (features+1)*classes=10"),
-    ({"partition": {"per_device": 121}}, "per_device=121 exceeds 120 training samples"),
+@pytest.mark.parametrize("updates, sweep, message", [
+    ({"d": 12, "s": 1}, ("d", [10, 12]), "config d=12, dataset implies (features+1)*classes=10"),
+    ({"partition": {"per_device": 121}}, ("partition.per_device", [40, 121]),
+     "per_device=121 exceeds 120 training samples"),
 ], ids=["d", "per_device"])
-def test_build_dataset_checks_the_synthetic_config_against_the_dataset(updates, message):
-    config = parse_config(_toy_doc(**updates))  # parses: the check needs the dataset
+def test_build_dataset_checks_the_synthetic_config_against_the_dataset(tmp_path, updates, sweep,
+                                                                       message):
+    # A synthetic dataset's shape follows from its config, so parsing checks d
+    # and per_device against it, and a sweep whose second cell does not fit
+    # fails before its first cell runs.
     with pytest.raises(ConfigError, match=re.escape(message)):
-        build_dataset(config)
+        parse_config(_toy_doc(**updates))
     with pytest.raises(ConfigError, match=re.escape(message)):
-        run(config)
+        run_matrix(_toy_doc(s=1), [sweep], str(tmp_path / "out"))
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_build_dataset_rejects_dimension_mismatch(tmp_path):

@@ -120,8 +120,7 @@ def test_optimizer_spec_validation():
 
 def test_accuracy_tie_breaks_to_lowest_class():
     # theta = 0 makes every logit equal; argmax picks class 0
-    data = LocalDataset(np.ones((4, 2)), np.array([0, 0, 1, 1]))
-    assert evaluate_accuracy(np.zeros(6), data) == 0.5
+    assert evaluate_accuracy(np.zeros(6), np.ones((4, 2)), np.array([0, 0, 1, 1])) == 0.5
 
 
 def test_accuracy_perfect_with_oracle_weights():
@@ -137,13 +136,12 @@ def test_accuracy_perfect_with_oracle_weights():
     for _ in range(100):
         grad = gradients(X, y, log_probabilities(theta, X)).mean(axis=0)
         theta, state = apply_update(theta, grad, spec, state)
-    assert evaluate_accuracy(theta, test) == 1.0
+    assert evaluate_accuracy(theta, test.features, test.labels) == 1.0
 
 
 def test_accuracy_rejects_out_of_range_labels():
-    data = LocalDataset(np.ones((2, 2)), np.array([7, 8]))
     with pytest.raises(ValueError):
-        evaluate_accuracy(np.zeros(6), data)
+        evaluate_accuracy(np.zeros(6), np.ones((2, 2)), np.array([7, 8]))
 
 
 def test_loss_monotone_under_small_step_sgd():
