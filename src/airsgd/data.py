@@ -151,37 +151,52 @@ class SyntheticSpec:
             raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
+def _class_means(spec: SyntheticSpec) -> np.ndarray:
+    """The (C, F) cluster means: orthogonal directions of norm ``margin``, or a line.
+
+    The directions are the DATASET stream's (C, F) normals made orthonormal
+    by modified Gram-Schmidt in ufunc sums, with no BLAS or LAPACK call, so
+    their bytes do not depend on the BLAS kernel that runs.
+    """
+    C, F = spec.classes, spec.features
+    if C > F:
+        means = np.zeros((C, F))
+        means[:, 0] = spec.margin * np.arange(C)
+        return means
+    raw = rng.generator(rng.substream(spec.seed, rng.DATASET)).standard_normal((C, F))
+    for i, row in enumerate(raw):
+        row /= np.sqrt((row * row).sum())
+        rest = raw[i + 1:]  # each later row loses its projection on this one
+        rest -= (rest * row).sum(axis=1, keepdims=True) * row
+    return spec.margin * raw  # pairwise distance margin * sqrt(2)
+
+
 def make_synthetic(spec: SyntheticSpec):
     """Generate disjoint (train, test) draws of Gaussian class clusters.
 
-    One DATASET stream draws, in order, the means' normals (when C <= F), the
-    train split's normals and permutation, then the test split's. The test
-    split may be drawn on ``rng.side_worker``'s thread while this one shifts
-    and permutes the train split, which touches no generator.
+    Rows come in class order, with labels ``np.repeat(np.arange(C), n)``.
+    Class c draws its train rows, then its test rows, from the DATASET
+    stream keyed c + 1 (``rng``'s docstring), and the classes below C // 2
+    are drawn on ``rng.side_worker``'s thread while this one draws the rest.
     """
-    gen = rng.generator(rng.substream(spec.seed, rng.DATASET))
     C, F = spec.classes, spec.features
-    if C <= F:
-        raw = gen.standard_normal((F, C))
-        q, _ = np.linalg.qr(raw)
-        means = spec.margin * q.T  # (C, F), pairwise distance margin * sqrt(2)
-    else:
-        means = np.zeros((C, F))
-        means[:, 0] = spec.margin * np.arange(C)
+    means = _class_means(spec)
+    splits = (np.empty((C, spec.train_per_class, F)), np.empty((C, spec.test_per_class, F)))
 
-    def draw(per_class):
-        return gen.standard_normal((C, per_class, F)), gen.permutation(per_class * C)
+    def draw(classes):
+        for c in classes:
+            gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+            for split in splits:
+                gen.standard_normal(out=split[c])
+                split[c] += means[c]
 
-    def finish(feats, order):
-        feats += means[:, None, :]
-        labels = np.repeat(np.arange(C), feats.shape[1])
-        return LocalDataset(feats.reshape(order.size, F)[order], labels[order])
-
-    train = draw(spec.train_per_class)
+    half = C // 2
     with rng.side_worker() as start:
-        test = start(8 * C * spec.test_per_class * F,
-                     lambda: finish(*draw(spec.test_per_class)))
-        return finish(*train), test()
+        first = start(sum(split[:half].nbytes for split in splits), draw, range(half))
+        draw(range(half, C))
+        first()
+    return tuple(LocalDataset(split.reshape(-1, F), np.repeat(np.arange(C), split.shape[1]))
+                 for split in splits)
 
 
 def partition(train: LocalDataset, M: int, per_device: int, seed) -> np.ndarray:

@@ -10,10 +10,13 @@ tensor drawn in consecutive slices along its first axis from one
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
 iteration t, keyed (master_seed, tag, t). The cells of one
 ``experiment.run_cells`` ensemble share these substreams, and each shared
-draw is made once per iteration for the whole group. One stream carries no
-tag: ``data.partition`` draws the devices' local sets, device by device,
-from ``generator(master_seed)``, the Philox stream seeded by the master seed
-alone.
+draw is made once per iteration for the whole group. ``data.make_synthetic``
+draws the cluster means' normals from (dataset_seed, DATASET), and class
+c's train rows, then its test rows, from (dataset_seed, DATASET, c + 1);
+key c would give class 0 the means' stream, by the trailing-zero rule
+below. One stream carries no tag: ``data.partition`` draws the devices'
+local sets, device by device, from ``generator(master_seed)``, the Philox
+stream seeded by the master seed alone.
 
 The key (seed, tag, *indices) is handed to ``SeedSequence`` as its entropy,
 and that encoding is not one-to-one, so two rules keep keys apart:
@@ -35,9 +38,9 @@ fixed order. ``map_chunks`` runs a Monte Carlo check's keyed chunks on
 ``_WORKERS`` threads. ``side_worker`` is one thread beside the caller's: a
 training run hands it the next iteration's CHANNEL and NOISE draw
 (iteration 1's while the dataset is built) and half of each row copy, and
-``data.make_synthetic`` the test split, when there is a second CPU and the
-work fills at least ``_OFFLOAD_BYTES`` (every such array of an MNIST-size
-run, none of a desk-size one).
+``data.make_synthetic`` the classes below C // 2, when there is a second
+CPU and the work fills at least ``_OFFLOAD_BYTES`` (every such array of an
+MNIST-size run, none of a desk-size one).
 """
 
 import contextlib

@@ -1,12 +1,18 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
+import airsgd
 from airsgd import experiment, rng
 from airsgd.data import (
     DataError,
+    _class_means,
     LocalDataset,
     SyntheticSpec,
     load_idx,
@@ -167,10 +173,11 @@ def test_synthetic_rejects_bad_spec():
 
 
 # sha256 of the features and labels of both splits of two small synthetic
-# datasets, recorded before make_synthetic drew each split in one call
+# datasets (orthogonal means, then means on a line), recorded when each
+# class drew its rows from its own key and the means came from Gram-Schmidt
 SYNTHETIC_SHA256 = {
-    (3, 5, 7, 4, 2.0, 11): "edb6e38bd0d374a5ed1266d62478ef2940578e329755239a5af22e6ff1295b1d",
-    (6, 3, 5, 2, 1.5, 4): "23152dd168a21a91be76b4f1edde3d9ef79e14708b8645129373969dc785d5c9",
+    (3, 5, 7, 4, 2.0, 11): "c1779b8999cfbb03220b3e872bfaf9df421d170f339220357ceb11ce2f273420",
+    (6, 3, 5, 2, 1.5, 4): "eb402d06323c2261bffe0c8c531e493a518462c742bf3a27dc3b44f857981ec2",
 }
 
 
@@ -188,10 +195,52 @@ def test_synthetic_bytes_pinned(fields):
 
 @pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
 def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields):
-    # the test split is drawn on the side worker, the train split's finish here
+    # the classes below C // 2 are drawn on the side worker, the rest here
     monkeypatch.setattr(rng, "_WORKERS", 2)
     monkeypatch.setattr(rng, "_OFFLOAD_BYTES", 0)
     test_synthetic_bytes_pinned(fields)
+
+
+# OpenBLAS kernels and the CPU feature each needs; forcing a kernel the CPU
+# lacks crashes the process
+BLAS_KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Zen": "AVX2",
+                "Sandybridge": "AVX", "Prescott": "SSE3"}
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_synthetic_bytes_pinned_on_every_blas_kernel(kernel):
+    # the synthetic dataset makes no BLAS call, so its pins hold on any kernel
+    if not __cpu_features__.get(BLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU lacks {BLAS_KERNELS[kernel]}")
+    code = ("import test_data\n"
+            "for fields in sorted(test_data.SYNTHETIC_SHA256):\n"
+            "    test_data.test_synthetic_bytes_pinned(fields)")
+    src = os.path.dirname(os.path.dirname(airsgd.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), src])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_synthetic_rows_come_in_class_order_from_per_class_keys():
+    spec = SyntheticSpec(classes=3, features=5, train_per_class=7, test_per_class=4,
+                         margin=2.0, seed=11)
+    train, test = make_synthetic(spec)
+    means = _class_means(spec)
+    assert np.array_equal(train.labels, np.repeat(np.arange(3), 7))
+    assert np.array_equal(test.labels, np.repeat(np.arange(3), 4))
+    by_class = train.features.reshape(3, 7, 5), test.features.reshape(3, 4, 5)
+    for c in range(3):
+        # class c's own key: its train rows, then its test rows continue the stream
+        gen = rng.generator(rng.substream(11, rng.DATASET, c + 1))
+        for rows in by_class:
+            assert np.array_equal(rows[c], gen.standard_normal(rows[c].shape) + means[c])
+
+
+def test_synthetic_means_are_orthogonal_with_norm_margin():
+    means = _class_means(SyntheticSpec(classes=10, features=784, train_per_class=1,
+                                       test_per_class=1, margin=8.0, seed=3))
+    assert np.allclose(means @ means.T, 64.0 * np.eye(10), rtol=0, atol=1e-12)
 
 
 def _indexed_pool(n):
