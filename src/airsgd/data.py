@@ -21,6 +21,7 @@ from . import rng
 __all__ = [
     "LocalDataset",
     "DataError",
+    "idx_shape",
     "load_idx",
     "write_idx_images",
     "write_idx_labels",
@@ -58,16 +59,51 @@ class LocalDataset:
         return self.features.shape[0]
 
 
-def _read_exact(f, count: int, path, what: str) -> bytes:
-    """The next ``count`` bytes of ``f``, checked against the bytes the file has left.
+def _check_left(f, count: int, path, what: str) -> None:
+    """A DataError unless ``f`` holds ``count`` more bytes, by its size (``fstat``).
 
-    The check comes before the read, so a header that claims more than the
-    file holds fails here instead of allocating, or overflowing, its claim.
+    A header that claims more than the file holds then fails before any read,
+    or an allocation, or overflow, of its claim.
     """
     left = os.fstat(f.fileno()).st_size - f.tell()
     if count > left:
         raise DataError(f"{path}: expected {count} bytes of {what}, got {left}")
-    return f.read(count)
+
+
+def _read_headers(images, labels, images_path, labels_path):
+    """(count, rows * cols) from the headers of an open IDX image/label pair.
+
+    Checks each magic word, that there is at least one image, that the two
+    counts agree and that each file holds the data its header claims. Each
+    file is left at its first data byte.
+    """
+    _check_left(images, 16, images_path, "header")
+    magic, count, rows, cols = struct.unpack(">IIII", images.read(16))
+    if magic != IDX_IMAGE_MAGIC:
+        raise DataError(f"{images_path}: bad image magic 0x{magic:08x}")
+    if count == 0:
+        raise DataError(f"{images_path} holds no images")
+    _check_left(images, count * rows * cols, images_path, "pixel data")
+    _check_left(labels, 8, labels_path, "header")
+    magic, label_count = struct.unpack(">II", labels.read(8))
+    if magic != IDX_LABEL_MAGIC:
+        raise DataError(f"{labels_path}: bad label magic 0x{magic:08x}")
+    _check_left(labels, label_count, labels_path, "label data")
+    if label_count != count:
+        raise DataError(
+            f"{images_path} holds {count} images but {labels_path} holds {label_count} labels"
+        )
+    return count, rows * cols
+
+
+def idx_shape(images_path, labels_path):
+    """(samples, features) of an IDX image/label pair, from its two headers alone.
+
+    Makes every check :func:`load_idx` makes but the label range, without
+    reading the data.
+    """
+    with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
+        return _read_headers(images, labels, images_path, labels_path)
 
 
 def load_idx(images_path, labels_path) -> LocalDataset:
@@ -76,28 +112,14 @@ def load_idx(images_path, labels_path) -> LocalDataset:
     Pixels become row-major float vectors with raw byte values (0..255).
     Labels must lie in [0, 10).
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path, "header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataError(f"{images_path}: bad image magic 0x{magic:08x}")
-        if count == 0:
-            raise DataError(f"{images_path} holds no images")
-        pixels = np.frombuffer(
-            _read_exact(f, count * rows * cols, images_path, "pixel data"), dtype=np.uint8
-        )
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path, "header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise DataError(f"{labels_path}: bad label magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8)
-    if label_count != count:
-        raise DataError(
-            f"{images_path} holds {count} images but {labels_path} holds {label_count} labels"
-        )
-    if labels.size and labels.max() >= 10:
-        raise DataError(f"{labels_path}: label {labels.max()} outside [0, 10)")
-    features = pixels.reshape(count, rows * cols).astype(np.float64)
-    return LocalDataset(features, labels.astype(np.int64))
+    with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
+        count, features = _read_headers(images, labels, images_path, labels_path)
+        pixels = np.frombuffer(images.read(count * features), dtype=np.uint8)
+        label_bytes = np.frombuffer(labels.read(count), dtype=np.uint8)
+    if label_bytes.max() >= 10:
+        raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, 10)")
+    return LocalDataset(pixels.reshape(count, features).astype(np.float64),
+                        label_bytes.astype(np.int64))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

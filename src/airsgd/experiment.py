@@ -18,10 +18,14 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-Large draws and row copies that do not wait on the learner go to
-``rng.side_worker``'s thread; ``rng``'s docstring says which and why no output
-byte depends on it. The learner's products run in this thread with unchanged
-shapes.
+Large draws and row copies that do not wait on the learner, and the first
+device half of a full-batch backward, go to ``rng.side_worker``'s thread;
+``rng``'s docstring says which and why no output byte depends on it. Every
+(cell, device) backward product keeps its shape in either half, and BLAS runs
+on one thread for the length of a run (``rng.one_blas_thread``), so no
+product's bytes depend on the CPU count. The forward over the held rows is
+never cut: a row half of its product can fall under OpenBLAS's small-matrix
+path and round differently.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -73,14 +77,51 @@ class NumericAbort(Exception):
         super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r} of {path}")
 
 
-def _load_idx(images_path, labels_path) -> data.LocalDataset:
-    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError."""
+def _read_idx(read, images_path, labels_path):
+    """``read(images_path, labels_path)``, with a missing or bad file as a ConfigError."""
     try:
-        dataset = data.load_idx(images_path, labels_path)
+        return read(images_path, labels_path)
     except (OSError, data.DataError) as exc:
         raise ConfigError(f"cannot load dataset {images_path}, {labels_path}: {exc}") from exc
+
+
+def _load_idx(images_path, labels_path) -> data.LocalDataset:
+    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError."""
+    dataset = _read_idx(data.load_idx, images_path, labels_path)
     dataset.features /= 255.0
     return dataset
+
+
+def _check_idx_files(configs) -> None:
+    """Read the headers of every distinct IDX pair the configs name, and check each config.
+
+    A ConfigError names the first missing or malformed file, or the first
+    config whose files do not fit it (:func:`_check_idx_shapes`), before any
+    cell runs. Only the label range waits until a pair is loaded.
+    """
+    shapes = {}
+    for config in configs:
+        paths = config.dataset
+        if paths.kind != "idx":
+            continue
+        pairs = (paths.train_images, paths.train_labels), (paths.test_images, paths.test_labels)
+        for pair in pairs:
+            if pair not in shapes:
+                shapes[pair] = _read_idx(data.idx_shape, *pair)
+        _check_idx_shapes(config, *(shapes[pair] for pair in pairs))
+
+
+def _check_idx_shapes(config: RunConfig, train_shape, test_shape) -> None:
+    """Check d and per_device against the train pair's (samples, features), as a ConfigError.
+
+    The test images must have the train images' pixel count: the model reads
+    its class count off d and the features of the rows it is handed.
+    """
+    (samples, features), (_, test_features) = train_shape, test_shape
+    if test_features != features:
+        raise ConfigError(f"{config.dataset.test_images} holds images of {test_features} pixels, "
+                          f"{config.dataset.train_images} of {features}")
+    config.check_dataset(features, 10, samples)
 
 
 def build_dataset(config: RunConfig):
@@ -88,8 +129,8 @@ def build_dataset(config: RunConfig):
 
     Synthetic features are used as generated; the config was checked
     against them when it was parsed. IDX pixel features are rescaled to
-    [0, 1], and d and per_device are checked against the files here, before
-    any training starts.
+    [0, 1], and d, per_device and the test images' size are checked against
+    the files here, before any training starts.
     """
     if config.dataset.kind == "synthetic":
         train, test = data.make_synthetic(config.dataset)
@@ -97,7 +138,7 @@ def build_dataset(config: RunConfig):
     paths = config.dataset
     train = _load_idx(paths.train_images, paths.train_labels)
     test = _load_idx(paths.test_images, paths.test_labels)
-    config.check_dataset(train.features.shape[1], 10, len(train))
+    _check_idx_shapes(config, train.features.shape, test.features.shape)
     return train, test, 10
 
 
@@ -168,7 +209,8 @@ def run_cells(configs, gradient_fn=None) -> list:
         )
 
     draw_bytes = 16 * R * N * (M + 1) * s  # the coefficients and the combined noise
-    with rng.side_worker() as start:
+    # BLAS is pinned until the side worker, with any product it runs, has stopped
+    with rng.one_blas_thread(), rng.side_worker() as start:
         # One channel draw is in flight at a time: iteration 1's overlaps the
         # dataset's synthesis, and t + 1's is started when t's is taken.
         channel_draw = start(draw_bytes, draw, 1) if config.mode == "ota" else None
@@ -200,7 +242,7 @@ def run_cells(configs, gradient_fn=None) -> list:
             if X is not None:
                 if log_probs is None:
                     log_probs = learner.log_probabilities(theta, held_X)[:, rows]
-                grads = learner.gradients(X, y, log_probs)
+                grads = _backward(start, X, y, log_probs)
             else:
                 batch = _batch_positions(config, t)
                 X_batch = held_X[rows[device, batch]]
@@ -252,6 +294,24 @@ def run_cells(configs, gradient_fn=None) -> list:
                                               avg_power.tolist(), est_mse)):
                 cell.append(MetricsRecord(t, *row))
     return records
+
+
+def _backward(start, X, y, log_probs) -> np.ndarray:
+    """``learner.gradients(X, y, log_probs)``, cut in two on the device axis when that pays.
+
+    When ``rng.offloads`` the first M // 2 devices' rows, their gradients are
+    started through ``rng.side_worker``'s ``start`` and the other devices'
+    are computed in this thread; otherwise, and with one device, the one call
+    runs here. ``learner.gradients`` gives each device the bytes it gets with
+    any other devices, so the halves' bytes are the whole's.
+    """
+    half = len(X) // 2
+    nbytes = X[:half].nbytes
+    if half == 0 or not rng.offloads(nbytes):
+        return learner.gradients(X, y, log_probs)
+    first = start(nbytes, learner.gradients, X[:half], y[:half], log_probs[..., :half, :, :])
+    rest = learner.gradients(X[half:], y[half:], log_probs[..., half:, :, :])
+    return np.concatenate([first(), rest], axis=-2)
 
 
 def _gather(start, src, index) -> np.ndarray:
@@ -355,9 +415,10 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     ``out_dir``, named by its assignments, or by its config's ``metrics_path``
     file name when the sweep has no field; ``out_dir`` None keeps each
     config's own ``metrics_path``. Returns one (metrics path, records) pair
-    per cell, in cell order. Every cell is parsed before any runs; a repeated
-    field, two cells with one config, or two cells with one metrics path is
-    a ConfigError.
+    per cell, in cell order. Every cell is parsed, and every IDX file's
+    header read, before any runs; a repeated field, two cells with one
+    config, two cells with one metrics path, or a missing or malformed IDX
+    file is a ConfigError.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
     group, whose files are written once it finishes: a NumericAbort leaves
@@ -382,6 +443,7 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
                         if cells.count(cell) > 1 or paths.count(path) > 1})
     if repeated:
         raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
+    _check_idx_files(configs)
     for path in paths:
         _prepare_metrics_path(path)
     groups = {}

@@ -85,7 +85,9 @@ def gradients(X: np.ndarray, y: np.ndarray, log_probs: np.ndarray) -> np.ndarray
     :func:`log_probabilities` for X at the parameters the gradient is taken
     at, with any leading cell axes. Each (cell, set) backward product is its
     own (C, n) x (n, F) matrix product inside one batched matmul, so row set
-    m gives the same bytes whatever sets and cells come with it.
+    m gives the same bytes whatever sets and cells come with it: the M sets
+    may be cut into parts along the device axis, each part a call of its own
+    in any thread, and the parts' gradients are the bytes of one call's.
     """
     M, n, F = X.shape
     probs = np.exp(log_probs)

@@ -33,19 +33,27 @@ and that encoding is not one-to-one, so two rules keep keys apart:
 
 The package's threads live here too, since these keys are why no output
 byte depends on the thread that does the work: a draw's bytes are fixed by
-its substream key, a row copy is a copy, and results are combined in a
-fixed order. ``map_chunks`` runs a Monte Carlo check's keyed chunks on
-``_WORKERS`` threads. ``side_worker`` is one thread beside the caller's: a
-training run hands it the next iteration's CHANNEL and NOISE draw
-(iteration 1's while the dataset is built) and half of each row copy, and
-``data.make_synthetic`` the classes below C // 2, when there is a second
-CPU and the work fills at least ``_OFFLOAD_BYTES`` (every such array of an
-MNIST-size run, none of a desk-size one).
+its substream key, a row copy is a copy, a device's backward product has
+the same shape in any thread, and results are combined in a fixed order.
+``map_chunks`` runs a Monte Carlo check's keyed chunks on ``_WORKERS``
+threads. ``side_worker`` is one thread beside the caller's: a training run
+hands it the next iteration's CHANNEL and NOISE draw (iteration 1's while
+the dataset is built), half of each row copy and, in full-batch mode, the
+backward product of the first M // 2 devices, and ``data.make_synthetic``
+the classes below C // 2, when there is a second CPU and the work fills at
+least ``_OFFLOAD_BYTES`` (``offloads`` decides: every such array of an
+MNIST-size run passes, none of a desk-size one). ``one_blas_thread`` pins
+numpy's OpenBLAS to one thread for the length of a run: its products then
+round the same whatever the CPU count, and the side worker's half of the
+backward does not compete with BLAS threads for the cores.
 """
 
 import contextlib
+import ctypes
 import functools
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,7 +75,8 @@ except AttributeError:  # no affinity mask on this platform
 # Work that fills an array smaller than this stays in the caller's thread:
 # handing it over costs more than it overlaps. Every array of a desk-size
 # run is smaller (the largest, a 10-device stack of 150 x 32 rows, is
-# 384 KB); the draws and row copies of an MNIST-size run are 1.3-125 MB.
+# 384 KB); the draws, row copies and half device stacks of an MNIST-size run
+# are 1.3-125 MB.
 _OFFLOAD_BYTES = 1 << 19
 
 
@@ -104,24 +113,33 @@ def map_chunks(fn, trials: int, chunk: int) -> list:
         return list(pool.map(fn, range(len(sizes)), sizes))
 
 
+def offloads(nbytes: int) -> bool:
+    """Whether ``side_worker`` takes work that fills an array of ``nbytes``.
+
+    It does when there are ``_WORKERS`` > 1 CPUs and the array holds at least
+    ``_OFFLOAD_BYTES``. A caller that would cut work in two only to hand one
+    part over asks this first, and keeps the work whole when the answer is no.
+    """
+    return _WORKERS > 1 and nbytes >= _OFFLOAD_BYTES
+
+
 @contextlib.contextmanager
 def side_worker():
     """One worker thread for work that can overlap the caller's, as ``start``.
 
     ``start(nbytes, fn, *args)`` returns a zero-argument callable that gives
-    ``fn(*args)``. When there are ``_WORKERS`` > 1 CPUs and fn fills an array
-    of at least ``_OFFLOAD_BYTES``, fn begins at once on the worker (numpy
-    releases the interpreter lock while it draws and copies) and the callable
-    waits for it; otherwise fn runs in the caller's thread when the callable
-    is called. Callers call every callable they start, so an exception from
-    the worker is raised where its result is used. Leaving the block cancels
-    work not yet begun and waits for the running one, so no thread outlives
-    it.
+    ``fn(*args)``. When :func:`offloads` says so for ``nbytes``, fn begins at
+    once on the worker (numpy releases the interpreter lock while it draws,
+    copies and multiplies) and the callable waits for it; otherwise fn runs
+    in the caller's thread when the callable is called. Callers call every
+    callable they start, so an exception from the worker is raised where its
+    result is used. Leaving the block cancels work not yet begun and waits
+    for the running one, so no thread outlives it.
     """
     pool = ThreadPoolExecutor(1)
 
     def start(nbytes, fn, *args):
-        if _WORKERS > 1 and nbytes >= _OFFLOAD_BYTES:
+        if offloads(nbytes):
             return pool.submit(fn, *args).result
         return functools.partial(fn, *args)
 
@@ -129,3 +147,60 @@ def side_worker():
         yield start
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None where there is none.
+
+    The symbols carry the wheel's prefix and suffix (``scipy_openblas_..64_``)
+    or none, by build.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# The thread count is OpenBLAS's, one per process, so the count of blocks
+# that pin it is too.
+_blas_lock = threading.Lock()
+_blas_pins = 0  # one_blas_thread blocks open now
+_blas_restore = None  # the thread count the first of them found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread for the block, then restore its count.
+
+    OpenBLAS splits a large product over its threads, and the split changes
+    the product's last bits, so a run's bytes would depend on the CPU count
+    and on ``OPENBLAS_NUM_THREADS``. Blocks may overlap in several threads:
+    the first to enter pins, the last to leave restores. Where numpy carries
+    no OpenBLAS of its own, BLAS is left as it is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    global _blas_pins, _blas_restore
+    get, set_ = threads
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_restore = get()
+            set_(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                set_(_blas_restore)

@@ -174,6 +174,34 @@ def test_run_unreadable_dataset_exits_2(tmp_path, make_config):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda path: path.unlink(),
+    lambda path: path.write_bytes(path.read_bytes()[:-3]),
+    lambda path: write_idx_images(path, np.zeros((2, 3, 3), dtype=np.uint8)),
+], ids=["missing", "truncated", "other-image-size"])
+def test_sweep_checks_every_idx_file_before_any_cell_runs(tmp_path, spoil):
+    # the second cell's test images are bad: no cell runs, not even the first.
+    # 3 x 3 test images against 2 x 2 train images would otherwise be read as
+    # 5 classes of 9 pixels by a model of 10 classes of 4.
+    labels = tmp_path / "lbl.idx"
+    write_idx_labels(labels, np.array([0, 1], dtype=np.uint8))
+    good, bad = tmp_path / "img.idx", tmp_path / "bad.idx"
+    for images in (good, bad):
+        write_idx_images(images, np.zeros((2, 2, 2), dtype=np.uint8))
+    spoil(bad)
+    dataset = {"kind": "idx", "train_images": str(good), "train_labels": str(labels),
+               "test_images": str(good), "test_labels": str(labels)}
+    config = _write_fast_config(tmp_path, dataset=dataset, d=50, s=25,
+                                partition={"per_device": 2})
+    out = tmp_path / "out"
+    proc = _cli("sweep", "--config", str(config), "--out", str(out),
+                "--sweep", f"dataset.test_images={json.dumps(str(good))},{json.dumps(str(bad))}")
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_run_creates_a_missing_metrics_directory(tmp_path):
     config = _write_fast_config(tmp_path)
     target = tmp_path / "new" / "deeper" / "x.csv"

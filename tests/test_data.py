@@ -15,6 +15,7 @@ from airsgd.data import (
     _class_means,
     LocalDataset,
     SyntheticSpec,
+    idx_shape,
     load_idx,
     make_synthetic,
     partition,
@@ -89,6 +90,16 @@ def test_load_idx_rejects_a_header_the_file_cannot_hold(tmp_path, which, header,
     paths[which].write_bytes(struct.pack(f">{len(header)}I", *header) + payload)
     with pytest.raises(DataError, match=message):
         load_idx(paths["images"], paths["labels"])
+
+
+def test_idx_shape_reads_the_headers_alone(tmp_path):
+    images, labels = _write_fixture(tmp_path)
+    assert idx_shape(images, labels) == (2, 4)
+    labels.write_bytes(labels.read_bytes()[:-1] + bytes([12]))  # a label past 9: data, not header
+    assert idx_shape(images, labels) == (2, 4)
+    images.write_bytes(images.read_bytes()[:-3])
+    with pytest.raises(DataError, match="expected 8 bytes of pixel data, got 5"):
+        idx_shape(images, labels)
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -130,8 +131,9 @@ def _golden_digest(tmp_path, *overrides):
 
 
 # A minimal run's arrays are below the side worker's threshold; with these
-# settings its channel draws, half of each row copy and half of its dataset's
-# classes run on the worker.
+# settings its channel draws, half of each row copy, half of its dataset's
+# classes and the first device half of each full-batch backward run on the
+# worker.
 ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
 
 
@@ -706,6 +708,102 @@ def test_run_makes_one_batched_backward_per_iteration(monkeypatch, mode, batch_s
     assert calls == [2] * 3  # T calls, each over all M = 2 devices
     assert len(records) == 3
     assert all(r.loss > 0 for r in records)
+
+
+def _recording_backward(monkeypatch):
+    """Patch learner.gradients to list each call's device count and thread."""
+    backward, calls = learner.gradients, []
+
+    def recording(X, y, log_probs):
+        calls.append((X.shape[0], threading.get_ident()))
+        return backward(X, y, log_probs)
+
+    monkeypatch.setattr(learner, "gradients", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["ota", "error_free"])
+@pytest.mark.parametrize("M", [2, 3])
+def test_a_full_batch_backward_on_the_worker_runs_in_two_device_halves(monkeypatch, mode, M):
+    # the first M // 2 devices' gradients on the side worker, the rest here
+    _set(monkeypatch, ON_THE_WORKER)
+    calls = _recording_backward(monkeypatch)
+    run(parse_config(_toy_doc(T=3, eval_every=1, mode=mode, M=M)))
+    here = threading.get_ident()
+    assert [count for count, thread in calls if thread != here] == [M // 2] * 3
+    assert [count for count, thread in calls if thread == here] == [M - M // 2] * 3
+
+
+@pytest.mark.parametrize("mode, batch_size", [("ota", None), ("error_free", None), ("ota", 8)],
+                         ids=["ota", "error_free", "batch"])
+@pytest.mark.parametrize("M", [1, 3])
+def test_the_backward_halves_write_the_bytes_of_one_call(tmp_path, monkeypatch, mode,
+                                                         batch_size, M):
+    config = parse_config(_toy_doc(T=4, eval_every=2, mode=mode, M=M, batch_size=batch_size))
+    files = []
+    for settings in ({"_WORKERS": 1}, ON_THE_WORKER):
+        _set(monkeypatch, settings)
+        calls = _recording_backward(monkeypatch)
+        path = tmp_path / f"{len(files)}.csv"
+        write_metrics(run(config), config, path)
+        files.append(path.read_bytes())
+        assert all(count > 0 for count, _ in calls)  # no call gets an empty half
+        monkeypatch.undo()
+    assert files[0] == files[1]
+
+
+def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
+    threads = rng._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy carries no OpenBLAS of its own")
+    get, set_ = threads
+    before = get()
+    set_(3)
+    seen = []
+
+    def pin_and_release():
+        for _ in range(200):
+            with rng.one_blas_thread():
+                seen.append(get())
+                with rng.one_blas_thread():  # an overlapping run
+                    seen.append(get())
+                seen.append(get())
+
+    # blocks overlapping in more threads than cores, switching constantly
+    workers = [threading.Thread(target=pin_and_release) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [1] * 8 * 200 * 3 and get() == 3
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+
+
+def test_a_paper_size_run_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # Large products split over OpenBLAS threads round differently; a run pins
+    # BLAS to one thread, so the thread count it starts with moves no byte.
+    doc = template("minimal")
+    doc.update(M=20, K=40, s=3925, d=7850, T=2, eval_every=1, partition={"per_device": 1000})
+    doc["dataset"].update(classes=10, features=784, train_per_class=600, test_per_class=100,
+                          margin=8.0)
+    config = tmp_path / "standin.json"
+    config.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    files = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "airsgd", "run", "--config", str(config),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        files.append((tmp_path / "out" / "metrics.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_gradient_fn_must_return_one_row_per_device():
