@@ -18,14 +18,14 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-Large draws and row copies that do not wait on the learner, and the first
-device half of a full-batch backward, go to ``rng.side_worker``'s thread;
-``rng``'s docstring says which and why no output byte depends on it. Every
-(cell, device) backward product keeps its shape in either half, and BLAS runs
-on one thread for the length of a run (``rng.one_blas_thread``), so no
-product's bytes depend on the CPU count. The forward over the held rows is
-never cut: a row half of its product can fall under OpenBLAS's small-matrix
-path and round differently.
+Large draws and row copies that do not wait on the learner, the first
+device half of a full-batch backward and the first row part of the forward
+over the held rows go to ``rng.side_worker``'s thread; ``rng``'s docstring
+says which and why no output byte depends on it. Every (cell, device)
+backward product keeps its shape in either half, the forward is cut only
+where each part keeps the bytes it has in the whole product (``_forward``),
+and BLAS runs on one thread for the length of a run (``rng.one_blas_thread``),
+so no product's bytes depend on the CPU count.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -220,7 +220,9 @@ def run_cells(configs, gradient_fn=None) -> list:
         # they hold, and rows[m] gathers device m's local set back out of them.
         # A BLAS may round a row's product by the size of the matrix it sits in,
         # so the last bit can differ from a per-device forward pass when a local
-        # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows).
+        # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows). The
+        # held rows' own product may be cut in two, at a place that keeps its
+        # bytes (_forward).
         held, rows = np.unique(index, return_inverse=True)
         rows = rows.reshape(index.shape)
         held_X, held_y = _gather(start, train.features, held), train.labels[held]
@@ -241,7 +243,7 @@ def run_cells(configs, gradient_fn=None) -> list:
             alpha = config.power.alpha_at(t)
             if X is not None:
                 if log_probs is None:
-                    log_probs = learner.log_probabilities(theta, held_X)[:, rows]
+                    log_probs = _forward(start, theta, held_X, classes)[:, rows]
                 grads = _backward(start, X, y, log_probs)
             else:
                 batch = _batch_positions(config, t)
@@ -287,7 +289,7 @@ def run_cells(configs, gradient_fn=None) -> list:
             accuracy = loss = [None] * R
             if (t % config.eval_every == 0) or (t == config.T):
                 accuracy = learner.evaluate_accuracy(theta, test.features, test.labels).tolist()
-                log_probs = learner.log_probabilities(theta, held_X)[:, rows]
+                log_probs = _forward(start, theta, held_X, classes)[:, rows]
                 # mean over each device's set first, then over devices
                 loss = learner.losses(y, log_probs).mean(axis=1).tolist()
             for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
@@ -299,18 +301,48 @@ def run_cells(configs, gradient_fn=None) -> list:
 def _backward(start, X, y, log_probs) -> np.ndarray:
     """``learner.gradients(X, y, log_probs)``, cut in two on the device axis when that pays.
 
-    When ``rng.offloads`` the first M // 2 devices' rows, their gradients are
-    started through ``rng.side_worker``'s ``start`` and the other devices'
-    are computed in this thread; otherwise, and with one device, the one call
-    runs here. ``learner.gradients`` gives each device the bytes it gets with
-    any other devices, so the halves' bytes are the whole's.
+    The first M // 2 devices form the first part (:func:`_in_two_parts`);
+    with one device the one call runs here. ``learner.gradients`` gives each
+    device the bytes it gets with any other devices, so the parts' bytes are
+    the whole's.
     """
-    half = len(X) // 2
-    nbytes = X[:half].nbytes
-    if half == 0 or not rng.offloads(nbytes):
-        return learner.gradients(X, y, log_probs)
-    first = start(nbytes, learner.gradients, X[:half], y[:half], log_probs[..., :half, :, :])
-    rest = learner.gradients(X[half:], y[half:], log_probs[..., half:, :, :])
+    return _in_two_parts(start, learner.gradients, X, len(X) // 2,
+                         lambda part: (X[part], y[part], log_probs[..., part, :, :]))
+
+
+def _forward(start, theta, X, classes) -> np.ndarray:
+    """``learner.log_probabilities(theta, X)`` over 2-d X, cut in two row parts when that pays.
+
+    The rows are OpenBLAS's N axis, unrolled by 8, so the cut lies at a
+    multiple of 8 rows, at or below half; a cut off that boundary moves the
+    last bits on its AVX2 kernels. Each part must hold more than 1200 // C
+    rows, C the class count: OpenBLAS's AVX-512 kernel sends a product of
+    at most 1200 outputs down its small-matrix path, which rounds
+    differently. Where the first part would be that small, the one call
+    runs here; otherwise the parts' bytes are the whole's.
+    """
+    cut = len(X) // 16 * 8
+    if cut <= 1200 // classes:
+        cut = 0
+    return _in_two_parts(start, learner.log_probabilities, X, cut,
+                         lambda part: (theta, X[part]))
+
+
+def _in_two_parts(start, fn, rows, cut, args) -> np.ndarray:
+    """``fn(*args(slice(None)))``, or its parts before and after row ``cut`` joined on axis -2.
+
+    ``args(part)`` gives fn's arguments for the ``part`` slice of the rows
+    of ``rows``, whose row axis becomes axis -2 of fn's result. When ``cut``
+    leaves rows on both sides and ``rng.offloads`` the bytes of
+    ``rows[:cut]``, the first part is started through ``rng.side_worker``'s
+    ``start`` and the second computed in this thread; otherwise the one
+    call runs here.
+    """
+    nbytes = rows[:cut].nbytes
+    if not 0 < cut < len(rows) or not rng.offloads(nbytes):
+        return fn(*args(slice(None)))
+    first = start(nbytes, fn, *args(slice(None, cut)))
+    rest = fn(*args(slice(cut, None)))
     return np.concatenate([first(), rest], axis=-2)
 
 

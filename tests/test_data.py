@@ -1,14 +1,9 @@
 import hashlib
-import os
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
-import airsgd
 from airsgd import experiment, rng
 from airsgd.data import (
     DataError,
@@ -24,6 +19,7 @@ from airsgd.data import (
 )
 from airsgd.learner import OptimizerSpec, apply_update, evaluate_accuracy, gradients
 from airsgd.learner import init_optimizer_state, init_params, log_probabilities
+from blas_kernels import BLAS_KERNELS, run_on_kernel
 
 PIXELS = np.array(
     [[[0, 64], [128, 255]], [[1, 2], [3, 4]]], dtype=np.uint8
@@ -212,25 +208,12 @@ def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields):
     test_synthetic_bytes_pinned(fields)
 
 
-# OpenBLAS kernels and the CPU feature each needs; forcing a kernel the CPU
-# lacks crashes the process
-BLAS_KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Zen": "AVX2",
-                "Sandybridge": "AVX", "Prescott": "SSE3"}
-
-
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_synthetic_bytes_pinned_on_every_blas_kernel(kernel):
     # the synthetic dataset makes no BLAS call, so its pins hold on any kernel
-    if not __cpu_features__.get(BLAS_KERNELS[kernel]):
-        pytest.skip(f"this CPU lacks {BLAS_KERNELS[kernel]}")
-    code = ("import test_data\n"
-            "for fields in sorted(test_data.SYNTHETIC_SHA256):\n"
-            "    test_data.test_synthetic_bytes_pinned(fields)")
-    src = os.path.dirname(os.path.dirname(airsgd.__file__))
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
-           "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), src])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    run_on_kernel(kernel, "import test_data\n"
+                          "for fields in sorted(test_data.SYNTHETIC_SHA256):\n"
+                          "    test_data.test_synthetic_bytes_pinned(fields)")
 
 
 def test_synthetic_rows_come_in_class_order_from_per_class_keys():

@@ -22,6 +22,7 @@ from airsgd.experiment import (
     run_matrix,
     write_metrics,
 )
+from blas_kernels import run_on_kernel
 
 
 def _toy_doc(**updates):
@@ -750,6 +751,105 @@ def test_the_backward_halves_write_the_bytes_of_one_call(tmp_path, monkeypatch, 
         assert all(count > 0 for count, _ in calls)  # no call gets an empty half
         monkeypatch.undo()
     assert files[0] == files[1]
+
+
+def _recording_forward(monkeypatch):
+    """Patch learner.log_probabilities to list each call's row count and thread."""
+    forward, calls = learner.log_probabilities, []
+
+    def recording(theta, X):
+        calls.append((X.shape[0], threading.get_ident()))
+        return forward(theta, X)
+
+    monkeypatch.setattr(learner, "log_probabilities", recording)
+    return calls
+
+
+@pytest.mark.parametrize("settings, per_device, parts", [
+    (ON_THE_WORKER, 60, (136, 136)),
+    (ON_THE_WORKER, 50, (250,)),
+    ({"_WORKERS": 2}, 60, (272,)),
+    ({"_WORKERS": 1}, 60, (272,)),
+], ids=["on-the-worker", "under-the-row-floor", "below-the-byte-gate", "one-cpu"])
+def test_the_held_row_forward_on_the_worker_runs_in_two_row_parts(monkeypatch, settings,
+                                                                 per_device, parts):
+    # The desk shape has 10 classes, so each part must hold more than
+    # 1200 // 10 rows. Its devices hold 272 distinct rows at 60 rows a
+    # device, cut at 136, a multiple of 8; at 50 rows a device they hold
+    # 250, whose cut at 120 would fall on the floor. Its arrays are below
+    # the byte gate.
+    _set(monkeypatch, settings)
+    calls = _recording_forward(monkeypatch)
+    run(parse_config(_desk_doc(T=3, eval_every=2, partition={"per_device": per_device})))
+    here = threading.get_ident()
+    # four forwards: at t = 1 and 2 for the backward, at the evaluations t = 2
+    # and 3; the last part runs here, any first part on the worker
+    assert [rows for rows, thread in calls if thread != here] == list(parts[:-1]) * 4
+    assert [rows for rows, thread in calls if thread == here] == [parts[-1]] * 4
+
+
+@pytest.mark.parametrize("mode, batch_size", [("ota", None), ("error_free", None), ("ota", 8)],
+                         ids=["ota", "error_free", "batch"])
+@pytest.mark.parametrize("per_device", [50, 60])
+def test_the_forward_row_parts_write_the_bytes_of_one_call(tmp_path, monkeypatch, mode,
+                                                           batch_size, per_device):
+    # 50 rows a device keep the forward whole on the row floor, where the
+    # AVX-512 kernel's small-matrix path would move the parts' bytes
+    config = parse_config(_desk_doc(T=4, eval_every=2, mode=mode, batch_size=batch_size,
+                                    partition={"per_device": per_device}))
+    files = []
+    for settings in ({"_WORKERS": 1}, ON_THE_WORKER):
+        _set(monkeypatch, settings)
+        calls = _recording_forward(monkeypatch)
+        path = tmp_path / f"{len(files)}.csv"
+        write_metrics(run(config), config, path)
+        files.append(path.read_bytes())
+        split = len({thread for _, thread in calls}) == 2
+        assert split == (settings == ON_THE_WORKER and per_device == 60)
+        monkeypatch.undo()
+    assert files[0] == files[1]
+
+
+# Products in paper shape (5,848 held rows of 784 pixels, 10 classes) and at
+# the smallest parts the forward's cut allows for 10, 3 and 2 classes, each
+# with an odd row count in its second part and an odd half.
+FORWARD_SHAPES = [(5848, 784, 10), (263, 784, 10), (819, 784, 3), (1219, 784, 2)]
+
+
+def check_split_forward(rows, features, classes):
+    """The held-row forward, cut on a side worker, gives the bytes of one call.
+
+    Run in a child process by the kernel test, with two worker CPUs assumed:
+    each shape's first part passes ``rng.offloads`` with the default gate.
+    """
+    rng._WORKERS = 2
+    gen = np.random.default_rng((rows, classes))
+    X = gen.standard_normal((rows, features)) + 3.0  # an offset, so partial sums round
+    theta = gen.standard_normal((2, (features + 1) * classes)) / features
+    forward, parts = learner.log_probabilities, []
+
+    def recording(theta, X):
+        parts.append(len(X))
+        return forward(theta, X)
+
+    learner.log_probabilities = recording
+    try:
+        with rng.one_blas_thread(), rng.side_worker() as start:
+            whole = forward(theta, X)
+            split = experiment._forward(start, theta, X, classes)
+    finally:
+        learner.log_probabilities = forward
+    assert sorted(parts) == [rows // 16 * 8, rows - rows // 16 * 8], parts
+    assert np.array_equal(split, whole), (rows, features, classes)
+
+
+@pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Zen", "Sandybridge"])
+def test_the_forward_row_parts_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
+    # A cut at 8 rows above the floor holds on these kernels; OpenBLAS's SSE3
+    # kernel (Prescott) is left out, as README's reproducibility contract says.
+    run_on_kernel(kernel, "import test_experiment\n"
+                          "for shape in test_experiment.FORWARD_SHAPES:\n"
+                          "    test_experiment.check_split_forward(*shape)")
 
 
 def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
