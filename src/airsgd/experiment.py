@@ -18,14 +18,18 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-Large draws and row copies that do not wait on the learner, the first
-device half of a full-batch backward and the first row part of the forward
-over the held rows go to ``rng.side_worker``'s thread; ``rng``'s docstring
-says which and why no output byte depends on it. Every (cell, device)
-backward product keeps its shape in either half, the forward is cut only
-where each part keeps the bytes it has in the whole product (``_forward``),
-and BLAS runs on one thread for the length of a run (``rng.one_blas_thread``),
-so no product's bytes depend on the CPU count.
+The learner's two matrix products run in float32: the held rows are cast
+once, the device stack is gathered from them, and the test features are cast
+once a run. The parameters, the optimizer state, the gradients and the whole
+channel side stay float64.
+
+Large draws and row copies that do not wait on the learner, and the first
+device half of a full-batch backward, go to ``rng.side_worker``'s thread;
+``rng``'s docstring says which and why no output byte depends on it. Every
+(cell, device) backward product keeps its shape in either half, the forward
+over the held rows is one call, and BLAS runs on one thread for the length
+of a run (``rng.one_blas_thread``), so no product's bytes depend on the CPU
+count.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -191,7 +195,7 @@ def run_cells(configs, gradient_fn=None) -> list:
     The configs may differ in K, sigma_z_sq and metrics_path only; each cell
     gets the bytes of its own :func:`run`. ``gradient_fn`` acts per cell as
     in :func:`run`, and a NumericAbort names the metrics path of the cell it
-    hit.
+    hit, or the first cell's for features, which every cell shares.
     """
     config = configs[0]
     if any(_group_key(cell) != _group_key(config) for cell in configs):
@@ -220,13 +224,19 @@ def run_cells(configs, gradient_fn=None) -> list:
         # they hold, and rows[m] gathers device m's local set back out of them.
         # A BLAS may round a row's product by the size of the matrix it sits in,
         # so the last bit can differ from a per-device forward pass when a local
-        # set is small (OpenBLAS 0.3 on AVX-512: at most 1200 / C rows). The
-        # held rows' own product may be cut in two, at a place that keeps its
-        # bytes (_forward).
+        # set is small (OpenBLAS's AVX-512 kernel has a small-matrix path).
         held, rows = np.unique(index, return_inverse=True)
         rows = rows.reshape(index.shape)
         held_X, held_y = _gather(start, train.features, held), train.labels[held]
-        del train  # keep the held rows, not the whole pool
+        test_X, test_y = test.features, test.labels
+        del train, test  # keep the held rows and the test arrays, not the pool
+        # The learner's products run in float32: the estimate's channel error
+        # is orders of magnitude above float32 rounding. Features beyond
+        # float32's range become inf in the cast and abort the run here.
+        with np.errstate(over="ignore"):
+            held_X, test_X = held_X.astype(np.float32), test_X.astype(np.float32)
+        if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
+            raise NumericAbort(0, "features", config.metrics_path)
         y = held_y[rows]
         learner.check_labels(y, classes)
         device = np.arange(M)[:, None]
@@ -243,7 +253,7 @@ def run_cells(configs, gradient_fn=None) -> list:
             alpha = config.power.alpha_at(t)
             if X is not None:
                 if log_probs is None:
-                    log_probs = _forward(start, theta, held_X, classes)[:, rows]
+                    log_probs = learner.log_probabilities(theta, held_X)[:, rows]
                 grads = _backward(start, X, y, log_probs)
             else:
                 batch = _batch_positions(config, t)
@@ -288,8 +298,8 @@ def run_cells(configs, gradient_fn=None) -> list:
             avg_power = power_sum / t
             accuracy = loss = [None] * R
             if (t % config.eval_every == 0) or (t == config.T):
-                accuracy = learner.evaluate_accuracy(theta, test.features, test.labels).tolist()
-                log_probs = _forward(start, theta, held_X, classes)[:, rows]
+                accuracy = learner.evaluate_accuracy(theta, test_X, test_y).tolist()
+                log_probs = learner.log_probabilities(theta, held_X)[:, rows]
                 # mean over each device's set first, then over devices
                 loss = learner.losses(y, log_probs).mean(axis=1).tolist()
             for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
@@ -301,48 +311,19 @@ def run_cells(configs, gradient_fn=None) -> list:
 def _backward(start, X, y, log_probs) -> np.ndarray:
     """``learner.gradients(X, y, log_probs)``, cut in two on the device axis when that pays.
 
-    The first M // 2 devices form the first part (:func:`_in_two_parts`);
-    with one device the one call runs here. ``learner.gradients`` gives each
-    device the bytes it gets with any other devices, so the parts' bytes are
-    the whole's.
+    With two or more devices, when ``rng.offloads`` the bytes of the first
+    M // 2 devices' rows, their gradients are started through
+    ``rng.side_worker``'s ``start`` and the rest computed in this thread;
+    otherwise the one call runs here. ``learner.gradients`` gives each
+    device the bytes it gets with any other devices, so the halves' bytes
+    are the whole's.
     """
-    return _in_two_parts(start, learner.gradients, X, len(X) // 2,
-                         lambda part: (X[part], y[part], log_probs[..., part, :, :]))
-
-
-def _forward(start, theta, X, classes) -> np.ndarray:
-    """``learner.log_probabilities(theta, X)`` over 2-d X, cut in two row parts when that pays.
-
-    The rows are OpenBLAS's N axis, unrolled by 8, so the cut lies at a
-    multiple of 8 rows, at or below half; a cut off that boundary moves the
-    last bits on its AVX2 kernels. Each part must hold more than 1200 // C
-    rows, C the class count: OpenBLAS's AVX-512 kernel sends a product of
-    at most 1200 outputs down its small-matrix path, which rounds
-    differently. Where the first part would be that small, the one call
-    runs here; otherwise the parts' bytes are the whole's.
-    """
-    cut = len(X) // 16 * 8
-    if cut <= 1200 // classes:
-        cut = 0
-    return _in_two_parts(start, learner.log_probabilities, X, cut,
-                         lambda part: (theta, X[part]))
-
-
-def _in_two_parts(start, fn, rows, cut, args) -> np.ndarray:
-    """``fn(*args(slice(None)))``, or its parts before and after row ``cut`` joined on axis -2.
-
-    ``args(part)`` gives fn's arguments for the ``part`` slice of the rows
-    of ``rows``, whose row axis becomes axis -2 of fn's result. When ``cut``
-    leaves rows on both sides and ``rng.offloads`` the bytes of
-    ``rows[:cut]``, the first part is started through ``rng.side_worker``'s
-    ``start`` and the second computed in this thread; otherwise the one
-    call runs here.
-    """
-    nbytes = rows[:cut].nbytes
-    if not 0 < cut < len(rows) or not rng.offloads(nbytes):
-        return fn(*args(slice(None)))
-    first = start(nbytes, fn, *args(slice(None, cut)))
-    rest = fn(*args(slice(cut, None)))
+    cut = len(X) // 2
+    nbytes = X[:cut].nbytes
+    if cut == 0 or not rng.offloads(nbytes):
+        return learner.gradients(X, y, log_probs)
+    first = start(nbytes, learner.gradients, X[:cut], y[:cut], log_probs[..., :cut, :, :])
+    rest = learner.gradients(X[cut:], y[cut:], log_probs[..., cut:, :, :])
     return np.concatenate([first(), rest], axis=-2)
 
 

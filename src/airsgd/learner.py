@@ -11,6 +11,9 @@ aggregated (or channel-estimated) average gradient drives the optimizer,
 whose state lives at the parameter server only. A training run computes the
 gradients and losses of all M devices at once, from an (M, n, F) stack of
 their rows; an ensemble of R runs adds a leading cell axis to the parameters.
+The two matrix products run in the features' dtype (float32 in a training
+run, whose features ``experiment`` casts); the parameters, logits,
+log-probabilities, losses and gradients are float64 whatever that dtype.
 """
 
 from dataclasses import dataclass, replace
@@ -52,7 +55,9 @@ def _split_theta(theta: np.ndarray, num_features: int):
 
 def _logits(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     W, b = _split_theta(theta, X.shape[-1])
-    return X @ W.swapaxes(-1, -2) + b[..., None, :]
+    # the product in X's dtype, so no float32 X is copied at float64; adding
+    # the float64 bias brings the logits back to float64
+    return X @ W.swapaxes(-1, -2).astype(X.dtype, copy=False) + b[..., None, :]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -94,7 +99,7 @@ def gradients(X: np.ndarray, y: np.ndarray, log_probs: np.ndarray) -> np.ndarray
     probs[..., np.arange(M)[:, None], np.arange(n), y] -= 1.0
     probs /= n
     grad = np.empty(probs.shape[:-2] + (probs.shape[-1], F + 1))
-    grad[..., :F] = np.matmul(probs.swapaxes(-1, -2), X)
+    grad[..., :F] = np.matmul(probs.swapaxes(-1, -2).astype(X.dtype, copy=False), X)
     grad[..., F] = probs.sum(axis=-2)
     return grad.reshape(*probs.shape[:-2], -1)
 

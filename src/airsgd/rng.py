@@ -38,16 +38,14 @@ the same shape in any thread, and results are combined in a fixed order.
 ``map_chunks`` runs a Monte Carlo check's keyed chunks on ``_WORKERS``
 threads. ``side_worker`` is one thread beside the caller's: a training run
 hands it the next iteration's CHANNEL and NOISE draw (iteration 1's while
-the dataset is built), half of each row copy, the first row part of each
-forward over the held rows (cut where each part keeps its bytes, see
-``experiment._forward``) and, in full-batch mode, the backward product of
-the first M // 2 devices, and ``data.make_synthetic`` the classes below
-C // 2, when there is a second CPU and the work fills at least
-``_OFFLOAD_BYTES`` (``offloads`` decides: every such array of an MNIST-size
-run passes, none of a desk-size one). ``one_blas_thread`` pins numpy's
-OpenBLAS to one thread for the length of a run: its products then round the
-same whatever the CPU count, and the side worker's parts of the forward and
-backward do not compete with BLAS threads for the cores.
+the dataset is built), half of each row copy and, in full-batch mode, the
+backward product of the first M // 2 devices, and ``data.make_synthetic``
+the classes below C // 2, when there is a second CPU and the work fills at
+least ``_OFFLOAD_BYTES`` (``offloads`` decides: every such array of an
+MNIST-size run passes, none of a desk-size one). ``one_blas_thread`` pins
+numpy's OpenBLAS to one thread for the length of a run: its products then
+round the same whatever the CPU count, and the side worker's half of the
+backward does not compete with BLAS threads for the cores.
 """
 
 import contextlib
@@ -76,9 +74,9 @@ except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 # Work that fills an array smaller than this stays in the caller's thread:
 # handing it over costs more than it overlaps. Every array of a desk-size
-# run is smaller (the largest, a 10-device stack of 150 x 32 rows, is
-# 384 KB); the draws, row copies, half device stacks and held-row parts of an
-# MNIST-size run are 1.3-125 MB.
+# run is smaller (the largest, a 10-device float32 stack of 150 x 32 rows,
+# is 192 KB); the draws, row copies and half device stacks of an MNIST-size
+# run are 1.3-63 MB.
 _OFFLOAD_BYTES = 1 << 19
 
 

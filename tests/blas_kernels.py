@@ -19,12 +19,13 @@ BLAS_KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Zen": "AVX2",
                 "Sandybridge": "AVX", "Prescott": "SSE3"}
 
 
-def run_on_kernel(kernel: str, code: str) -> None:
+def run_on_kernel(kernel: str, code: str) -> str:
     """Run Python ``code`` in a child process under OpenBLAS kernel ``kernel``.
 
-    The child imports the test modules and airsgd from this checkout. The
-    test is skipped where the CPU lacks the kernel's feature, and fails with
-    the child's stderr when the child exits nonzero.
+    The child imports the test modules and airsgd from this checkout, and
+    its standard output is returned. The test is skipped where the CPU lacks
+    the kernel's feature, and fails with the child's stderr when the child
+    exits nonzero.
     """
     if not __cpu_features__.get(BLAS_KERNELS[kernel]):
         pytest.skip(f"this CPU lacks {BLAS_KERNELS[kernel]}")
@@ -33,3 +34,4 @@ def run_on_kernel(kernel: str, code: str) -> None:
            "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), src])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout

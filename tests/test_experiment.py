@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from airsgd import channel, cli, experiment, learner, ota, rng, verify
+from airsgd import channel, cli, data, experiment, learner, ota, rng, verify
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
@@ -22,7 +23,7 @@ from airsgd.experiment import (
     run_matrix,
     write_metrics,
 )
-from blas_kernels import run_on_kernel
+from blas_kernels import BLAS_KERNELS, run_on_kernel
 
 
 def _toy_doc(**updates):
@@ -111,17 +112,17 @@ def test_metrics_file_bit_identical_across_reruns(tmp_path):
 # These pin the reproducibility contract across processes and commits: a
 # change that moves any byte updates them on purpose and says why in
 # CHANGES.md. Recorded with numpy 2.4 on x86-64, on OpenBLAS's AVX-512
-# (SkylakeX) kernel: the learner's products run on BLAS, and other kernels
-# round them differently. The ota digest pins the channel.sample_combined
+# (SkylakeX) kernel: the learner's float32 products run on BLAS, and other
+# kernels round them differently. The ota digest pins the channel.sample_combined
 # stream; test_channel pins the reference streams.
 GOLDEN_METRICS_SHA256 = {
-    "ota": "24040b87108234c970379f9a43a96ccc930d658aa7370fefe2f546fc69f736ae",
-    "error_free": "58f481e65167d47b7a88f926a2cb980ba80e82155e4e0013071c952e4918ea31",
+    "ota": "05e330a7bf5b5c47780403c07782e533954715df129deee3e0750cfb97051de1",
+    "error_free": "4b37fd241486b17cf28eef6f0943992303f25f649b45fd8d84a791921d7ac961",
 }
 # The same ota run with batch_size=16: pins the BATCH substreams, one per
 # iteration, the smallest-keys selection in key order, and the minibatch
 # gradient path.
-GOLDEN_BATCH_METRICS_SHA256 = "0321f554da2943a710668646a307f20b610142141d97a822d5ffcbf87a99e5f1"
+GOLDEN_BATCH_METRICS_SHA256 = "0de8670fe118e138e0699c0bcb9aa0c30afa084c33cb54c622054f74568b5d02"
 
 
 def _golden_digest(tmp_path, *overrides):
@@ -753,103 +754,95 @@ def test_the_backward_halves_write_the_bytes_of_one_call(tmp_path, monkeypatch, 
     assert files[0] == files[1]
 
 
-def _recording_forward(monkeypatch):
-    """Patch learner.log_probabilities to list each call's row count and thread."""
-    forward, calls = learner.log_probabilities, []
-
-    def recording(theta, X):
-        calls.append((X.shape[0], threading.get_ident()))
-        return forward(theta, X)
-
-    monkeypatch.setattr(learner, "log_probabilities", recording)
-    return calls
+# Float32 stacks as run_cells hands them to the backward: 20 devices at
+# paper width, and two with an odd device count in a half.
+BACKWARD_SHAPES = [(20, 100, 784, 10), (3, 263, 784, 10), (5, 40, 97, 3)]
 
 
-@pytest.mark.parametrize("settings, per_device, parts", [
-    (ON_THE_WORKER, 60, (136, 136)),
-    (ON_THE_WORKER, 50, (250,)),
-    ({"_WORKERS": 2}, 60, (272,)),
-    ({"_WORKERS": 1}, 60, (272,)),
-], ids=["on-the-worker", "under-the-row-floor", "below-the-byte-gate", "one-cpu"])
-def test_the_held_row_forward_on_the_worker_runs_in_two_row_parts(monkeypatch, settings,
-                                                                 per_device, parts):
-    # The desk shape has 10 classes, so each part must hold more than
-    # 1200 // 10 rows. Its devices hold 272 distinct rows at 60 rows a
-    # device, cut at 136, a multiple of 8; at 50 rows a device they hold
-    # 250, whose cut at 120 would fall on the floor. Its arrays are below
-    # the byte gate.
-    _set(monkeypatch, settings)
-    calls = _recording_forward(monkeypatch)
-    run(parse_config(_desk_doc(T=3, eval_every=2, partition={"per_device": per_device})))
-    here = threading.get_ident()
-    # four forwards: at t = 1 and 2 for the backward, at the evaluations t = 2
-    # and 3; the last part runs here, any first part on the worker
-    assert [rows for rows, thread in calls if thread != here] == list(parts[:-1]) * 4
-    assert [rows for rows, thread in calls if thread == here] == [parts[-1]] * 4
+def check_split_backward(M, n, features, classes):
+    """The full-batch backward, cut in device halves on a side worker, gives the bytes of one call.
+
+    Run in a child process by the kernel test, with two worker CPUs and no
+    byte gate, so every shape is cut.
+    """
+    rng._WORKERS, rng._OFFLOAD_BYTES = 2, 0
+    gen = np.random.default_rng((M, n, classes))
+    X = (gen.standard_normal((M, n, features)) + 3.0).astype(np.float32)  # offset, so sums round
+    y = gen.integers(0, classes, size=(M, n))
+    theta = gen.standard_normal((2, (features + 1) * classes)) / features
+    log_probs = learner.log_probabilities(theta[:, None], X)
+    backward, parts = learner.gradients, []
+
+    def recording(X, y, log_probs):
+        parts.append(len(X))
+        return backward(X, y, log_probs)
+
+    learner.gradients = recording
+    try:
+        with rng.one_blas_thread(), rng.side_worker() as start:
+            whole = backward(X, y, log_probs)
+            split = experiment._backward(start, X, y, log_probs)
+    finally:
+        learner.gradients = backward
+    assert sorted(parts) == sorted([M // 2, M - M // 2]), parts
+    assert np.array_equal(split, whole), (M, n, features, classes)
 
 
-@pytest.mark.parametrize("mode, batch_size", [("ota", None), ("error_free", None), ("ota", 8)],
-                         ids=["ota", "error_free", "batch"])
-@pytest.mark.parametrize("per_device", [50, 60])
-def test_the_forward_row_parts_write_the_bytes_of_one_call(tmp_path, monkeypatch, mode,
-                                                           batch_size, per_device):
-    # 50 rows a device keep the forward whole on the row floor, where the
-    # AVX-512 kernel's small-matrix path would move the parts' bytes
-    config = parse_config(_desk_doc(T=4, eval_every=2, mode=mode, batch_size=batch_size,
-                                    partition={"per_device": per_device}))
-    files = []
-    for settings in ({"_WORKERS": 1}, ON_THE_WORKER):
-        _set(monkeypatch, settings)
-        calls = _recording_forward(monkeypatch)
-        path = tmp_path / f"{len(files)}.csv"
-        write_metrics(run(config), config, path)
-        files.append(path.read_bytes())
-        split = len({thread for _, thread in calls}) == 2
-        assert split == (settings == ON_THE_WORKER and per_device == 60)
-        monkeypatch.undo()
-    assert files[0] == files[1]
-
-
-# Products in paper shape (5,848 held rows of 784 pixels, 10 classes) and at
-# the smallest parts the forward's cut allows for 10, 3 and 2 classes, each
-# with an odd row count in its second part and an odd half.
+# Float64 held-row products in paper shape (5,848 rows of 784 pixels, 10
+# classes) and at the smallest first parts the measured cut rules allow for
+# 10, 3 and 2 classes, each with an odd row count in its second part.
 FORWARD_SHAPES = [(5848, 784, 10), (263, 784, 10), (819, 784, 3), (1219, 784, 2)]
 
 
 def check_split_forward(rows, features, classes):
-    """The held-row forward, cut on a side worker, gives the bytes of one call.
+    """The float64 forward, cut in two row parts by the measured rules, gives the bytes of one call.
 
-    Run in a child process by the kernel test, with two worker CPUs assumed:
-    each shape's first part passes ``rng.offloads`` with the default gate.
+    The cut is the multiple of 8 rows at or below half, and each shape's
+    first part holds more than 1200 // C rows. The float64 path keeps these
+    rules on every kernel; float32 products at 10 classes moved bytes at
+    such cuts on the AVX2 kernels, so a run's held-row forward is one call.
     """
-    rng._WORKERS = 2
     gen = np.random.default_rng((rows, classes))
     X = gen.standard_normal((rows, features)) + 3.0  # an offset, so partial sums round
     theta = gen.standard_normal((2, (features + 1) * classes)) / features
-    forward, parts = learner.log_probabilities, []
-
-    def recording(theta, X):
-        parts.append(len(X))
-        return forward(theta, X)
-
-    learner.log_probabilities = recording
-    try:
-        with rng.one_blas_thread(), rng.side_worker() as start:
-            whole = forward(theta, X)
-            split = experiment._forward(start, theta, X, classes)
-    finally:
-        learner.log_probabilities = forward
-    assert sorted(parts) == [rows // 16 * 8, rows - rows // 16 * 8], parts
-    assert np.array_equal(split, whole), (rows, features, classes)
+    cut = rows // 16 * 8
+    with rng.one_blas_thread():
+        whole = learner.log_probabilities(theta, X)
+        parts = [learner.log_probabilities(theta, X[:cut]), learner.log_probabilities(theta, X[cut:])]
+    assert np.array_equal(np.concatenate(parts, axis=-2), whole), (rows, features, classes)
 
 
-@pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Zen", "Sandybridge"])
+def split_check_failures() -> dict:
+    """Map each split check to its first failure, or to "" when every shape passed."""
+    failures = {}
+    for name, check, shapes in [("forward", check_split_forward, FORWARD_SHAPES),
+                                ("backward", check_split_backward, BACKWARD_SHAPES)]:
+        failures[name] = ""
+        for shape in shapes:
+            try:
+                check(*shape)
+            except AssertionError as error:
+                failures[name] = f"{shape}: {error}"
+                break
+    return failures
+
+
+@functools.cache
+def _split_checks_on(kernel):
+    # both kernel tests share one child process a kernel, which saves an
+    # interpreter start-up each
+    return json.loads(run_on_kernel(kernel, "import json, test_experiment\n"
+                                            "print(json.dumps(test_experiment.split_check_failures()))"))
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_the_forward_row_parts_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
-    # A cut at 8 rows above the floor holds on these kernels; OpenBLAS's SSE3
-    # kernel (Prescott) is left out, as README's reproducibility contract says.
-    run_on_kernel(kernel, "import test_experiment\n"
-                          "for shape in test_experiment.FORWARD_SHAPES:\n"
-                          "    test_experiment.check_split_forward(*shape)")
+    assert _split_checks_on(kernel)["forward"] == ""
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_the_backward_halves_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
+    assert _split_checks_on(kernel)["backward"] == ""
 
 
 def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
@@ -928,16 +921,39 @@ def test_finite_gradients_that_overflow_later_abort(mode, value, stage):
     assert (excinfo.value.iteration, excinfo.value.stage) == (1, stage)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def _float64_overflow(config) -> str:
+    """The check that ``config``'s dataset fails in iteration 1 with float64 products.
+
+    The devices' first gradients, from the float64 rows ``LocalDataset``
+    keeps, must be finite; returns "average" when their mean overflows
+    (error_free), "power" when their transmit energy does (ota), else "".
+    """
+    train, _, classes = build_dataset(config)
+    index = data.partition(train, config.M, config.partition.per_device, config.master_seed)
+    X, y = train.features[index], train.labels[index]
+    theta = learner.init_params(X.shape[-1], classes)
+    with np.errstate(over="ignore"):
+        grads = learner.gradients(X, y, learner.log_probabilities(theta, X))
+        assert np.isfinite(grads).all()
+        if config.mode == "error_free":
+            return "" if np.isfinite(grads.mean(axis=0)).all() else "average"
+        energy = ota.transmit_energy(ota.transmit(grads, config.power.alpha_at(1), config.s))
+        return "" if np.isfinite(energy).all() else "power"
+
+
 @pytest.mark.parametrize("mode, margin, stage", [("error_free", 1e308, "average"),
                                                  ("ota", 1.5e307, "power")])
 def test_an_overflowing_dataset_aborts_and_writes_no_file(tmp_path, mode, margin, stage):
+    # features beyond float32's range abort before iteration 1, with no
+    # warning from the cast that finds them; float64 products would have
+    # run on into iteration 1 and overflowed at ``stage``
     doc = template("minimal")
     doc.update(M=20, T=3, mode=mode, partition={"per_device": 100})
     doc["dataset"]["margin"] = margin
+    assert _float64_overflow(parse_config(doc)) == stage
     with pytest.raises(NumericAbort) as excinfo:
         run_matrix(doc, [], tmp_path / "out")
-    assert excinfo.value.stage == stage
+    assert (excinfo.value.iteration, excinfo.value.stage) == (0, "features")
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,39 @@ def test_log_probabilities_of_a_stack_equal_each_set_alone():
     stacked = log_probabilities(theta, X)
     for m, dev in enumerate(devices):
         assert np.array_equal(stacked[m], log_probabilities(theta, dev.features))
+
+
+def test_float32_features_give_float64_gradients_within_float32_rounding():
+    # The learner's products run in X's dtype; the logits, log-softmax and
+    # gradients stay float64. Over 200 other seeds, the largest gap was
+    # 3.4e-07 of the largest gradient entry, about 3 float32 epsilons.
+    gen = np.random.default_rng(11)
+    M, features, classes = 3, 30, 4
+    X = gen.normal(size=(M, 40, features))
+    y = gen.integers(0, classes, size=(M, 40))
+    theta = gen.normal(size=param_count(features, classes)) * 0.7
+    exact = gradients(X, y, log_probabilities(theta, X))
+    X32 = X.astype(np.float32)
+    log_probs = log_probabilities(theta, X32)
+    single = gradients(X32, y, log_probs)
+    assert log_probs.dtype == single.dtype == np.float64
+    assert np.abs(single - exact).max() <= 1e-6 * np.abs(exact).max()
+
+
+def test_float32_products_allocate_less_than_a_float64_stack():
+    # A float64 operand in either product would promote the float32 stack,
+    # copying it at twice its bytes.
+    gen = np.random.default_rng(12)
+    M, n, features, classes = 3, 500, 784, 10
+    X = gen.normal(size=(M, n, features)).astype(np.float32)
+    y = gen.integers(0, classes, size=(M, n))
+    theta = gen.normal(size=param_count(features, classes)) * 0.01
+    log_probs = log_probabilities(theta, X)
+    for product in (lambda: log_probabilities(theta, X), lambda: gradients(X, y, log_probs)):
+        tracemalloc.start()
+        try:
+            product()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.astype(np.float64).nbytes
