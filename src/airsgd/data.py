@@ -197,26 +197,21 @@ def make_synthetic(spec: SyntheticSpec):
     """Generate disjoint (train, test) draws of Gaussian class clusters.
 
     Rows come in class order, with labels ``np.repeat(np.arange(C), n)``.
-    Class c draws its train rows, then its test rows, from the DATASET
-    stream keyed c + 1 (``rng``'s docstring), and the classes below C // 2
-    are drawn on ``rng.side_worker``'s thread while this one draws the rest.
+    Class c is ``rng.map_chunks``' keyed chunk c: it draws its train rows,
+    then its test rows, from the DATASET stream keyed c + 1 (``rng``'s
+    docstring), so the classes may be drawn on any number of threads.
     """
     C, F = spec.classes, spec.features
     means = _class_means(spec)
     splits = (np.empty((C, spec.train_per_class, F)), np.empty((C, spec.test_per_class, F)))
 
-    def draw(classes):
-        for c in classes:
-            gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
-            for split in splits:
-                gen.standard_normal(out=split[c])
-                split[c] += means[c]
+    def draw(c, _):
+        gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+        for split in splits:
+            gen.standard_normal(out=split[c])
+            split[c] += means[c]
 
-    half = C // 2
-    with rng.side_worker() as start:
-        first = start(sum(split[:half].nbytes for split in splits), draw, range(half))
-        draw(range(half, C))
-        first()
+    rng.map_chunks(draw, C, 1)
     return tuple(LocalDataset(split.reshape(-1, F), np.repeat(np.arange(C), split.shape[1]))
                  for split in splits)
 

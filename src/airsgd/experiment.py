@@ -23,18 +23,20 @@ once, the device stack is gathered from them, and the test features are cast
 once a run. The parameters, the optimizer state, the gradients and the whole
 channel side stay float64.
 
-Large draws and row copies that do not wait on the learner, and the first
-device half of a full-batch backward, go to ``rng.side_worker``'s thread;
-``rng``'s docstring says which and why no output byte depends on it. Every
-(cell, device) backward product keeps its shape in either half, the forward
-over the held rows is one call, and BLAS runs on one thread for the length
-of a run (``rng.one_blas_thread``), so no product's bytes depend on the CPU
-count.
+A run decides once whether it uses a second core: it opens
+``rng.side_worker`` with the bytes of one iteration's (R, M, d) float64
+gradients. With a worker, the channel draws, half of each row copy and the
+first device half of a full-batch backward go to its thread; ``rng``'s
+docstring says why no output byte depends on it. Every (cell, device)
+backward product keeps its shape in either half, the forward over the held
+rows is one call, and BLAS runs on one thread for the length of a run
+(``rng.one_blas_thread``), so no product's bytes depend on the CPU count.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
 """
 
+import functools
 import itertools
 import json
 import os
@@ -212,12 +214,11 @@ def run_cells(configs, gradient_fn=None) -> list:
             N, M, K, s, config.sigma_h_sq, sigma_z_sq,
         )
 
-    draw_bytes = 16 * R * N * (M + 1) * s  # the coefficients and the combined noise
     # BLAS is pinned until the side worker, with any product it runs, has stopped
-    with rng.one_blas_thread(), rng.side_worker() as start:
+    with rng.one_blas_thread(), rng.side_worker(8 * R * M * d) as start:
         # One channel draw is in flight at a time: iteration 1's overlaps the
         # dataset's synthesis, and t + 1's is started when t's is taken.
-        channel_draw = start(draw_bytes, draw, 1) if config.mode == "ota" else None
+        channel_draw = start(draw, 1) if config.mode == "ota" else None
         train, test, classes = build_dataset(config)
         index = data.partition(train, M, config.partition.per_device, config.master_seed)
         # Devices share rows: the forward pass runs once over the distinct rows
@@ -275,7 +276,7 @@ def run_cells(configs, gradient_fn=None) -> list:
                 tx = ota.transmit(grads, alpha, s)
                 coeffs, noise = channel_draw()
                 if t < config.T:
-                    channel_draw = start(draw_bytes, draw, t + 1)
+                    channel_draw = start(draw, t + 1)
                 obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
                 update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
                 _check_finite(update_grad, t, "estimate", configs)
@@ -309,20 +310,19 @@ def run_cells(configs, gradient_fn=None) -> list:
 
 
 def _backward(start, X, y, log_probs) -> np.ndarray:
-    """``learner.gradients(X, y, log_probs)``, cut in two on the device axis when that pays.
+    """``learner.gradients(X, y, log_probs)``, cut in two on the device axis given a worker.
 
-    With two or more devices, when ``rng.offloads`` the bytes of the first
-    M // 2 devices' rows, their gradients are started through
-    ``rng.side_worker``'s ``start`` and the rest computed in this thread;
-    otherwise the one call runs here. ``learner.gradients`` gives each
-    device the bytes it gets with any other devices, so the halves' bytes
-    are the whole's.
+    With two or more devices and a thread behind ``rng.side_worker``'s
+    ``start``, the first M // 2 devices' gradients are started through it
+    and the rest computed in this thread; otherwise, ``start`` being
+    ``functools.partial``, the one call runs here. ``learner.gradients``
+    gives each device the bytes it gets with any other devices, so the
+    halves' bytes are the whole's.
     """
     cut = len(X) // 2
-    nbytes = X[:cut].nbytes
-    if cut == 0 or not rng.offloads(nbytes):
+    if cut == 0 or start is functools.partial:
         return learner.gradients(X, y, log_probs)
-    first = start(nbytes, learner.gradients, X[:cut], y[:cut], log_probs[..., :cut, :, :])
+    first = start(learner.gradients, X[:cut], y[:cut], log_probs[..., :cut, :, :])
     rest = learner.gradients(X[cut:], y[cut:], log_probs[..., cut:, :, :])
     return np.concatenate([first(), rest], axis=-2)
 
@@ -331,14 +331,15 @@ def _gather(start, src, index) -> np.ndarray:
     """``src[index]``: the rows of 2-d ``src`` that an integer array names.
 
     The copy is made in two halves, the first started through
-    ``rng.side_worker``'s ``start``, the second in this thread. The indices
-    come from ``np.unique`` and ``data.partition``, so they lie in range, and
-    mode "clip" spares ``np.take`` the buffered copy it makes under "raise".
+    ``rng.side_worker``'s ``start`` (on its thread, given one), the second
+    in this thread. The indices come from ``np.unique`` and
+    ``data.partition``, so they lie in range, and mode "clip" spares
+    ``np.take`` the buffered copy it makes under "raise".
     """
     out = np.empty(index.shape + src.shape[1:], dtype=src.dtype)
     flat_index, flat_out = index.reshape(-1), out.reshape(-1, *src.shape[1:])
     half = flat_index.size // 2
-    first = start(out.nbytes, np.take, src, flat_index[:half], 0, flat_out[:half], "clip")
+    first = start(np.take, src, flat_index[:half], 0, flat_out[:half], "clip")
     np.take(src, flat_index[half:], axis=0, out=flat_out[half:], mode="clip")
     first()
     return out

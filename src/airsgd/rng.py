@@ -35,17 +35,19 @@ The package's threads live here too, since these keys are why no output
 byte depends on the thread that does the work: a draw's bytes are fixed by
 its substream key, a row copy is a copy, a device's backward product has
 the same shape in any thread, and results are combined in a fixed order.
-``map_chunks`` runs a Monte Carlo check's keyed chunks on ``_WORKERS``
-threads. ``side_worker`` is one thread beside the caller's: a training run
-hands it the next iteration's CHANNEL and NOISE draw (iteration 1's while
-the dataset is built), half of each row copy and, in full-batch mode, the
-backward product of the first M // 2 devices, and ``data.make_synthetic``
-the classes below C // 2, when there is a second CPU and the work fills at
-least ``_OFFLOAD_BYTES`` (``offloads`` decides: every such array of an
-MNIST-size run passes, none of a desk-size one). ``one_blas_thread`` pins
-numpy's OpenBLAS to one thread for the length of a run: its products then
-round the same whatever the CPU count, and the side worker's half of the
-backward does not compete with BLAS threads for the cores.
+``map_chunks`` runs keyed chunks on ``_WORKERS`` threads: a Monte Carlo
+check's trials, and ``data.make_synthetic``'s classes, one chunk each.
+``side_worker(nbytes)`` is one thread beside the caller's, and it decides
+once, on entry, whether a block gets it: only with a second CPU and
+``nbytes`` at least ``_OFFLOAD_BYTES``. A training run passes one
+iteration's gradient bytes and, given the thread, hands it the next
+iteration's CHANNEL and NOISE draw (iteration 1's while the dataset is
+built), half of each row copy and, in full-batch mode, the backward product
+of the first M // 2 devices; otherwise the run stays in the caller's
+thread. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
+length of a run: its products then round the same whatever the CPU count,
+and the side worker's half of the backward does not compete with BLAS
+threads for the cores.
 """
 
 import contextlib
@@ -72,11 +74,12 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
-# Work that fills an array smaller than this stays in the caller's thread:
-# handing it over costs more than it overlaps. Every array of a desk-size
-# run is smaller (the largest, a 10-device float32 stack of 150 x 32 rows,
-# is 192 KB); the draws, row copies and half device stacks of an MNIST-size
-# run are 1.3-63 MB.
+# A side_worker block whose nbytes is smaller than this stays in the
+# caller's thread: handing its work over costs more than it overlaps. A
+# training run passes the bytes of one iteration's (R, M, d) float64
+# gradients: 1,256,000 for the paper-size stand-in (2.4x the gate), 105,600
+# for desk_sweep's largest group (R = 4) and 4,224 for the minimal template.
+# Every array such a run hands over falls on the same side of the gate.
 _OFFLOAD_BYTES = 1 << 19
 
 
@@ -113,35 +116,29 @@ def map_chunks(fn, trials: int, chunk: int) -> list:
         return list(pool.map(fn, range(len(sizes)), sizes))
 
 
-def offloads(nbytes: int) -> bool:
-    """Whether ``side_worker`` takes work that fills an array of ``nbytes``.
-
-    It does when there are ``_WORKERS`` > 1 CPUs and the array holds at least
-    ``_OFFLOAD_BYTES``. A caller that would cut work in two only to hand one
-    part over asks this first, and keeps the work whole when the answer is no.
-    """
-    return _WORKERS > 1 and nbytes >= _OFFLOAD_BYTES
-
-
 @contextlib.contextmanager
-def side_worker():
+def side_worker(nbytes: int):
     """One worker thread for work that can overlap the caller's, as ``start``.
 
-    ``start(nbytes, fn, *args)`` returns a zero-argument callable that gives
-    ``fn(*args)``. When :func:`offloads` says so for ``nbytes``, fn begins at
-    once on the worker (numpy releases the interpreter lock while it draws,
-    copies and multiplies) and the callable waits for it; otherwise fn runs
-    in the caller's thread when the callable is called. Callers call every
+    ``start(fn, *args)`` returns a zero-argument callable that gives
+    ``fn(*args)``. When there are ``_WORKERS`` > 1 CPUs and ``nbytes`` is at
+    least ``_OFFLOAD_BYTES``, fn begins at once on the worker (numpy releases
+    the interpreter lock while it draws, copies and multiplies) and the
+    callable waits for it. Otherwise no thread is made, ``start`` is
+    ``functools.partial`` itself and fn runs in the caller's thread when the
+    callable is called; a caller that would cut work in two only to hand one
+    part over checks for that and keeps the work whole. Callers call every
     callable they start, so an exception from the worker is raised where its
     result is used. Leaving the block cancels work not yet begun and waits
     for the running one, so no thread outlives it.
     """
+    if _WORKERS < 2 or nbytes < _OFFLOAD_BYTES:
+        yield functools.partial
+        return
     pool = ThreadPoolExecutor(1)
 
-    def start(nbytes, fn, *args):
-        if offloads(nbytes):
-            return pool.submit(fn, *args).result
-        return functools.partial(fn, *args)
+    def start(fn, *args):
+        return pool.submit(fn, *args).result
 
     try:
         yield start

@@ -200,11 +200,16 @@ def test_synthetic_bytes_pinned(fields):
     assert digest.hexdigest() == SYNTHETIC_SHA256[fields]
 
 
-@pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
-def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields):
-    # the classes below C // 2 are drawn on the side worker, the rest here
-    monkeypatch.setattr(rng, "_WORKERS", 2)
-    monkeypatch.setattr(rng, "_OFFLOAD_BYTES", 0)
+@pytest.mark.parametrize("fields, workers", [
+    # two workers keep the ids these tests had when a side worker drew half the classes
+    pytest.param(fields, workers,
+                 id=f"fields{i}" + ("" if workers == 2 else f"-_WORKERS={workers}"))
+    for i, fields in enumerate(sorted(SYNTHETIC_SHA256))
+    for workers in (1, 2, 3)
+])
+def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields, workers):
+    # the classes are rng.map_chunks' chunks, drawn on _WORKERS threads
+    monkeypatch.setattr(rng, "_WORKERS", workers)
     test_synthetic_bytes_pinned(fields)
 
 

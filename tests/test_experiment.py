@@ -2,9 +2,11 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -108,21 +110,84 @@ def test_metrics_file_bit_identical_across_reruns(tmp_path):
     assert paths[0] == paths[1]
 
 
-# sha256 of the metrics file of a 12-iteration run of the minimal template.
-# These pin the reproducibility contract across processes and commits: a
-# change that moves any byte updates them on purpose and says why in
-# CHANGES.md. Recorded with numpy 2.4 on x86-64, on OpenBLAS's AVX-512
-# (SkylakeX) kernel: the learner's float32 products run on BLAS, and other
-# kernels round them differently. The ota digest pins the channel.sample_combined
-# stream; test_channel pins the reference streams.
+@functools.cache
+def blas_fingerprint() -> str:
+    """sha256 of fixed float32 learner products at the minimal run's shapes.
+
+    The products are the forward over the rows the minimal run's devices
+    hold and the forward and backward over their (M, n, F) stack, on fixed
+    offset normals. OpenBLAS's kernel families round them differently, so
+    the digest names the family of the kernel this process runs.
+    """
+    config = parse_config(template("minimal"))
+    train, _, classes = build_dataset(config)
+    index = data.partition(train, config.M, config.partition.per_device, config.master_seed)
+    held = len(np.unique(index))
+    (M, n), F = index.shape, train.features.shape[1]
+    gen = np.random.default_rng(0)
+    held_X = (gen.standard_normal((held, F)) + 3.0).astype(np.float32)  # an offset, so sums round
+    X = (gen.standard_normal((M, n, F)) + 3.0).astype(np.float32)
+    y = gen.integers(0, classes, size=(M, n))
+    theta = gen.standard_normal((1, (F + 1) * classes)) / F
+    with rng.one_blas_thread():
+        log_probs = learner.log_probabilities(theta[:, None], X)
+        products = (learner.log_probabilities(theta, held_X), learner.gradients(X, y, log_probs))
+    return hashlib.sha256(b"".join(product.tobytes() for product in products)).hexdigest()
+
+
+# sha256 of the metrics file of a 12-iteration run of the minimal template,
+# one entry per BLAS kernel family. These pin the reproducibility contract
+# across processes and commits: a change that moves any byte updates them on
+# purpose and says why in CHANGES.md. Recorded with numpy 2.4.6 on x86-64.
+# The learner's float32 products run on OpenBLAS, whose kernel families round
+# them differently, so each family's digests are keyed by its blas_fingerprint.
+# The ota digest pins the channel.sample_combined stream; test_channel pins
+# the reference streams.
+GOLDEN_MODES = ("error_free", "ota")
+FINGERPRINT = {
+    "SkylakeX": "c07c4d691126f812d9f94a133da62a9ab129ade253acdfd8544a7bc0463ef8a4",
+    "Haswell": "1d1505cc72b6acb45d45ccec4ebd177952972a70fbe1009a52a2c0b33c1941b6",  # Zen too
+    "Sandybridge": "8de226edba46963824746b2ffb85bdff8681bd3dbf40a6eb5d0de711cea729a8",
+    "Prescott": "35ea71f0b9664dbdac063d1ef18cc72d915ffae35ffb3d8f7d026593d664f93a",
+}
 GOLDEN_METRICS_SHA256 = {
-    "ota": "05e330a7bf5b5c47780403c07782e533954715df129deee3e0750cfb97051de1",
-    "error_free": "4b37fd241486b17cf28eef6f0943992303f25f649b45fd8d84a791921d7ac961",
+    FINGERPRINT["SkylakeX"]: {
+        "ota": "05e330a7bf5b5c47780403c07782e533954715df129deee3e0750cfb97051de1",
+        "error_free": "4b37fd241486b17cf28eef6f0943992303f25f649b45fd8d84a791921d7ac961",
+    },
+    FINGERPRINT["Haswell"]: {
+        "ota": "1570e1898bcc6747db2b0bf07b6a39b2d7ebb8977b625c1e6a544b288b7a5d30",
+        "error_free": "6a8999886e31a8ea2b3f63dba9bfdba41620a6fc32fcfc3dc58b9f7842ae3490",
+    },
+    FINGERPRINT["Sandybridge"]: {
+        "ota": "a7ef212df0a18d9d37d7757b6e47d4b76c476074a143e415bc6e59568439d205",
+        "error_free": "0a823ad238fbc19dbf552b40cc02ff0dc8c3881ac9c968de8376b074d1f1ef13",
+    },
+    FINGERPRINT["Prescott"]: {
+        "ota": "b46a4c57825a6f2310c4a451cbcd83d0e1a1cefa5c136b068e8a70513c1fe723",
+        "error_free": "9a251e10d35ae5c6e916a609ed7560f51cf0b93091ef4087c78fa97585d67e7e",
+    },
 }
 # The same ota run with batch_size=16: pins the BATCH substreams, one per
 # iteration, the smallest-keys selection in key order, and the minibatch
 # gradient path.
-GOLDEN_BATCH_METRICS_SHA256 = "0de8670fe118e138e0699c0bcb9aa0c30afa084c33cb54c622054f74568b5d02"
+GOLDEN_BATCH_METRICS_SHA256 = {
+    FINGERPRINT["SkylakeX"]: "0de8670fe118e138e0699c0bcb9aa0c30afa084c33cb54c622054f74568b5d02",
+    FINGERPRINT["Haswell"]: "7a10592deb6f01c7eeaf55027d0b337bdf8876cfb747598ae670835784d83229",
+    FINGERPRINT["Sandybridge"]: "ced2237a83bd348b8905c1cac1fd5c7e505da40b238d5e5fffffaee19b831cef",
+    FINGERPRINT["Prescott"]: "73717a2e8a59c5eb64d78a888ae4379bae17838bbbe6369441a4953f2992e689",
+}
+
+
+def _golden(pins, fingerprint=None):
+    """The entry of ``pins`` for a BLAS fingerprint, by default this process's.
+
+    A fingerprint with no recorded family fails, naming itself.
+    """
+    fingerprint = fingerprint or blas_fingerprint()
+    if fingerprint not in pins:
+        pytest.fail(f"no golden digests recorded for BLAS fingerprint {fingerprint}")
+    return pins[fingerprint]
 
 
 def _golden_digest(tmp_path, *overrides):
@@ -132,10 +197,10 @@ def _golden_digest(tmp_path, *overrides):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# A minimal run's arrays are below the side worker's threshold; with these
-# settings its channel draws, half of each row copy, half of its dataset's
-# classes and the first device half of each full-batch backward run on the
-# worker.
+# A minimal run's gate figure is below the side worker's threshold; with these
+# settings the run opens the worker, which takes its channel draws, half of
+# each row copy and the first device half of each full-batch backward, and
+# its dataset's classes are drawn on two threads.
 ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
 
 
@@ -146,21 +211,21 @@ def _set(monkeypatch, settings):
 
 @pytest.mark.parametrize("mode, settings", [
     pytest.param(mode, settings, id="-".join([mode, *(f"{k}={v}" for k, v in settings.items())]))
-    for mode in sorted(GOLDEN_METRICS_SHA256)
+    for mode in GOLDEN_MODES
     for settings in ({}, ON_THE_WORKER)
 ])
 def test_metrics_file_matches_golden_digest(tmp_path, monkeypatch, mode, settings):
     _set(monkeypatch, settings)
-    assert _golden_digest(tmp_path, f"mode={mode}") == GOLDEN_METRICS_SHA256[mode]
+    assert _golden_digest(tmp_path, f"mode={mode}") == _golden(GOLDEN_METRICS_SHA256)[mode]
 
 
 def test_batch_metrics_file_matches_golden_digest(tmp_path):
-    assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
+    assert _golden_digest(tmp_path, "batch_size=16") == _golden(GOLDEN_BATCH_METRICS_SHA256)
 
 
 def test_batch_metrics_file_matches_golden_digest_on_the_worker(tmp_path, monkeypatch):
     _set(monkeypatch, ON_THE_WORKER)
-    assert _golden_digest(tmp_path, "batch_size=16") == GOLDEN_BATCH_METRICS_SHA256
+    assert _golden_digest(tmp_path, "batch_size=16") == _golden(GOLDEN_BATCH_METRICS_SHA256)
 
 
 def _recording_draws(monkeypatch):
@@ -184,7 +249,7 @@ def test_golden_digest_holds_on_the_worker_under_constant_thread_switching(tmp_p
         digest = _golden_digest(tmp_path, "mode=ota")
     finally:
         sys.setswitchinterval(interval)
-    assert digest == GOLDEN_METRICS_SHA256["ota"]
+    assert digest == _golden(GOLDEN_METRICS_SHA256)["ota"]
     assert len(threads) == 12 and threading.get_ident() not in threads
 
 
@@ -364,9 +429,48 @@ def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
 def test_side_worker_takes_work_at_its_threshold_given_a_second_cpu(monkeypatch, workers,
                                                                     nbytes, on_worker):
     monkeypatch.setattr(rng, "_WORKERS", workers)
-    with rng.side_worker() as start:
-        ident = start(nbytes, threading.get_ident)
+    threads = threading.active_count()
+    with rng.side_worker(nbytes) as start:
+        ident = start(threading.get_ident)
         assert (ident() != threading.get_ident()) == on_worker
+        assert (threading.active_count() > threads) == on_worker  # no thread below the gate
+
+
+def _standin_doc(**updates):
+    """The paper-size stand-in that tier1.yml runs on one CPU and on all of them."""
+    doc = template("minimal")
+    doc.update(M=20, K=40, s=3925, d=7850, partition={"per_device": 1000}, **updates)
+    doc["dataset"].update(classes=10, features=784, train_per_class=600, test_per_class=100,
+                          margin=8.0)
+    return doc
+
+
+def _gate_figure(monkeypatch, docs) -> int:
+    """The nbytes that run_cells opens rng.side_worker with for the cells of ``docs``."""
+    side_worker, seen = rng.side_worker, []
+
+    def recording(nbytes):
+        seen.append(nbytes)
+        return side_worker(nbytes)
+
+    monkeypatch.setattr(rng, "side_worker", recording)
+    run_cells([parse_config(apply_overrides(doc, ["T=1"])) for doc in docs])
+    (nbytes,) = seen
+    return nbytes
+
+
+def test_only_a_paper_size_run_passes_the_side_workers_gate(monkeypatch):
+    # the CI stand-in (tier1.yml), desk_sweep's 4-cell group (K x sigma_z_sq)
+    # and the minimal template: only the first hands work to the side worker
+    desk = template("minimal")
+    desk.update(M=10, d=330, s=165, partition={"per_device": 150})
+    desk["dataset"].update(classes=10, features=32)
+    desk_group = [dict(desk, K=K, sigma_z_sq=sigma_z_sq)
+                  for K in (1, 5) for sigma_z_sq in (20.0, 100.0)]
+    figures = [_gate_figure(monkeypatch, docs)
+               for docs in ([_standin_doc()], desk_group, [template("minimal")])]
+    assert figures == [1_256_000, 105_600, 4_224]
+    assert figures[0] >= rng._OFFLOAD_BYTES > max(figures[1:])
 
 
 def test_a_run_and_a_verify_call_derive_distinct_streams(monkeypatch):
@@ -779,7 +883,7 @@ def check_split_backward(M, n, features, classes):
 
     learner.gradients = recording
     try:
-        with rng.one_blas_thread(), rng.side_worker() as start:
+        with rng.one_blas_thread(), rng.side_worker(X.nbytes) as start:
             whole = backward(X, y, log_probs)
             split = experiment._backward(start, X, y, log_probs)
     finally:
@@ -812,9 +916,22 @@ def check_split_forward(rows, features, classes):
     assert np.array_equal(np.concatenate(parts, axis=-2), whole), (rows, features, classes)
 
 
-def split_check_failures() -> dict:
-    """Map each split check to its first failure, or to "" when every shape passed."""
-    failures = {}
+def golden_runs() -> dict:
+    """This process's BLAS fingerprint and the digests of the three golden runs."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory)
+        return {"fingerprint": blas_fingerprint(),
+                **{mode: _golden_digest(path, f"mode={mode}") for mode in GOLDEN_MODES},
+                "batch": _golden_digest(path, "batch_size=16")}
+
+
+def kernel_checks() -> dict:
+    """What the kernel tests check, run in a child process under one BLAS kernel.
+
+    "forward" and "backward" map to their split check's first failure, or to
+    "" when every shape passed; "runs" maps to :func:`golden_runs`.
+    """
+    failures = {"runs": golden_runs()}  # before check_split_backward opens rng's gate
     for name, check, shapes in [("forward", check_split_forward, FORWARD_SHAPES),
                                 ("backward", check_split_backward, BACKWARD_SHAPES)]:
         failures[name] = ""
@@ -828,21 +945,29 @@ def split_check_failures() -> dict:
 
 
 @functools.cache
-def _split_checks_on(kernel):
-    # both kernel tests share one child process a kernel, which saves an
+def _kernel_checks_on(kernel):
+    # the three kernel tests share one child process a kernel, which saves an
     # interpreter start-up each
     return json.loads(run_on_kernel(kernel, "import json, test_experiment\n"
-                                            "print(json.dumps(test_experiment.split_check_failures()))"))
+                                            "print(json.dumps(test_experiment.kernel_checks()))"))
 
 
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_the_forward_row_parts_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
-    assert _split_checks_on(kernel)["forward"] == ""
+    assert _kernel_checks_on(kernel)["forward"] == ""
 
 
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_the_backward_halves_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
-    assert _split_checks_on(kernel)["backward"] == ""
+    assert _kernel_checks_on(kernel)["backward"] == ""
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_the_golden_runs_match_their_kernel_familys_digests_on_every_blas_kernel(kernel):
+    runs = dict(_kernel_checks_on(kernel)["runs"])
+    fingerprint = runs.pop("fingerprint")
+    assert runs == {**_golden(GOLDEN_METRICS_SHA256, fingerprint),
+                    "batch": _golden(GOLDEN_BATCH_METRICS_SHA256, fingerprint)}
 
 
 def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
@@ -881,12 +1006,8 @@ def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
 def test_a_paper_size_run_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
     # Large products split over OpenBLAS threads round differently; a run pins
     # BLAS to one thread, so the thread count it starts with moves no byte.
-    doc = template("minimal")
-    doc.update(M=20, K=40, s=3925, d=7850, T=2, eval_every=1, partition={"per_device": 1000})
-    doc["dataset"].update(classes=10, features=784, train_per_class=600, test_per_class=100,
-                          margin=8.0)
     config = tmp_path / "standin.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(_standin_doc(T=2, eval_every=1)))
     src = os.path.dirname(os.path.dirname(experiment.__file__))
     files = []
     for threads in ("1", "2"):
