@@ -3,7 +3,8 @@
 Handy for exercising the idx dataset path of the CLI without real image
 data: writes four big-endian IDX files (train/test images and labels)
 whose pixel values are the synthetic features rescaled into 0..255 bytes by
-the train split's range (test values outside it clip to 0 or 255).
+the train split's range (test values outside it clip to 0 or 255). The
+rescaling runs in float32, the features' dtype.
 
 Usage:
     python3 scripts/make_idx_fixture.py --out data/fixture

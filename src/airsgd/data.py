@@ -40,13 +40,14 @@ class DataError(Exception):
 
 @dataclass
 class LocalDataset:
-    """Feature matrix plus integer labels."""
+    """Feature matrix, stored as float32 (a value past its range is inf), plus integer labels."""
 
-    features: np.ndarray  # (n, F) float64
+    features: np.ndarray  # (n, F) float32
     labels: np.ndarray  # (n,) int64
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            self.features = np.asarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise DataError(f"features must be a nonempty (n, F) matrix, got {self.features.shape}")
@@ -109,7 +110,7 @@ def idx_shape(images_path, labels_path):
 def load_idx(images_path, labels_path) -> LocalDataset:
     """Load an IDX image/label file pair into a dataset.
 
-    Pixels become row-major float vectors with raw byte values (0..255).
+    Pixels become row-major float32 vectors with raw byte values (0..255).
     Labels must lie in [0, 10).
     """
     with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
@@ -118,7 +119,7 @@ def load_idx(images_path, labels_path) -> LocalDataset:
         label_bytes = np.frombuffer(labels.read(count), dtype=np.uint8)
     if label_bytes.max() >= 10:
         raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, 10)")
-    return LocalDataset(pixels.reshape(count, features).astype(np.float64),
+    return LocalDataset(pixels.reshape(count, features).astype(np.float32),
                         label_bytes.astype(np.int64))
 
 
@@ -199,17 +200,24 @@ def make_synthetic(spec: SyntheticSpec):
     Rows come in class order, with labels ``np.repeat(np.arange(C), n)``.
     Class c is ``rng.map_chunks``' keyed chunk c: it draws its train rows,
     then its test rows, from the DATASET stream keyed c + 1 (``rng``'s
-    docstring), so the classes may be drawn on any number of threads.
+    docstring), so the classes may be drawn on any number of threads. Rows
+    are drawn and offset in float64, a few dozen at a time in a buffer that
+    stays in cache, and stored as float32: the one-call float64 draw, cast.
     """
     C, F = spec.classes, spec.features
     means = _class_means(spec)
-    splits = (np.empty((C, spec.train_per_class, F)), np.empty((C, spec.test_per_class, F)))
+    splits = tuple(np.empty((C, n, F), np.float32)
+                   for n in (spec.train_per_class, spec.test_per_class))
 
     def draw(c, _):
         gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
-        for split in splits:
-            gen.standard_normal(out=split[c])
-            split[c] += means[c]
+        buf = np.empty((32, F))
+        with np.errstate(over="ignore"):  # a row beyond float32's range is stored as inf
+            for split in splits:
+                for start in range(0, split.shape[1], len(buf)):
+                    rows = split[c, start:start + len(buf)]
+                    normals = gen.standard_normal(out=buf[:len(rows)])
+                    np.add(normals, means[c], out=rows, casting="same_kind")
 
     rng.map_chunks(draw, C, 1)
     return tuple(LocalDataset(split.reshape(-1, F), np.repeat(np.arange(C), split.shape[1]))

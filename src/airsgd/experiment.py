@@ -18,10 +18,10 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-The learner's two matrix products run in float32: the held rows are cast
-once, the device stack is gathered from them, and the test features are cast
-once a run. The parameters, the optimizer state, the gradients and the whole
-channel side stay float64.
+The learner's two matrix products run in float32, the dtype in which
+``data`` makes the features: the held rows and the device stack are gathered
+from the float32 pool, with no cast in the run. The parameters, the
+optimizer state, the gradients and the whole channel side stay float64.
 
 A run decides once whether it uses a second core: it opens
 ``rng.side_worker`` with the bytes of one iteration's (R, M, d) float64
@@ -92,7 +92,10 @@ def _read_idx(read, images_path, labels_path):
 
 
 def _load_idx(images_path, labels_path) -> data.LocalDataset:
-    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError."""
+    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError.
+
+    In float32, each byte's quotient is the float64 quotient, rounded.
+    """
     dataset = _read_idx(data.load_idx, images_path, labels_path)
     dataset.features /= 255.0
     return dataset
@@ -231,11 +234,8 @@ def run_cells(configs, gradient_fn=None) -> list:
         held_X, held_y = _gather(start, train.features, held), train.labels[held]
         test_X, test_y = test.features, test.labels
         del train, test  # keep the held rows and the test arrays, not the pool
-        # The learner's products run in float32: the estimate's channel error
-        # is orders of magnitude above float32 rounding. Features beyond
-        # float32's range become inf in the cast and abort the run here.
-        with np.errstate(over="ignore"):
-            held_X, test_X = held_X.astype(np.float32), test_X.astype(np.float32)
+        # Float32 features (the channel's error dwarfs their rounding); a value
+        # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
             raise NumericAbort(0, "features", config.metrics_path)
         y = held_y[rows]

@@ -12,7 +12,7 @@ whose state lives at the parameter server only. A training run computes the
 gradients and losses of all M devices at once, from an (M, n, F) stack of
 their rows; an ensemble of R runs adds a leading cell axis to the parameters.
 The two matrix products run in the features' dtype (float32 in a training
-run, whose features ``experiment`` casts); the parameters, logits,
+run, whose features ``data`` makes float32); the parameters, logits,
 log-probabilities, losses and gradients are float64 whatever that dtype.
 """
 

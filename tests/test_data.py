@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ def test_scale_to_unit(tmp_path):
     assert ds.features[0, 3] == 1.0
 
 
+def test_idx_features_are_each_bytes_float64_quotient_rounded_to_float32(tmp_path):
+    # a run divides the float32 pixels by 255 in float32; for every byte value
+    # that gives the bits of the float64 quotient cast to float32
+    images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+    write_idx_images(images, np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
+    write_idx_labels(labels, np.zeros(1, dtype=np.uint8))
+    features = experiment._load_idx(images, labels).features
+    assert features.dtype == np.float32
+    expected = (np.arange(256, dtype=np.float64) / 255).astype(np.float32)
+    assert features.tobytes() == expected.tobytes()
+
+
 def test_synthetic_deterministic():
     spec = SyntheticSpec(classes=3, features=5, train_per_class=20,
                          test_per_class=10, margin=2.0, seed=11)
@@ -179,25 +192,57 @@ def test_synthetic_rejects_bad_spec():
                       test_per_class=5, margin=1.0, seed=0)
 
 
-# sha256 of the features and labels of both splits of two small synthetic
-# datasets (orthogonal means, then means on a line), recorded when each
-# class drew its rows from its own key and the means came from Gram-Schmidt
+def synthetic_reference(spec):
+    """The (float64 features, labels) of both splits, drawn from the documented keys.
+
+    Class c's train rows, then its test rows, are one call each from
+    (seed, DATASET, c + 1), offset by ``_class_means``; rows come in class
+    order. ``make_synthetic``'s features are these, cast to float32.
+    """
+    means = _class_means(spec)
+    gens = [rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+            for c in range(spec.classes)]
+    return [(np.concatenate([gen.standard_normal((n, spec.features)) + mean
+                             for gen, mean in zip(gens, means)]),
+             np.repeat(np.arange(spec.classes), n))
+            for n in (spec.train_per_class, spec.test_per_class)]
+
+
+def _splits_digest(splits) -> str:
+    digest = hashlib.sha256()
+    for features, labels in splits:
+        digest.update(np.ascontiguousarray(features).tobytes())
+        digest.update(np.ascontiguousarray(labels).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the float64 features and labels of both splits of two small
+# synthetic datasets (orthogonal means, then means on a line), recorded when
+# each class drew its rows from its own key and the means came from
+# Gram-Schmidt; the reference draw still gives them
 SYNTHETIC_SHA256 = {
     (3, 5, 7, 4, 2.0, 11): "c1779b8999cfbb03220b3e872bfaf9df421d170f339220357ceb11ce2f273420",
     (6, 3, 5, 2, 1.5, 4): "eb402d06323c2261bffe0c8c531e493a518462c742bf3a27dc3b44f857981ec2",
+}
+# the same digests of make_synthetic's float32 features, recorded when the
+# data layer began making them
+SYNTHETIC_FLOAT32_SHA256 = {
+    (3, 5, 7, 4, 2.0, 11): "34706e310a288edce35b4a26f1e0ef6df431096b9ae419295fd879935f2ac102",
+    (6, 3, 5, 2, 1.5, 4): "ccb03b58869e59301bc1a170b697bf11d1459dbd7476c21931c2bd61b24ebb1f",
 }
 
 
 @pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
 def test_synthetic_bytes_pinned(fields):
-    classes, features, train_per_class, test_per_class, margin, seed = fields
-    train, test = make_synthetic(SyntheticSpec(
-        classes=classes, features=features, train_per_class=train_per_class,
-        test_per_class=test_per_class, margin=margin, seed=seed))
-    digest = hashlib.sha256()
-    for array in (train.features, train.labels, test.features, test.labels):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    assert digest.hexdigest() == SYNTHETIC_SHA256[fields]
+    spec = SyntheticSpec(*fields)
+    reference = synthetic_reference(spec)
+    assert _splits_digest(reference) == SYNTHETIC_SHA256[fields]
+    splits = [(split.features, split.labels) for split in make_synthetic(spec)]
+    for (features, labels), (ref_features, ref_labels) in zip(splits, reference):
+        assert features.dtype == np.float32
+        assert features.tobytes() == ref_features.astype(np.float32).tobytes()
+        assert np.array_equal(labels, ref_labels)
+    assert _splits_digest(splits) == SYNTHETIC_FLOAT32_SHA256[fields]
 
 
 @pytest.mark.parametrize("fields, workers", [
@@ -233,7 +278,27 @@ def test_synthetic_rows_come_in_class_order_from_per_class_keys():
         # class c's own key: its train rows, then its test rows continue the stream
         gen = rng.generator(rng.substream(11, rng.DATASET, c + 1))
         for rows in by_class:
-            assert np.array_equal(rows[c], gen.standard_normal(rows[c].shape) + means[c])
+            expected = (gen.standard_normal(rows[c].shape) + means[c]).astype(np.float32)
+            assert np.array_equal(rows[c], expected)
+
+
+def test_a_paper_size_synthetic_draw_holds_no_float64_pool(monkeypatch):
+    # the float64 rows pass through a few dozen rows of buffer per class, so
+    # the draw's peak is its float32 output, half the float64 pool, plus one
+    # buffer per thread; a whole class drawn in float64 on each of the two
+    # threads would take it to 0.67 of the pool
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    spec = SyntheticSpec(classes=10, features=784, train_per_class=600, test_per_class=100,
+                         margin=8.0, seed=3)
+    pool64 = 10 * (600 + 100) * 784 * 8  # 43.9 MB
+    tracemalloc.start()
+    try:
+        train, test = make_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train.features.nbytes + test.features.nbytes == pool64 // 2
+    assert peak < 0.6 * pool64
 
 
 def test_synthetic_means_are_orthogonal_with_norm_margin():

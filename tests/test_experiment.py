@@ -26,6 +26,7 @@ from airsgd.experiment import (
     write_metrics,
 )
 from blas_kernels import BLAS_KERNELS, run_on_kernel
+from test_data import synthetic_reference
 
 
 def _toy_doc(**updates):
@@ -750,6 +751,20 @@ def test_idx_dataset_runs_end_to_end(tmp_path):
     assert records[-1].accuracy is not None
 
 
+def test_build_dataset_makes_float32_features_for_both_kinds(tmp_path):
+    # the data layer makes the learner's dtype, so a run casts nothing
+    write_idx_images(tmp_path / "i.idx", np.arange(8, dtype=np.uint8).reshape(2, 2, 2))
+    write_idx_labels(tmp_path / "l.idx", np.array([0, 1], dtype=np.uint8))
+    idx_doc = _toy_doc(d=50, s=25, M=2, partition={"per_device": 2})
+    idx_doc["dataset"] = {"kind": "idx", "train_images": str(tmp_path / "i.idx"),
+                          "train_labels": str(tmp_path / "l.idx"),
+                          "test_images": str(tmp_path / "i.idx"),
+                          "test_labels": str(tmp_path / "l.idx")}
+    for doc in (_toy_doc(), idx_doc):
+        train, test, _ = build_dataset(parse_config(doc))
+        assert (train.features.dtype, test.features.dtype) == (np.float32, np.float32)
+
+
 @pytest.mark.parametrize("updates, sweep, message", [
     ({"d": 12, "s": 1}, ("d", [10, 12]), "config d=12, dataset implies (features+1)*classes=10"),
     ({"partition": {"per_device": 121}}, ("partition.per_device", [40, 121]),
@@ -1045,14 +1060,16 @@ def test_finite_gradients_that_overflow_later_abort(mode, value, stage):
 def _float64_overflow(config) -> str:
     """The check that ``config``'s dataset fails in iteration 1 with float64 products.
 
-    The devices' first gradients, from the float64 rows ``LocalDataset``
-    keeps, must be finite; returns "average" when their mean overflows
-    (error_free), "power" when their transmit energy does (ota), else "".
+    The devices' first gradients, from the float64 rows of the reference
+    draw that ``make_synthetic`` casts, must be finite; returns "average"
+    when their mean overflows (error_free), "power" when their transmit
+    energy does (ota), else "".
     """
-    train, _, classes = build_dataset(config)
-    index = data.partition(train, config.M, config.partition.per_device, config.master_seed)
-    X, y = train.features[index], train.labels[index]
-    theta = learner.init_params(X.shape[-1], classes)
+    (features, labels), _ = synthetic_reference(config.dataset)
+    index = data.partition(build_dataset(config)[0], config.M, config.partition.per_device,
+                           config.master_seed)
+    X, y = features[index], labels[index]
+    theta = learner.init_params(X.shape[-1], config.dataset.classes)
     with np.errstate(over="ignore"):
         grads = learner.gradients(X, y, learner.log_probabilities(theta, X))
         assert np.isfinite(grads).all()
