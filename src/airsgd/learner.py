@@ -61,7 +61,13 @@ def _logits(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # each row's maximum as a running maximum over the class columns: a
+    # maximum is exact, so it equals the reduce's, and numpy's reduce over a
+    # short last axis is several times slower
+    top = logits[..., :1].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c : c + 1], out=top)
+    shifted = logits - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

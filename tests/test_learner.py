@@ -6,6 +6,7 @@ import pytest
 from airsgd.data import DataError, LocalDataset, SyntheticSpec, make_synthetic
 from airsgd.learner import (
     OptimizerSpec,
+    _log_softmax,
     apply_update,
     evaluate_accuracy,
     gradients,
@@ -210,6 +211,19 @@ def test_log_probabilities_of_a_stack_equal_each_set_alone():
     stacked = log_probabilities(theta, X)
     for m, dev in enumerate(devices):
         assert np.array_equal(stacked[m], log_probabilities(theta, dev.features))
+
+
+@pytest.mark.parametrize("C", [1, 2, 10])
+def test_log_softmax_shifts_by_the_bytes_of_the_reduced_maximum(C):
+    # logits on a coarse grid, so rows tie for their maximum, with leading
+    # axes as a training run's (R, M, n, C)
+    gen = np.random.default_rng(C)
+    logits = np.round(gen.normal(scale=3.0, size=(2, 3, 50, C)) * 2) / 2
+    if C > 1:
+        logits[..., 0, :] = logits[..., 0, :1]  # every class tied
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    reduced = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert _log_softmax(logits).tobytes() == reduced.tobytes()
 
 
 def test_float32_features_give_float64_gradients_within_float32_rounding():
