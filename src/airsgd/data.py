@@ -230,8 +230,9 @@ def partition(train: LocalDataset, M: int, per_device: int, seed) -> np.ndarray:
     Row m holds the pool indices of device m + 1's samples: ``per_device``
     distinct indices drawn uniformly, independently of the other devices,
     so local sets may overlap across devices and some training samples may
-    remain unassigned. The rows come in device order from one Philox stream
-    seeded by ``seed`` itself (the master seed in a run).
+    remain unassigned. The rows come in device order from one SFC64 stream,
+    ``rng.generator(seed)``, seeded by ``seed`` itself (the master seed in a
+    run).
     """
     if M < 1:
         raise ValueError(f"device count M must be >= 1, got {M}")

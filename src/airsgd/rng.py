@@ -1,12 +1,15 @@
 """Substream derivation for reproducible simulation randomness.
 
-All randomness flows through the Philox counter-based bit generator. Each
-consumer derives its own stream from (master_seed, stream tag, indices...),
-so results never depend on the order in which tensors are drawn. Within a
-stream, each tensor is drawn in one vectorized call, in a documented order
-and axis layout, which pins the counter assignment of every scalar; a
-tensor drawn in consecutive slices along its first axis from one
-``Generator`` has the same bytes, since the stream fills in C order. A
+All randomness flows through numpy's SFC64 bit generator, one generator a
+key, seeded by ``SeedSequence(key)``. Each consumer derives its own stream
+from (master_seed, stream tag, indices...), so results never depend on the
+order in which tensors are drawn, and no stream is jumped or advanced: a
+counter-based generator's jump-ahead (Philox's) would buy nothing, and SFC64
+draws a normal in about two thirds of Philox's time. Within a stream, each
+tensor is drawn in one vectorized call, in a documented order and axis
+layout, which pins the stream position of every scalar; a tensor drawn in
+consecutive slices along its first axis from one ``Generator`` has the
+same bytes, since the stream fills in C order. A
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
 iteration t, keyed (master_seed, tag, t). The cells of one
 ``experiment.run_cells`` ensemble share these substreams, and each shared
@@ -15,7 +18,7 @@ draws the cluster means' normals from (dataset_seed, DATASET), and class
 c's train rows, then its test rows, from (dataset_seed, DATASET, c + 1);
 key c would give class 0 the means' stream, by the trailing-zero rule
 below. One stream carries no tag: ``data.partition`` draws the devices'
-local sets, device by device, from ``generator(master_seed)``, the Philox
+local sets, device by device, from ``generator(master_seed)``, the SFC64
 stream seeded by the master seed alone.
 
 The key (seed, tag, *indices) is handed to ``SeedSequence`` as its entropy,
@@ -89,17 +92,18 @@ def substream(master_seed: int, tag: int, *indices: int) -> np.random.SeedSequen
 
 
 def generator(seed) -> np.random.Generator:
-    """Philox generator from an int, tuple, or SeedSequence seed.
+    """SFC64 generator from an int, tuple, or SeedSequence seed.
 
-    A ``Generator`` is returned as is, so a sampler handed one continues its
-    stream: N matrices drawn in consecutive slices from one generator are
-    the bytes of one N-matrix draw.
+    An int or tuple key is ``SeedSequence(key)``'s entropy; a SeedSequence
+    seeds SFC64 as it is. A ``Generator`` is returned as is, so a sampler
+    handed one continues its stream: N matrices drawn in consecutive slices
+    from one generator are the bytes of one N-matrix draw.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def map_chunks(fn, trials: int, chunk: int) -> list:

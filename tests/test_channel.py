@@ -24,6 +24,20 @@ def test_streams_differ_by_tag_and_index():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [7, (7, rng.CHANNEL, 3)], ids=["int", "key"])
+def test_generator_is_sfc64_seeded_by_the_keys_seed_sequence(seed):
+    # the stream contract: a key's generator is SFC64 seeded by SeedSequence(key)
+    def hand_built():
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+
+    for key in (seed, np.random.SeedSequence(seed)):
+        gen = rng.generator(key)
+        assert type(gen.bit_generator) is np.random.SFC64
+        assert gen.standard_normal(16).tobytes() == hand_built().standard_normal(16).tobytes()
+    gen = hand_built()
+    assert rng.generator(gen) is gen
+
+
 def test_channel_shape_and_dtype():
     h = _h()
     assert h.shape == (2, 3, 4, 5)
@@ -147,7 +161,7 @@ def test_sample_channel_bytes_pinned():
     h = sample_channel(rng.substream(2026, rng.CHANNEL, 7), 2, 3, 4, 5, 1.5)
     assert h.shape == (2, 3, 4, 5)
     assert hashlib.sha256(h.tobytes()).hexdigest() == (
-        "941ad54eca63ffa70a3625fbd7a69a921503fcae8c4426e0e2cc1490ffe2ab5c"
+        "9f265af0d034cb0cdc6619ad2cf8dca8e39534b2930e00db6ecf33c43e014b5f"
     )
 
 
@@ -155,7 +169,7 @@ def test_sample_noise_bytes_pinned():
     z = sample_noise(rng.substream(2026, rng.NOISE, 7), 2, 4, 5, 20.0)
     assert z.shape == (2, 4, 5)
     assert hashlib.sha256(z.tobytes()).hexdigest() == (
-        "ba80b610676a7706919710de9e1dfb9698a642a252405a8809b9db7f8db143d1"
+        "36ce5ab63d111b1c35879469a97bb53a44fd0f8bfd09a178e89a1cc7358a6d09"
     )
 
 
@@ -198,7 +212,7 @@ def test_combined_noise_scale_holds_past_the_int64_square(ensemble):
 
 # sha256 of a small sample_combined draw: coefficient bytes, then noise bytes.
 # This pins the stream contract of the training path's channel.
-COMBINED_SHA256 = "a807f98818e50e435fe9f5884e317f43958d06437152b10cfff005d329f6370c"
+COMBINED_SHA256 = "b262a6875bf0ad64be3f634e098a518b3defdf7fd43b4f78fe749984c93dd5a9"
 
 
 def test_combined_bytes_pinned():

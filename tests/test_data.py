@@ -217,18 +217,16 @@ def _splits_digest(splits) -> str:
 
 
 # sha256 of the float64 features and labels of both splits of two small
-# synthetic datasets (orthogonal means, then means on a line), recorded when
-# each class drew its rows from its own key and the means came from
-# Gram-Schmidt; the reference draw still gives them
+# synthetic datasets (orthogonal means, then means on a line), as the
+# reference draws them from the SFC64 streams
 SYNTHETIC_SHA256 = {
-    (3, 5, 7, 4, 2.0, 11): "c1779b8999cfbb03220b3e872bfaf9df421d170f339220357ceb11ce2f273420",
-    (6, 3, 5, 2, 1.5, 4): "eb402d06323c2261bffe0c8c531e493a518462c742bf3a27dc3b44f857981ec2",
+    (3, 5, 7, 4, 2.0, 11): "7812629c100311b62946230a0948771d88422f73bfb5f7fedd405b45e25226f8",
+    (6, 3, 5, 2, 1.5, 4): "c4efc205e8591e0c32bf6ea8c09bdc8693fbbe50444c3a33a6afe2e2a4a940ab",
 }
-# the same digests of make_synthetic's float32 features, recorded when the
-# data layer began making them
+# the same digests of make_synthetic's float32 features
 SYNTHETIC_FLOAT32_SHA256 = {
-    (3, 5, 7, 4, 2.0, 11): "34706e310a288edce35b4a26f1e0ef6df431096b9ae419295fd879935f2ac102",
-    (6, 3, 5, 2, 1.5, 4): "ccb03b58869e59301bc1a170b697bf11d1459dbd7476c21931c2bd61b24ebb1f",
+    (3, 5, 7, 4, 2.0, 11): "f909107f3559859f98bb701f35e6dc0b09562ecba63730a25a92b1e1a5efb352",
+    (6, 3, 5, 2, 1.5, 4): "68051b9921e70f5ef708a74661376ff1d035078193582f3d8dcc4e34b09a736b",
 }
 
 
@@ -339,7 +337,7 @@ def test_partition_device_ids_and_determinism():
 
 
 def test_partition_draws_devices_in_order_from_the_master_seed_stream():
-    # the stream contract: row m is the m-th draw of one Philox stream
+    # the stream contract: row m is the m-th draw of one SFC64 stream
     gen = rng.generator(5)
     expected = [gen.choice(40, size=12, replace=False) for _ in range(4)]
     assert np.array_equal(partition(_indexed_pool(40), 4, 12, seed=5), np.stack(expected))

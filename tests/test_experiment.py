@@ -154,30 +154,30 @@ FINGERPRINT = {
 }
 GOLDEN_METRICS_SHA256 = {
     FINGERPRINT["SkylakeX"]: {
-        "ota": "05e330a7bf5b5c47780403c07782e533954715df129deee3e0750cfb97051de1",
-        "error_free": "4b37fd241486b17cf28eef6f0943992303f25f649b45fd8d84a791921d7ac961",
+        "ota": "6b2df8ed3b10ef16ef38b32598bbda6242f1c7dbbf2cc17772b79d8f8e7e0812",
+        "error_free": "0e3dc1fed5ac4c3e1b568ea99c6163d1b79c8d6e53f73c391e4a957d2be70ee4",
     },
     FINGERPRINT["Haswell"]: {
-        "ota": "1570e1898bcc6747db2b0bf07b6a39b2d7ebb8977b625c1e6a544b288b7a5d30",
-        "error_free": "6a8999886e31a8ea2b3f63dba9bfdba41620a6fc32fcfc3dc58b9f7842ae3490",
+        "ota": "0639f7eb6cf48b2424263677adc2c69fefec2b2a2f9126da4cfd18485328881a",
+        "error_free": "7779741352647c913a0100471779a1106142c38759bf3a3c502579cf64defc61",
     },
     FINGERPRINT["Sandybridge"]: {
-        "ota": "a7ef212df0a18d9d37d7757b6e47d4b76c476074a143e415bc6e59568439d205",
-        "error_free": "0a823ad238fbc19dbf552b40cc02ff0dc8c3881ac9c968de8376b074d1f1ef13",
+        "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",
+        "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",
     },
     FINGERPRINT["Prescott"]: {
-        "ota": "b46a4c57825a6f2310c4a451cbcd83d0e1a1cefa5c136b068e8a70513c1fe723",
-        "error_free": "9a251e10d35ae5c6e916a609ed7560f51cf0b93091ef4087c78fa97585d67e7e",
+        "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",
+        "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",
     },
 }
 # The same ota run with batch_size=16: pins the BATCH substreams, one per
 # iteration, the smallest-keys selection in key order, and the minibatch
 # gradient path.
 GOLDEN_BATCH_METRICS_SHA256 = {
-    FINGERPRINT["SkylakeX"]: "0de8670fe118e138e0699c0bcb9aa0c30afa084c33cb54c622054f74568b5d02",
-    FINGERPRINT["Haswell"]: "7a10592deb6f01c7eeaf55027d0b337bdf8876cfb747598ae670835784d83229",
-    FINGERPRINT["Sandybridge"]: "ced2237a83bd348b8905c1cac1fd5c7e505da40b238d5e5fffffaee19b831cef",
-    FINGERPRINT["Prescott"]: "73717a2e8a59c5eb64d78a888ae4379bae17838bbbe6369441a4953f2992e689",
+    FINGERPRINT["SkylakeX"]: "ec7b2d67bc3b3a07defb88ed691a8186fbaaae8e952f03d6f1675b46a74955c1",
+    FINGERPRINT["Haswell"]: "b49fcf9903a02e02316352f922582648819cd6dc8700cb7f77e83e4b98819e8b",
+    FINGERPRINT["Sandybridge"]: "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",
+    FINGERPRINT["Prescott"]: "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",
 }
 
 
@@ -350,8 +350,8 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 # report must not depend on the worker count or the block size, so the
 # digests are also checked with 1 and 3 workers and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
-    4096: "8456fa647bd6ae6fa47d03e52482756dcc84e2e1f5454b97e245bf99811800f7",
-    512: "204f7207ac0a55d514246053d986256e7d207a24450e993649f8b8c67ab47296",
+    4096: "8bc5b79fce5e5eca6371df1c4582dd4cad75dc636a1f4d977a7d388549d459e3",
+    512: "6857334cd875f3e25fa4db136664f627d16470369f31f287ed36f44d99e26349",
 }
 
 
