@@ -31,11 +31,14 @@ docstring says why no output byte depends on it. Every (cell, device)
 backward product keeps its shape in either half, the forward over the held
 rows is one call, and BLAS runs on one thread for the length of a run
 (``rng.one_blas_thread``), so no product's bytes depend on the CPU count.
+A sweep's ensembles below the worker's gate run side by side instead, on
+``rng.map_groups``' forked processes and in the caller.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
 """
 
+import contextlib
 import functools
 import itertools
 import json
@@ -81,6 +84,10 @@ class NumericAbort(Exception):
         self.stage = stage
         self.path = path  # metrics path of the run that aborted
         super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r} of {path}")
+
+    def __reduce__(self):
+        # pickled by its fields, as a sweep group's abort returns from a worker process
+        return type(self), (self.iteration, self.stage, self.path)
 
 
 def _read_idx(read, images_path, labels_path):
@@ -168,6 +175,11 @@ def _group_key(config: RunConfig) -> RunConfig:
     return replace(config, K=1, sigma_z_sq=0.0, metrics_path="metrics.csv")
 
 
+def _gradient_bytes(configs) -> int:
+    """The bytes of one iteration's (R, M, d) float64 gradients, which ``rng``'s gates read."""
+    return 8 * len(configs) * configs[0].M * configs[0].d
+
+
 def _check_finite(values, t: int, stage: str, configs) -> None:
     """NumericAbort naming the first cell whose row of ``values`` is not all finite."""
     finite = np.isfinite(values)
@@ -218,7 +230,7 @@ def run_cells(configs, gradient_fn=None) -> list:
         )
 
     # BLAS is pinned until the side worker, with any product it runs, has stopped
-    with rng.one_blas_thread(), rng.side_worker(8 * R * M * d) as start:
+    with rng.one_blas_thread(), rng.side_worker(_gradient_bytes(configs)) as start:
         # One channel draw is in flight at a time: iteration 1's overlaps the
         # dataset's synthesis, and t + 1's is started when t's is taken.
         channel_draw = start(draw, 1) if config.mode == "ota" else None
@@ -435,8 +447,11 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     file is a ConfigError.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
-    group, whose files are written once it finishes: a NumericAbort leaves
-    the files of earlier groups and none of its own.
+    group. Desk-size groups may run side by side, on ``rng.map_groups``'
+    forked workers and in this process; a group's files are written, in
+    group order, once it and every earlier group have finished, so a
+    NumericAbort leaves the files of earlier groups and none of its own or
+    of any later group.
     """
     fields = [field for field, _ in sweep]
     repeated = sorted({field for field in fields if fields.count(field) > 1})
@@ -463,9 +478,12 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     groups = {}
     for config in configs:
         groups.setdefault(_group_key(config), []).append(config)
+    groups = list(groups.values())
+    nbytes = max(map(_gradient_bytes, groups))
     records = {}
-    for group in groups.values():
-        for config, cell_records in zip(group, run_cells(group)):
-            write_metrics(cell_records, config, config.metrics_path)
-            records[config.metrics_path] = cell_records
+    with contextlib.closing(rng.map_groups(run_cells, groups, nbytes)) as results:
+        for group, group_records in zip(groups, results):
+            for config, cell_records in zip(group, group_records):
+                write_metrics(cell_records, config, config.metrics_path)
+                records[config.metrics_path] = cell_records
     return [(path, records[path]) for path in paths]

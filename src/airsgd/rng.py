@@ -34,10 +34,11 @@ and that encoding is not one-to-one, so two rules keep keys apart:
   accepts (``master_seed``, ``dataset.seed``, ``verify-stats --seed``) is
   checked to lie below it.
 
-The package's threads live here too, since these keys are why no output
-byte depends on the thread that does the work: a draw's bytes are fixed by
-its substream key, a row copy is a copy, a device's backward product has
-the same shape in any thread, and results are combined in a fixed order.
+The package's threads and worker processes live here too, since these
+keys are why no output byte depends on the thread or process that does the
+work: a draw's bytes are fixed by its substream key, a row copy is a copy,
+a device's backward product has the same shape in any thread, and results
+are combined in a fixed order.
 ``map_chunks`` runs keyed chunks on ``_WORKERS`` threads: a Monte Carlo
 check's trials, and ``data.make_synthetic``'s classes, one chunk each.
 ``side_worker(nbytes)`` is one thread beside the caller's, and it decides
@@ -50,7 +51,16 @@ of the first M // 2 devices; otherwise the run stays in the caller's
 thread. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
 length of a run: its products then round the same whatever the CPU count,
 and the side worker's half of the backward does not compete with BLAS
-threads for the cores.
+threads for the cores. ``map_groups`` runs a sweep's ensemble groups on
+forked worker processes beside the caller, which takes groups too; a
+group's bytes depend only on its configs, so the same bytes come back from
+any process.
+
+One rule places a sweep's second CPU: the gate on one iteration's gradient
+bytes. Groups at or above ``_OFFLOAD_BYTES`` run one after another, each
+with the side worker; groups below it run side by side on ``map_groups``'
+processes, each in one thread. A sweep uses its second CPU inside a group
+or across groups, never both.
 """
 
 import contextlib
@@ -83,6 +93,7 @@ except AttributeError:  # no affinity mask on this platform
 # gradients: 1,256,000 for the paper-size stand-in (2.4x the gate), 105,600
 # for desk_sweep's largest group (R = 4) and 4,224 for the minimal template.
 # Every array such a run hands over falls on the same side of the gate.
+# map_groups forks workers only for groups below it.
 _OFFLOAD_BYTES = 1 << 19
 
 
@@ -118,6 +129,64 @@ def map_chunks(fn, trials: int, chunk: int) -> list:
     sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
     with ThreadPoolExecutor(_WORKERS) as pool:
         return list(pool.map(fn, range(len(sizes)), sizes))
+
+
+def map_groups(fn, groups, nbytes: int):
+    """Yield ``fn(g)`` for each group g, in group order: ``[fn(g) for g in groups]``, lazily.
+
+    Given two or more groups, ``_WORKERS`` > 1, ``fork``, no other thread
+    alive and ``nbytes`` (the largest group's, as ``side_worker`` is given
+    them) below ``_OFFLOAD_BYTES``, up to ``_WORKERS - 1`` processes are
+    forked, with fn and the groups, before the caller runs the first group
+    itself. The workers take the later groups from the front, and the
+    caller, once done, takes back from the back each group not yet handed
+    to a worker. Otherwise every group runs in the caller, one after another.
+    A worker's result or exception comes back pickled. Results are yielded
+    in group order; a group's exception is raised at its turn, after the
+    results of every earlier group, and later groups' results are dropped.
+    Closing the generator cancels groups not yet begun and waits for the
+    running ones, so no process outlives it.
+    """
+    workers = min(_WORKERS, len(groups)) - 1
+    if (workers < 1 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        yield from map(fn, groups)
+        return
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(fn, groups))
+    try:
+        # the first submit forks every worker
+        futures = [None] + [pool.submit(_run_adopted, i) for i in range(1, len(groups))]
+        first = fn(groups[0])
+        for i in reversed(range(1, len(groups))):
+            if not futures[i].cancel():
+                break  # the workers hold this group and every earlier one
+            futures[i] = Future()
+            try:
+                futures[i].set_result(fn(groups[i]))
+            except Exception as exc:
+                futures[i].set_exception(exc)
+        yield first
+        for future in futures[1:]:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_adopted = None  # a forked worker's (fn, groups), from map_groups
+
+
+def _adopt(fn, groups) -> None:
+    global _adopted
+    _adopted = fn, groups
+
+
+def _run_adopted(i: int):
+    fn, groups = _adopted
+    return fn(groups[i])
 
 
 @contextlib.contextmanager

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import airsgd
-from airsgd import cli, experiment, verify
+from airsgd import cli, experiment, rng, verify
 from airsgd.config import parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
+from group_log import assert_no_child_alive, record_groups, recorded_groups
 
 
 def _cli(*args):
@@ -274,6 +276,58 @@ def test_sweep_numeric_abort_names_the_cell_and_keeps_finished_groups(tmp_path):
         "metrics_mode=error_free_sigma_z_sq=1.csv",
         "metrics_mode=error_free_sigma_z_sq=1e+308.csv",
     ]
+
+
+def test_sweep_numeric_abort_in_a_workers_group_keeps_only_earlier_groups(tmp_path, monkeypatch):
+    # Four groups: error_free at alpha0 1 and 2, then ota at alpha0 1 and 2,
+    # whose sigma_z_sq = 1e308 cells diverge. The caller's first group is
+    # slowed, so the worker takes groups 1 to 3 and the abort comes back from
+    # it, pickled; group 3's abort is later and dropped.
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    log = tmp_path / "groups.jsonl"
+    record_groups(monkeypatch, log, caller_delay=0.15)
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    out = tmp_path / "grid"
+    proc = _cli("sweep", "--config", str(config), "--out", str(out),
+                "--sweep", "mode=error_free,ota", "--sweep", "power.alpha0=1,2",
+                "--sweep", "sigma_z_sq=1,1e308")
+    assert proc.returncode == 3
+    aborted = str(out / "metrics_mode=ota_power-alpha0=1_sigma_z_sq=1e+308.csv")
+    assert f"numeric abort: non-finite values at iteration 1 in stage 'estimate' of {aborted}" \
+        in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics_mode=error_free_power-alpha0=1_sigma_z_sq=1.csv",
+        "metrics_mode=error_free_power-alpha0=1_sigma_z_sq=1e+308.csv",
+        "metrics_mode=error_free_power-alpha0=2_sigma_z_sq=1.csv",
+        "metrics_mode=error_free_power-alpha0=2_sigma_z_sq=1e+308.csv",
+    ]
+    groups = recorded_groups(log)
+    (runner,) = [pid for pid, configs in groups
+                 if aborted in (config.metrics_path for config in configs)]
+    assert runner != os.getpid()
+    assert_no_child_alive([pid for pid, _ in groups])
+
+
+@pytest.mark.parametrize("command", [
+    ["-m", "airsgd"],
+    # a line printed before the sweep sits in the pipe's buffer until flushed:
+    # a worker forked with it unflushed would print it again as it exits
+    ["-c", "import sys; print('sweeping'); from airsgd import cli; sys.exit(cli.main(sys.argv[1:]))"],
+], ids=["module", "after-a-print"])
+def test_a_piped_sweep_prints_each_line_once(tmp_path, command):
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    out = tmp_path / "grid"
+    proc = subprocess.run(
+        [sys.executable, *command, "sweep", "--config", str(config), "--out", str(out),
+         "--sweep", "master_seed=1,2,3", "--sweep", "K=1,5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"metrics: {out / f'metrics_master_seed={seed}_K={K}.csv'}"
+                for seed in (1, 2, 3) for K in (1, 5)] + ["6 runs complete"]
+    if command[0] == "-c":
+        expected.insert(0, "sweeping")
+    assert proc.stdout.splitlines() == expected
 
 
 def test_sweep_writes_all_cells(tmp_path):

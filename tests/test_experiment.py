@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from airsgd.experiment import (
     write_metrics,
 )
 from blas_kernels import BLAS_KERNELS, run_on_kernel
+from group_log import assert_no_child_alive, record_groups, recorded_groups
 from test_data import synthetic_reference
 
 
@@ -423,6 +425,91 @@ def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
         rng.map_chunks(fn, 1000, 100)
 
 
+def _group_and_pid(group):
+    return group, os.getpid()
+
+
+def _sleeping(delays):
+    """``_group_and_pid``, after ``delays[group]`` seconds (none for a group not listed)."""
+    def fn(group):
+        time.sleep(delays.get(group, 0.0))
+        return _group_and_pid(group)
+    return fn
+
+
+def test_map_groups_forks_and_the_caller_takes_back_groups_not_yet_begun(monkeypatch):
+    # While the caller runs group 0, the worker begins group 1 and the pool
+    # moves group 2, perhaps 3 too, to its call queue, which holds one more
+    # group than the pool has workers; the caller, done with group 0 first,
+    # takes back 5 and 4, and 3 if it is still waiting.
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    before = threading.active_count()
+    results = list(rng.map_groups(_sleeping({0: 0.1, 1: 0.3}), list(range(6)), 0))
+    assert [group for group, _ in results] == list(range(6))
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[4] == pids[5] == os.getpid()
+    assert pids[1] == pids[2] != os.getpid()
+    assert threading.active_count() == before
+    assert_no_child_alive(pids)
+
+
+@pytest.mark.parametrize("workers, groups, nbytes, thread", [
+    (1, 3, 0, False),
+    (2, 1, 0, False),
+    (2, 3, rng._OFFLOAD_BYTES, False),
+    (2, 3, 0, True),
+], ids=["one-cpu", "one-group", "side-worker-size", "another-thread"])
+def test_map_groups_runs_in_the_caller_off_its_gate(monkeypatch, workers, groups, nbytes,
+                                                      thread):
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if thread:
+        other.start()
+    try:
+        results = list(rng.map_groups(_group_and_pid, list(range(groups)), nbytes))
+    finally:
+        release.set()
+        if thread:
+            other.join()
+    assert results == [(group, os.getpid()) for group in range(groups)]
+
+
+def test_run_matrix_gates_its_groups_on_the_largest_groups_gradient_bytes(tmp_path, monkeypatch):
+    map_groups, seen = rng.map_groups, []
+
+    def recording(fn, groups, nbytes):
+        seen.append(nbytes)
+        return map_groups(fn, groups, nbytes)
+
+    monkeypatch.setattr(rng, "map_groups", recording)
+    run_matrix(_toy_doc(T=2), [("M", [2, 4]), ("K", [1, 4])], tmp_path)
+    assert seen == [8 * 2 * 4 * 10]  # (R, M, d) float64 of the M = 4 group
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_groups_raises_the_first_failure_in_group_order_after_earlier_results(monkeypatch,
+                                                                                 workers):
+    # the caller's slow group 0 leaves groups 1 and 2 to a worker, given one,
+    # so group 2's abort comes back pickled; group 4's is later and dropped
+    monkeypatch.setattr(rng, "_WORKERS", workers)
+    slow = _sleeping({0: 0.1})
+
+    def fn(group):
+        if group in (2, 4):
+            raise NumericAbort(group, "estimate", f"cell-{group}.csv")
+        return slow(group)
+
+    seen = []
+    with pytest.raises(NumericAbort) as excinfo:
+        for result in rng.map_groups(fn, list(range(6)), 0):
+            seen.append(result)
+    assert [group for group, _ in seen] == [0, 1]
+    assert (seen[1][1] != os.getpid()) == (workers > 1)
+    assert (excinfo.value.iteration, excinfo.value.path) == (2, "cell-2.csv")
+    assert_no_child_alive([pid for _, pid in seen])
+
+
 @pytest.mark.parametrize("workers, nbytes, on_worker", [
     (2, rng._OFFLOAD_BYTES, True),
     (2, rng._OFFLOAD_BYTES - 1, False),
@@ -540,6 +627,13 @@ def test_numeric_abort_names_iteration_and_stage():
     assert excinfo.value.iteration == 3
     assert excinfo.value.stage == "local_gradient"
     assert "iteration 3" in str(excinfo.value)
+
+
+def test_numeric_abort_survives_a_pickle_round_trip():
+    abort = pickle.loads(pickle.dumps(NumericAbort(7, "estimate", "grid/metrics_K=4.csv")))
+    assert type(abort) is NumericAbort
+    assert (abort.iteration, abort.stage, abort.path) == (7, "estimate", "grid/metrics_K=4.csv")
+    assert str(abort) == str(NumericAbort(7, "estimate", "grid/metrics_K=4.csv"))
 
 
 def test_power_report_zero_gradients():
@@ -682,6 +776,38 @@ def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
         assert solo.read_bytes() == grid_bytes, os.path.basename(path)
 
 
+def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
+    # Six groups of two cells (K). The caller's first group and each
+    # worker's first group are slowed, so the pool's workers begin groups
+    # while the caller runs group 0; with one worker the caller then takes
+    # back the groups still waiting.
+    sweep = [("K", [1, 4]), ("batch_size", [None, 8]), ("master_seed", [1, 2, 3])]
+    files = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        # the same relative out_dir each time: the files embed their paths
+        (tmp_path / str(workers)).mkdir()
+        monkeypatch.chdir(tmp_path / str(workers))
+        log, out = tmp_path / f"groups-{workers}.jsonl", pathlib.Path("grid")
+        record_groups(monkeypatch, log, worker_delay=0.2, caller_delay=0.05)
+        cells = run_matrix(_desk_doc(), sweep, out)
+        monkeypatch.setattr(experiment, "run_cells", run_cells)
+        files[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(files[workers]) == sorted(os.path.basename(path) for path, _ in cells)
+        groups = recorded_groups(log)
+        assert len(groups) == 6
+        pids = [pid for pid, _ in groups]
+        assert_no_child_alive(pids)
+        caller_groups = [(configs[0].batch_size, configs[0].master_seed)
+                         for pid, configs in groups if pid == os.getpid()]
+        assert (None, 1) in caller_groups  # the first group
+        assert len(set(pids) - {os.getpid()}) == workers - 1
+        if workers == 2:
+            assert len(caller_groups) > 1  # a group taken back
+    assert len(files[1]) == 12
+    assert files[1] == files[2] == files[3]
+
+
 @pytest.mark.parametrize("field, values", [
     ("batch_size", [None, 8]),
     ("master_seed", [1, 2]),
@@ -690,16 +816,11 @@ def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
 ])
 def test_run_matrix_groups_cells_that_differ_in_k_and_noise_only(tmp_path, monkeypatch,
                                                                  field, values):
-    groups = []
-
-    def recording(configs):
-        groups.append(configs)
-        return ensemble(configs)
-
-    ensemble = experiment.run_cells
-    monkeypatch.setattr(experiment, "run_cells", recording)
+    log = tmp_path / "groups.jsonl"
+    record_groups(monkeypatch, log)
     sweep = [("K", [1, 4]), (field, values), ("sigma_z_sq", [0.0, 20.0])]
     cells = run_matrix(_toy_doc(T=2, eval_every=1), sweep, tmp_path)
+    groups = [configs for _, configs in recorded_groups(log)]
     assert len(cells) == 8 and all(os.path.exists(path) for path, _ in cells)
     assert [len(group) for group in groups] == [4, 4]
     for group in groups:
