@@ -144,8 +144,9 @@ def map_groups(fn, groups, nbytes: int):
     A worker's result or exception comes back pickled. Results are yielded
     in group order; a group's exception is raised at its turn, after the
     results of every earlier group, and later groups' results are dropped.
-    Closing the generator cancels groups not yet begun and waits for the
-    running ones, so no process outlives it.
+    Closing the generator cancels groups not yet begun, waits for the
+    running ones and ends any worker a broken pool left alive, so no process
+    outlives it.
     """
     workers = min(_WORKERS, len(groups)) - 1
     if (workers < 1 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
@@ -155,6 +156,7 @@ def map_groups(fn, groups, nbytes: int):
     import multiprocessing
     from concurrent.futures import Future, ProcessPoolExecutor
 
+    others = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(fn, groups))
     try:
@@ -174,6 +176,12 @@ def map_groups(fn, groups, nbytes: int):
             yield future.result()
     finally:
         pool.shutdown(cancel_futures=True)
+        # A pool that breaks (a worker killed, say) with a taken-back group
+        # still listed in it can stop before it ends its other workers
+        # (CPython 3.11), and an idle worker left alive blocks the exit.
+        for process in set(multiprocessing.active_children()) - others:
+            process.terminate()
+            process.join()
 
 
 _adopted = None  # a forked worker's (fn, groups), from map_groups

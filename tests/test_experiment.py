@@ -5,6 +5,7 @@ import os
 import pathlib
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -508,6 +509,56 @@ def test_map_groups_raises_the_first_failure_in_group_order_after_earlier_result
     assert (seen[1][1] != os.getpid()) == (workers > 1)
     assert (excinfo.value.iteration, excinfo.value.path) == (2, "cell-2.csv")
     assert_no_child_alive([pid for _, pid in seen])
+
+
+# The workers' groups are slow, so the groups the caller takes back are
+# still listed in the pool, cancelled, when the worker running group 1 dies
+# while the other worker (3 CPUs give two) has 2 s of its group to go. On
+# CPython 3.11 the broken pool then stops on a cancelled group before it
+# ends the other worker, which map_groups ends itself: left alive, it would
+# block the interpreter's exit.
+_DYING_WORKER = """
+import os, sys, time
+from concurrent.futures.process import BrokenProcessPool
+from airsgd import rng
+
+caller = os.getpid()
+
+def fn(group):
+    if os.getpid() == caller:
+        time.sleep(0.05 if group == 0 else 0.0)
+        return group
+    if group == 1:
+        time.sleep(0.3)
+        os._exit(1)
+    time.sleep(2.0)
+    return group
+
+rng._WORKERS = 3
+try:
+    list(rng.map_groups(fn, list(range(8)), 0))
+except BrokenProcessPool:
+    print("broken pool")
+"""
+
+
+def test_a_worker_that_dies_breaks_the_sweep_and_leaves_no_process_behind(tmp_path):
+    log = tmp_path / "out.txt"
+    with open(log, "w", encoding="utf-8") as out:
+        proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER], stdout=out,
+                                stderr=subprocess.STDOUT, start_new_session=True)
+        try:
+            code = proc.wait(timeout=20)  # a worker left alive blocks the exit
+        except subprocess.TimeoutExpired:
+            code = None
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+        proc.wait()
+    assert (code, left) == (0, False), log.read_text(encoding="utf-8")
+    assert "broken pool" in log.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("workers, nbytes, on_worker", [
