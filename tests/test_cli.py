@@ -312,7 +312,8 @@ def test_sweep_numeric_abort_in_a_workers_group_keeps_only_earlier_groups(tmp_pa
     ["-m", "airsgd"],
     # a line printed before the sweep sits in the pipe's buffer until flushed:
     # a worker forked with it unflushed would print it again as it exits
-    ["-c", "import sys; print('sweeping'); from airsgd import cli; sys.exit(cli.main(sys.argv[1:]))"],
+    ["-c", "import sys; print('sweeping'); from airsgd import cli; "
+           "sys.exit(cli.main(sys.argv[1:]))"],
 ], ids=["module", "after-a-print"])
 def test_a_piped_sweep_prints_each_line_once(tmp_path, command):
     config = _write_fast_config(tmp_path, T=2, eval_every=1)
@@ -408,6 +409,13 @@ def _fresh_modules(code):
 
 def test_cli_import_leaves_jsonschema_unloaded():
     assert "jsonschema" not in _fresh_modules("import airsgd.cli")
+
+
+def test_cli_import_leaves_the_process_machinery_unloaded():
+    # rng.map_groups imports it when a sweep first forks: a run's set-up,
+    # and every one-group run, never pays for it
+    loaded = _fresh_modules("import airsgd.cli")
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 
 # The airsgd modules each statement loads: the leaves load no other, data
