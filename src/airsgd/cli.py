@@ -6,13 +6,15 @@ Verbs:
   verify-stats  Monte Carlo checks of the aggregation statistics
   template      print a ready-to-edit config (minimal | paper_scale)
 
-Exit codes: 0 success, 2 config problem (a missing or malformed dataset
-file included), 3 numeric abort mid-run, 4 statistical check failure.
+Exit codes: 0 success, 1 a sweep's worker process died (earlier groups'
+files are kept), 2 config problem (a missing or malformed dataset file
+included), 3 numeric abort mid-run, 4 statistical check failure.
 """
 
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import experiment, verify
 from .config import ConfigError, apply_overrides, load_document, parse_value, template
@@ -20,6 +22,7 @@ from .config import ConfigError, apply_overrides, load_document, parse_value, te
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_STATS = 4
@@ -117,6 +120,9 @@ def main(argv=None) -> int:
     except experiment.NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenExecutor as exc:
+        print(f"worker process failed: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -52,9 +52,9 @@ thread. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
 length of a run: its products then round the same whatever the CPU count,
 and the side worker's half of the backward does not compete with BLAS
 threads for the cores. ``map_groups`` runs a sweep's ensemble groups on
-forked worker processes beside the caller, which takes groups too; a
-group's bytes depend only on its configs, so the same bytes come back from
-any process.
+forked worker processes beside the caller, which runs a fixed first share
+of them; a group's bytes depend only on its configs, so the same bytes come
+back from any process.
 
 One rule places a sweep's second CPU: the gate on one iteration's gradient
 bytes. Groups at or above ``_OFFLOAD_BYTES`` run one after another, each
@@ -136,52 +136,36 @@ def map_groups(fn, groups, nbytes: int):
 
     Given two or more groups, ``_WORKERS`` > 1, ``fork``, no other thread
     alive and ``nbytes`` (the largest group's, as ``side_worker`` is given
-    them) below ``_OFFLOAD_BYTES``, up to ``_WORKERS - 1`` processes are
-    forked, with fn and the groups, before the caller runs the first group
-    itself. The workers take the later groups from the front, and the
-    caller, once done, takes back from the back each group not yet handed
-    to a worker. Otherwise every group runs in the caller, one after another.
-    A worker's result or exception comes back pickled. Results are yielded
-    in group order; a group's exception is raised at its turn, after the
-    results of every earlier group, and later groups' results are dropped.
-    Closing the generator cancels groups not yet begun, waits for the
-    running ones and ends any worker a broken pool left alive, so no process
-    outlives it.
+    them) below ``_OFFLOAD_BYTES``, P = min(``_WORKERS``, len(groups))
+    processes share the groups: P - 1 are forked, with fn and the groups,
+    and take the groups after the first ceil(len(groups) / P) in group
+    order, while the caller runs those first ones itself. Otherwise every
+    group runs in the caller, one after another. A worker's result or
+    exception comes back pickled. Results are yielded in group order; a
+    group's exception is raised at its turn, after the results of every
+    earlier group, and later groups' results are dropped. Closing the
+    generator cancels groups not yet begun and waits for the running ones,
+    so no process outlives it.
     """
-    workers = min(_WORKERS, len(groups)) - 1
-    if (workers < 1 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
+    processes = min(_WORKERS, len(groups))
+    if (processes < 2 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
             or threading.active_count() > 1):
         yield from map(fn, groups)
         return
     import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-    others = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+    share = -(-len(groups) // processes)
+    pool = ProcessPoolExecutor(processes - 1, multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(fn, groups))
     try:
         # the first submit forks every worker
-        futures = [None] + [pool.submit(_run_adopted, i) for i in range(1, len(groups))]
-        first = fn(groups[0])
-        for i in reversed(range(1, len(groups))):
-            if not futures[i].cancel():
-                break  # the workers hold this group and every earlier one
-            futures[i] = Future()
-            try:
-                futures[i].set_result(fn(groups[i]))
-            except Exception as exc:
-                futures[i].set_exception(exc)
-        yield first
-        for future in futures[1:]:
+        futures = [pool.submit(_run_adopted, i) for i in range(share, len(groups))]
+        yield from map(fn, groups[:share])
+        for future in futures:
             yield future.result()
     finally:
         pool.shutdown(cancel_futures=True)
-        # A pool that breaks (a worker killed, say) with a taken-back group
-        # still listed in it can stop before it ends its other workers
-        # (CPython 3.11), and an idle worker left alive blocks the exit.
-        for process in set(multiprocessing.active_children()) - others:
-            process.terminate()
-            process.join()
 
 
 _adopted = None  # a forked worker's (fn, groups), from map_groups

@@ -15,19 +15,18 @@ from airsgd import experiment
 from airsgd.config import parse_config, resolved_json
 
 
-def record_groups(monkeypatch, log, worker_delay=0.0, caller_delay=0.0):
+def record_groups(monkeypatch, log, worker_delay=0.0):
     """Patch ``experiment.run_cells`` to log each group to ``log`` before running it.
 
     Each forked worker sleeps ``worker_delay`` seconds before its first
-    group, and the calling process ``caller_delay`` before its first.
-    Either delay lets a test decide who takes which group.
+    group, so that the next group goes to another worker.
     """
-    ensemble, parent, slept = experiment.run_cells, os.getpid(), set()
+    ensemble, slept = experiment.run_cells, {os.getpid()}
 
     def recording(configs):
         if os.getpid() not in slept:
             slept.add(os.getpid())
-            time.sleep(caller_delay if os.getpid() == parent else worker_delay)
+            time.sleep(worker_delay)
         line = json.dumps({"pid": os.getpid(), "configs": [resolved_json(c) for c in configs]})
         with open(log, "a", encoding="utf-8") as f:
             f.write(line + "\n")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -92,7 +93,9 @@ def test_run_missing_config_exits_2(tmp_path):
 @pytest.mark.parametrize("make_config", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"\xff\xfe{}"),
-], ids=["directory", "not-utf-8"])
+    lambda path: path.write_text("{", encoding="utf-8"),
+    lambda path: path.write_text("[]", encoding="utf-8"),
+], ids=["directory", "not-utf-8", "not-json", "an-array"])
 def test_an_unreadable_config_file_exits_2(tmp_path, verb, make_config):
     config = tmp_path / "config.json"
     make_config(config)
@@ -280,12 +283,12 @@ def test_sweep_numeric_abort_names_the_cell_and_keeps_finished_groups(tmp_path):
 
 def test_sweep_numeric_abort_in_a_workers_group_keeps_only_earlier_groups(tmp_path, monkeypatch):
     # Four groups: error_free at alpha0 1 and 2, then ota at alpha0 1 and 2,
-    # whose sigma_z_sq = 1e308 cells diverge. The caller's first group is
-    # slowed, so the worker takes groups 1 to 3 and the abort comes back from
-    # it, pickled; group 3's abort is later and dropped.
+    # whose sigma_z_sq = 1e308 cells diverge. The caller runs its share, the
+    # first ceil(4 / 2) groups, and the worker groups 2 and 3, so group 2's
+    # abort comes back from it, pickled; group 3's abort is later and dropped.
     monkeypatch.setattr(rng, "_WORKERS", 2)
     log = tmp_path / "groups.jsonl"
-    record_groups(monkeypatch, log, caller_delay=0.15)
+    record_groups(monkeypatch, log)
     config = _write_fast_config(tmp_path, T=2, eval_every=1)
     out = tmp_path / "grid"
     proc = _cli("sweep", "--config", str(config), "--out", str(out),
@@ -306,6 +309,49 @@ def test_sweep_numeric_abort_in_a_workers_group_keeps_only_earlier_groups(tmp_pa
                  if aborted in (config.metrics_path for config in configs)]
     assert runner != os.getpid()
     assert_no_child_alive([pid for pid, _ in groups])
+
+
+# A sweep whose forked worker dies: every group a worker runs ends the
+# worker at once, while the caller runs its share as usual.
+_DYING_WORKER_SWEEP = """
+import os, sys
+from airsgd import cli, experiment, rng
+
+caller, run_cells = os.getpid(), experiment.run_cells
+
+def dying(configs):
+    if os.getpid() != caller:
+        os._exit(1)
+    return run_cells(configs)
+
+experiment.run_cells = dying
+rng._WORKERS = 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_sweep_whose_worker_dies_exits_1_and_keeps_the_callers_groups(tmp_path):
+    # four groups on two processes: the caller's share is groups 0 and 1
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    out = tmp_path / "grid"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DYING_WORKER_SWEEP, "sweep", "--config", str(config),
+         "--out", str(out), "--sweep", "master_seed=1,2,3,4", "--sweep", "K=1,5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=20)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+        proc.wait()
+    assert (proc.returncode, left) == (1, False), stderr
+    assert stderr.startswith("worker process failed: ") and stderr.count("\n") == 1, stderr
+    assert stdout == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"metrics_master_seed={seed}_K={K}.csv" for seed in (1, 2) for K in (1, 5)]
 
 
 @pytest.mark.parametrize("command", [
@@ -360,6 +406,18 @@ def test_an_omitted_batch_size_can_be_set_and_swept(tmp_path):
     assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == [
         "metrics_batch_size=4.csv", "metrics_batch_size=8.csv",
     ]
+
+
+@pytest.mark.parametrize("item, message", [
+    ("K", "sweep 'K' is not of the form KEY=V1,V2,..."),
+    ("K=1,,2", "sweep 'K=1,,2' has an empty value"),
+], ids=["no-equals", "empty-value"])
+def test_a_malformed_sweep_exits_2_naming_it(tmp_path, item, message):
+    config = _write_fast_config(tmp_path)
+    proc = _cli("sweep", "--config", str(config), "--sweep", item, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_unknown_field_exits_2(tmp_path):

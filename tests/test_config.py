@@ -85,6 +85,13 @@ def test_batch_size_bounded_by_per_device():
     (['metrics_path="a\\u0000b.csv"'], "metrics_path: .*NUL byte"),
     (['dataset={"kind": "idx", "train_images": "a\\u0000b", "train_labels": "l", '
       '"test_images": "t", "test_labels": "u"}'], "dataset.train_images: .*NUL byte"),
+    (["mode=foo"], "mode must be 'ota' or 'error_free', got 'foo'"),
+    (["sigma_z_sq=-1"], "sigma_z_sq must be nonnegative"),
+    (["mode=ota", "sigma_h_sq=0"], "ota mode needs sigma_h_sq > 0"),
+    (["batch_size=0"], "batch_size must be positive or null"),
+    (["partition.per_device=0"], "partition: per_device must be >= 1"),
+    (["dataset=5"], "dataset: expected an object"),
+    (["power=5"], "power: expected an object"),
 ])
 def test_invalid_value_names_its_key(overrides, key):
     doc = apply_overrides(template("minimal"), overrides)

@@ -80,7 +80,8 @@ def test_load_idx_truncated(tmp_path):
     ("labels", (0x801, 5), "expected 5 bytes of label data, got 2"),
     # zero images of (2^32 - 1)^2 pixels would otherwise reach an impossible reshape
     ("images", (0x803, 0, 2**32 - 1, 2**32 - 1), "holds no images"),
-], ids=["overflowing", "more-images", "more-labels", "no-images"])
+    ("labels", (0x855, 2), "lbls.idx: bad label magic 0x00000855"),
+], ids=["overflowing", "more-images", "more-labels", "no-images", "label-magic"])
 def test_load_idx_rejects_a_header_the_file_cannot_hold(tmp_path, which, header, message):
     paths = dict(zip(("images", "labels"), _write_fixture(tmp_path)))
     payload = paths[which].read_bytes()[4 * len(header):]

@@ -438,20 +438,20 @@ def _sleeping(delays):
     return fn
 
 
-def test_map_groups_forks_and_the_caller_takes_back_groups_not_yet_begun(monkeypatch):
-    # While the caller runs group 0, the worker begins group 1 and the pool
-    # moves group 2, perhaps 3 too, to its call queue, which holds one more
-    # group than the pool has workers; the caller, done with group 0 first,
-    # takes back 5 and 4, and 3 if it is still waiting.
-    monkeypatch.setattr(rng, "_WORKERS", 2)
-    before = threading.active_count()
-    results = list(rng.map_groups(_sleeping({0: 0.1, 1: 0.3}), list(range(6)), 0))
-    assert [group for group, _ in results] == list(range(6))
-    pids = [pid for _, pid in results]
-    assert pids[0] == pids[4] == pids[5] == os.getpid()
-    assert pids[1] == pids[2] != os.getpid()
-    assert threading.active_count() == before
-    assert_no_child_alive(pids)
+def test_map_groups_gives_the_caller_the_first_share_of_the_groups(monkeypatch):
+    # P = min(_WORKERS, n) processes: the caller runs the first ceil(n / P)
+    # of n groups and P - 1 forked workers the rest, whichever groups are
+    # slow (here the caller's group 0 and a worker's group 3)
+    for workers, n, share in ((2, 6, 3), (3, 6, 2), (3, 7, 3)):
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        before = threading.active_count()
+        results = list(rng.map_groups(_sleeping({0: 0.1, 3: 0.3}), list(range(n)), 0))
+        assert [group for group, _ in results] == list(range(n))
+        pids = [pid for _, pid in results]
+        assert [pid == os.getpid() for pid in pids] == [group < share for group in range(n)]
+        assert len(set(pids[share:])) <= workers - 1
+        assert threading.active_count() == before
+        assert_no_child_alive(pids)
 
 
 @pytest.mark.parametrize("workers, groups, nbytes, thread", [
@@ -488,37 +488,49 @@ def test_run_matrix_gates_its_groups_on_the_largest_groups_gradient_bytes(tmp_pa
     assert seen == [8 * 2 * 4 * 10]  # (R, M, d) float64 of the M = 4 group
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers, failing", [
+    (1, (3, 5)),
+    (2, (3, 5)),
+    (3, (3, 5)),
+    (2, (1, 4)),
+], ids=["1", "2", "3", "caller-share-first"])
 def test_map_groups_raises_the_first_failure_in_group_order_after_earlier_results(monkeypatch,
-                                                                                 workers):
-    # the caller's slow group 0 leaves groups 1 and 2 to a worker, given one,
-    # so group 2's abort comes back pickled; group 4's is later and dropped
+                                                                                 workers,
+                                                                                 failing):
+    # Groups 3 and 5 lie in the workers' share, given a worker, so group 3's
+    # abort comes back pickled, after the caller's groups 0-2 (or 0-1 and the
+    # worker's 2); group 5's is later and dropped. In the last case the
+    # caller's group 1 aborts while its slow group 0 lets the worker's group
+    # 4 abort first in time; group 1's abort is still the one raised.
     monkeypatch.setattr(rng, "_WORKERS", workers)
+    before = threading.active_count()
     slow = _sleeping({0: 0.1})
 
     def fn(group):
-        if group in (2, 4):
-            raise NumericAbort(group, "estimate", f"cell-{group}.csv")
+        if group in failing:
+            raise NumericAbort(group, "estimate", f"cell-{group}-{os.getpid()}.csv")
         return slow(group)
 
     seen = []
     with pytest.raises(NumericAbort) as excinfo:
         for result in rng.map_groups(fn, list(range(6)), 0):
             seen.append(result)
-    assert [group for group, _ in seen] == [0, 1]
-    assert (seen[1][1] != os.getpid()) == (workers > 1)
-    assert (excinfo.value.iteration, excinfo.value.path) == (2, "cell-2.csv")
+    first, share = failing[0], -(-6 // workers)
+    assert [group for group, _ in seen] == list(range(first))
+    assert [pid == os.getpid() for _, pid in seen] == [group < share for group in range(first)]
+    assert excinfo.value.iteration == first
+    assert (excinfo.value.path == f"cell-{first}-{os.getpid()}.csv") == (first < share)
+    assert threading.active_count() == before
     assert_no_child_alive([pid for _, pid in seen])
 
 
-# The workers' groups are slow, so the groups the caller takes back are
-# still listed in the pool, cancelled, when the worker running group 1 dies
-# while the other worker (3 CPUs give two) has 2 s of its group to go. On
-# CPython 3.11 the broken pool then stops on a cancelled group before it
-# ends the other worker, which map_groups ends itself: left alive, it would
-# block the interpreter's exit.
+# The first group a worker begins (one of groups 3-7: 3 CPUs give the
+# caller groups 0-2 and two workers the rest) kills that worker after 0.3 s,
+# while the other worker has 2 s of its group to go. The broken pool must end
+# that worker and the pool's threads, so the process exits at once, and leave
+# nothing behind that would keep the next call from forking.
 _DYING_WORKER = """
-import os, sys, time
+import os, sys, threading, time
 from concurrent.futures.process import BrokenProcessPool
 from airsgd import rng
 
@@ -528,25 +540,30 @@ def fn(group):
     if os.getpid() == caller:
         time.sleep(0.05 if group == 0 else 0.0)
         return group
-    if group == 1:
-        time.sleep(0.3)
-        os._exit(1)
-    time.sleep(2.0)
-    return group
+    try:
+        os.close(os.open(sys.argv[1], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        time.sleep(2.0)
+        return group
+    time.sleep(0.3)
+    os._exit(1)
 
 rng._WORKERS = 3
 try:
     list(rng.map_groups(fn, list(range(8)), 0))
 except BrokenProcessPool:
     print("broken pool")
+print("threads:", [thread.name for thread in threading.enumerate()])
+pids = list(rng.map_groups(lambda group: os.getpid(), [0, 1], 0))
+print("next call forks:", pids[0] == caller != pids[1])
 """
 
 
 def test_a_worker_that_dies_breaks_the_sweep_and_leaves_no_process_behind(tmp_path):
     log = tmp_path / "out.txt"
     with open(log, "w", encoding="utf-8") as out:
-        proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER], stdout=out,
-                                stderr=subprocess.STDOUT, start_new_session=True)
+        proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER, str(tmp_path / "died")],
+                                stdout=out, stderr=subprocess.STDOUT, start_new_session=True)
         try:
             code = proc.wait(timeout=20)  # a worker left alive blocks the exit
         except subprocess.TimeoutExpired:
@@ -557,8 +574,10 @@ def test_a_worker_that_dies_breaks_the_sweep_and_leaves_no_process_behind(tmp_pa
         except ProcessLookupError:
             left = False
         proc.wait()
-    assert (code, left) == (0, False), log.read_text(encoding="utf-8")
-    assert "broken pool" in log.read_text(encoding="utf-8")
+    output = log.read_text(encoding="utf-8")
+    assert (code, left) == (0, False), output
+    assert output.splitlines() == ["broken pool", "threads: ['MainThread']",
+                                   "next call forks: True"], output
 
 
 @pytest.mark.parametrize("workers, nbytes, on_worker", [
@@ -828,10 +847,10 @@ def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
 
 
 def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):
-    # Six groups of two cells (K). The caller's first group and each
-    # worker's first group are slowed, so the pool's workers begin groups
-    # while the caller runs group 0; with one worker the caller then takes
-    # back the groups still waiting.
+    # Six groups of two cells (K), in the order (batch_size, master_seed)
+    # below. The caller runs the first ceil(6 / P) of them, P = min(_WORKERS,
+    # 6), and the workers the rest; each worker's first group is slowed, so
+    # every worker takes one.
     sweep = [("K", [1, 4]), ("batch_size", [None, 8]), ("master_seed", [1, 2, 3])]
     files = {}
     for workers in (1, 2, 3):
@@ -840,7 +859,7 @@ def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkey
         (tmp_path / str(workers)).mkdir()
         monkeypatch.chdir(tmp_path / str(workers))
         log, out = tmp_path / f"groups-{workers}.jsonl", pathlib.Path("grid")
-        record_groups(monkeypatch, log, worker_delay=0.2, caller_delay=0.05)
+        record_groups(monkeypatch, log, worker_delay=0.2)
         cells = run_matrix(_desk_doc(), sweep, out)
         monkeypatch.setattr(experiment, "run_cells", run_cells)
         files[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -851,10 +870,9 @@ def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkey
         assert_no_child_alive(pids)
         caller_groups = [(configs[0].batch_size, configs[0].master_seed)
                          for pid, configs in groups if pid == os.getpid()]
-        assert (None, 1) in caller_groups  # the first group
+        order = [(batch_size, seed) for batch_size in (None, 8) for seed in (1, 2, 3)]
+        assert sorted(caller_groups, key=order.index) == order[:-(-6 // workers)]
         assert len(set(pids) - {os.getpid()}) == workers - 1
-        if workers == 2:
-            assert len(caller_groups) > 1  # a group taken back
     assert len(files[1]) == 12
     assert files[1] == files[2] == files[3]
 
