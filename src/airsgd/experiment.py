@@ -5,13 +5,15 @@ One iteration in ota mode is the pipeline
 -> estimate_average_gradient -> optimizer update. The device axis is an array
 axis throughout: one forward pass over the distinct training rows the devices
 hold (or, with batch_size set, over their stacked batch rows), one batched
-backward product for all M gradients, one pack. The combiner output
-sum_m c_m x_m + w is drawn from its exact law by ``channel.sample_combined``
-(coefficients c and combined noise w), never from the full per-antenna fading
-tensor, which only the verification and decomposition paths draw. The
-error_free mode skips the channel and hands the optimizer the exact
-device-average gradient, giving the idealized baseline the noisy runs are
-compared against.
+backward product for all M gradients, one pack. In full-batch runs the
+residual and the loss's label pick also run once per held row; the devices'
+rows are gathered from them only for each device's backward product and bias
+sum and for its loss mean. The combiner output sum_m c_m x_m + w is drawn
+from its exact law by ``channel.sample_combined`` (coefficients c and
+combined noise w), never from the full per-antenna fading tensor, which only
+the verification and decomposition paths draw. The error_free mode skips the
+channel and hands the optimizer the exact device-average gradient, giving
+the idealized baseline the noisy runs are compared against.
 
 Cells that differ only in K and sigma_z_sq run as one ensemble (``run_cells``)
 on a leading cell axis: data, partition, batches and each iteration's CHANNEL
@@ -26,7 +28,8 @@ optimizer state, the gradients and the whole channel side stay float64.
 A run decides once whether it uses a second core: it opens
 ``rng.side_worker`` with the bytes of one iteration's (R, M, d) float64
 gradients. With a worker, the channel draws, half of each row copy and the
-first device half of a full-batch backward go to its thread; ``rng``'s
+first device half of a full-batch backward, with the gather of those
+devices' residual rows, go to its thread; ``rng``'s
 docstring says why no output byte depends on it. Every (cell, device)
 backward product keeps its shape in either half, the forward over the held
 rows is one call, and BLAS runs on one thread for the length of a run
@@ -236,11 +239,13 @@ def run_cells(configs, gradient_fn=None) -> list:
         channel_draw = start(draw, 1) if config.mode == "ota" else None
         train, test, classes = build_dataset(config)
         index = data.partition(train, M, config.partition.per_device, config.master_seed)
-        # Devices share rows: the forward pass runs once over the distinct rows
-        # they hold, and rows[m] gathers device m's local set back out of them.
-        # A BLAS may round a row's product by the size of the matrix it sits in,
-        # so the last bit can differ from a per-device forward pass when a local
-        # set is small (OpenBLAS's AVX-512 kernel has a small-matrix path).
+        # Devices share rows: the forward pass, each row's residual and its
+        # loss pick run once over the distinct rows they hold, and rows[m]
+        # gathers device m's local set out of them only for the per-device
+        # backward product and loss mean. A BLAS may round a row's product by
+        # the size of the matrix it sits in, so the last bit can differ from a
+        # per-device forward pass when a local set is small (OpenBLAS's
+        # AVX-512 kernel has a small-matrix path).
         held, rows = np.unique(index, return_inverse=True)
         rows = rows.reshape(index.shape)
         held_X, held_y = _gather(start, train.features, held), train.labels[held]
@@ -250,29 +255,38 @@ def run_cells(configs, gradient_fn=None) -> list:
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
             raise NumericAbort(0, "features", config.metrics_path)
-        y = held_y[rows]
-        learner.check_labels(y, classes)
+        learner.check_labels(held_y, classes)
         device = np.arange(M)[:, None]
         # the (M, n, F) device stack, in full-batch mode only; a batch gathers its own rows
         X = _gather(start, held_X, rows) if config.batch_size is None else None
+        if X is not None:
+            # The backward's work arrays, made once a run: the held rows'
+            # (R, H, C) residuals, held row outermost in memory, and the device
+            # rows gathered from them, (M, n, R, C) in memory as an
+            # advanced-index gather lays them out. Arrays this size made afresh
+            # every iteration go back to the allocator, which may return them to
+            # the OS and fault them in again page by page.
+            residual = np.empty((len(held), R, classes)).swapaxes(0, 1)
+            device_residual = np.empty(rows.shape + (R, classes))
 
         theta = np.tile(learner.init_params(held_X.shape[-1], classes), (R, 1))
         state = learner.init_optimizer_state(d)  # its zero moments broadcast to (R, d)
         records = [[] for _ in configs]
         power_sum = np.zeros(R)
-        log_probs = None  # (R, M, n, C) local-set log-probabilities at the current theta, once computed
+        log_probs = None  # (R, H, C) held-row log-probabilities at the current theta, once computed
 
         for t in range(1, config.T + 1):
             alpha = config.power.alpha_at(t)
             if X is not None:
                 if log_probs is None:
-                    log_probs = learner.log_probabilities(theta, held_X)[:, rows]
-                grads = _backward(start, X, y, log_probs)
+                    log_probs = learner.log_probabilities(theta, held_X)
+                learner.residuals(held_y, log_probs, X.shape[1], out=residual)
+                grads = _backward(start, X, residual, rows, device_residual)
             else:
-                batch = _batch_positions(config, t)
-                X_batch = held_X[rows[device, batch]]
+                batch_rows = rows[device, _batch_positions(config, t)]
+                X_batch = held_X[batch_rows]
                 grads = learner.gradients(
-                    X_batch, y[device, batch], learner.log_probabilities(theta[:, None], X_batch)
+                    X_batch, held_y[batch_rows], learner.log_probabilities(theta[:, None], X_batch)
                 )
             if gradient_fn is not None:
                 sent = [np.asarray(gradient_fn(cell_theta, t, cell_grads), dtype=np.float64)
@@ -312,31 +326,44 @@ def run_cells(configs, gradient_fn=None) -> list:
             accuracy = loss = [None] * R
             if (t % config.eval_every == 0) or (t == config.T):
                 accuracy = learner.evaluate_accuracy(theta, test_X, test_y).tolist()
-                log_probs = learner.log_probabilities(theta, held_X)[:, rows]
+                log_probs = learner.log_probabilities(theta, held_X)
                 # mean over each device's set first, then over devices
-                loss = learner.losses(y, log_probs).mean(axis=1).tolist()
+                loss = learner.losses(held_y, log_probs, rows).mean(axis=1).tolist()
             for cell, row in zip(records, zip(accuracy, loss, inst_power.tolist(),
                                               avg_power.tolist(), est_mse)):
                 cell.append(MetricsRecord(t, *row))
     return records
 
 
-def _backward(start, X, y, log_probs) -> np.ndarray:
-    """``learner.gradients(X, y, log_probs)``, cut in two on the device axis given a worker.
+def _backward(start, X, residual, rows, out) -> np.ndarray:
+    """The (R, M, d) gradients of the devices whose (M, n) held rows ``rows`` names.
 
-    With two or more devices and a thread behind ``rng.side_worker``'s
-    ``start``, the first M // 2 devices' gradients are started through it
-    and the rest computed in this thread; otherwise, ``start`` being
-    ``functools.partial``, the one call runs here. ``learner.gradients``
-    gives each device the bytes it gets with any other devices, so the
-    halves' bytes are the whole's.
+    ``residual`` holds the (R, H, C) held-row residuals and ``out`` is the
+    (M, n, R, C) array the devices' rows are gathered into. With two or more
+    devices and a thread behind ``rng.side_worker``'s ``start``, the first
+    M // 2 devices' gradients are started through it and the rest computed
+    in this thread, each half gathering only its own devices' rows;
+    otherwise, ``start`` being ``functools.partial``, the one call runs
+    here. ``learner.device_gradients`` gives each device the bytes it gets
+    with any other devices, so the halves' bytes are the whole's.
     """
     cut = len(X) // 2
     if cut == 0 or start is functools.partial:
-        return learner.gradients(X, y, log_probs)
-    first = start(learner.gradients, X[:cut], y[:cut], log_probs[..., :cut, :, :])
-    rest = learner.gradients(X[cut:], y[cut:], log_probs[..., cut:, :, :])
+        return _device_gradients(X, residual, rows, out)
+    first = start(_device_gradients, X[:cut], residual, rows[:cut], out[:cut])
+    rest = _device_gradients(X[cut:], residual, rows[cut:], out[cut:])
     return np.concatenate([first(), rest], axis=-2)
+
+
+def _device_gradients(X, residual, rows, out) -> np.ndarray:
+    """``learner.device_gradients`` of held-row ``residual`` gathered by ``rows`` into ``out``.
+
+    Each device row copies one (R, C) block, contiguous when the residual
+    holds its held row outermost in memory. The indices come from
+    ``np.unique``, so they lie in range (see :func:`_gather` on "clip").
+    """
+    np.take(residual.swapaxes(0, 1), rows, axis=0, out=out, mode="clip")
+    return learner.device_gradients(X, out.transpose(2, 0, 1, 3))
 
 
 def _gather(start, src, index) -> np.ndarray:

@@ -9,8 +9,13 @@ so a model with F features and C classes has d = (F + 1) * C parameters.
 Gradients are averages of the cross-entropy gradient over a batch; the
 aggregated (or channel-estimated) average gradient drives the optimizer,
 whose state lives at the parameter server only. A training run computes the
-gradients and losses of all M devices at once, from an (M, n, F) stack of
-their rows; an ensemble of R runs adds a leading cell axis to the parameters.
+gradients and losses of all M devices at once; an ensemble of R runs adds a
+leading cell axis to the parameters. In a full-batch run the devices share
+rows, so the per-row work runs once per distinct row they hold: the forward
+pass, the residual ``(p - onehot(y)) / n`` (:func:`residuals`) and the
+loss's label pick. Only the backward product with each device's (n, F) rows
+and its bias sum (:func:`device_gradients`) and each device's loss mean run
+per device row.
 The two matrix products run in the features' dtype (float32 in a training
 run, whose features ``data`` makes float32); the parameters, logits,
 log-probabilities, losses and gradients are float64 whatever that dtype.
@@ -25,6 +30,8 @@ __all__ = [
     "init_params",
     "log_probabilities",
     "check_labels",
+    "residuals",
+    "device_gradients",
     "gradients",
     "losses",
     "evaluate_accuracy",
@@ -61,14 +68,16 @@ def _logits(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, computed in place in ``logits``."""
     # each row's maximum as a running maximum over the class columns: a
     # maximum is exact, so it equals the reduce's, and numpy's reduce over a
     # short last axis is several times slower
     top = logits[..., :1].copy()
     for c in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., c : c + 1], out=top)
-    shifted = logits - top
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logits -= top
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 def log_probabilities(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -88,35 +97,74 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels outside [0, {num_classes})")
 
 
+def _at_labels(y: np.ndarray):
+    """The index of each row's label entry in a (..., *y.shape, C) array."""
+    return (..., *np.indices(y.shape, sparse=True), y)
+
+
+def residuals(y: np.ndarray, log_probs: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Each row's share ``(exp(log p) - onehot(y)) / n`` of its set's gradient.
+
+    ``log_probs`` is the (..., *y.shape, C) output of
+    :func:`log_probabilities` for the rows whose labels ``y`` holds, already
+    checked against the class count, and ``n`` the size of the sets they
+    belong to. The result is written to ``out`` when given, an array of
+    log_probs' shape in any memory layout. The work is elementwise, so a
+    row's residual has the same bytes whether it is computed once for a row
+    several sets hold or once in each set.
+    """
+    residual = np.exp(log_probs, out=out)
+    residual[_at_labels(y)] -= 1.0
+    residual /= n
+    return residual
+
+
+def device_gradients(X: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Average cross-entropy gradient of each of M row sets, shape (..., M, d).
+
+    ``X`` is the (M, n, F) stack of the sets' rows and ``residual`` their
+    (..., M, n, C) :func:`residuals`, with any leading cell axes. Each
+    (cell, set) backward product is its own (C, n) x (n, F) matrix product
+    inside one batched matmul, so row set m gives the same bytes whatever
+    sets and cells come with it: the M sets may be cut into parts along the
+    device axis, each part a call of its own in any thread, and the parts'
+    gradients are the bytes of one call's. The bias sums over n run fastest
+    with the cell axes next to the class axis in memory, as in the
+    (M, n, R, C) array ``experiment`` gathers the held rows' residuals into.
+    """
+    F = X.shape[-1]
+    grad = np.empty(residual.shape[:-2] + (residual.shape[-1], F + 1))
+    grad[..., :F] = np.matmul(residual.swapaxes(-1, -2).astype(X.dtype, copy=False), X)
+    grad[..., F] = residual.sum(axis=-2)
+    return grad.reshape(*residual.shape[:-2], -1)
+
+
 def gradients(X: np.ndarray, y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     """Average cross-entropy gradient of each of M row sets, shape (..., M, d).
 
     ``X`` is (M, n, F), ``y`` the (M, n) labels, already checked against
     the class count, and ``log_probs`` the (..., M, n, C) output of
     :func:`log_probabilities` for X at the parameters the gradient is taken
-    at, with any leading cell axes. Each (cell, set) backward product is its
-    own (C, n) x (n, F) matrix product inside one batched matmul, so row set
-    m gives the same bytes whatever sets and cells come with it: the M sets
-    may be cut into parts along the device axis, each part a call of its own
-    in any thread, and the parts' gradients are the bytes of one call's.
+    at: the :func:`residuals` of every set row, then :func:`device_gradients`.
     """
-    M, n, F = X.shape
-    probs = np.exp(log_probs)
-    probs[..., np.arange(M)[:, None], np.arange(n), y] -= 1.0
-    probs /= n
-    grad = np.empty(probs.shape[:-2] + (probs.shape[-1], F + 1))
-    grad[..., :F] = np.matmul(probs.swapaxes(-1, -2).astype(X.dtype, copy=False), X)
-    grad[..., F] = probs.sum(axis=-2)
-    return grad.reshape(*probs.shape[:-2], -1)
+    return device_gradients(X, residuals(y, log_probs, X.shape[1]))
 
 
-def losses(y: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy of each of M row sets, shape (..., M), from (M, n) labels."""
-    M, n = y.shape
+def losses(y: np.ndarray, log_probs: np.ndarray, rows=None) -> np.ndarray:
+    """Mean cross-entropy of each of M row sets, shape (..., M).
+
+    ``y`` holds the (M, n) labels of the sets' rows and ``log_probs`` their
+    (..., M, n, C) log-probabilities; or, given the (M, n) ``rows``, ``y``
+    and ``log_probs`` are the (H,) labels and (..., H, C) log-probabilities
+    of held rows, of which set m holds ``rows[m]``. Each held row's label
+    entry is picked once, then gathered to the sets.
+    """
+    picked = log_probs[_at_labels(y)]
+    if rows is not None:
+        picked = np.take(picked, rows, axis=-1)
     # A gather behind leading axes leaves them innermost in memory, and a mean
     # over such a strided axis sums in another order than over a contiguous one.
-    picked = np.ascontiguousarray(log_probs[..., np.arange(M)[:, None], np.arange(n), y])
-    return -picked.mean(axis=-1)
+    return -np.ascontiguousarray(picked).mean(axis=-1)
 
 
 def evaluate_accuracy(theta: np.ndarray, X: np.ndarray, y: np.ndarray):

@@ -1007,15 +1007,15 @@ def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
 @pytest.mark.parametrize("mode", ["ota", "error_free"])
 @pytest.mark.parametrize("batch_size", [None, 8])
 def test_run_makes_one_batched_backward_per_iteration(monkeypatch, mode, batch_size):
-    # all M gradients of an iteration come from one learner.gradients call
+    # all M gradients of an iteration come from one learner.device_gradients call
     calls = []
 
-    def counting(X, y, log_probs):
+    def counting(X, residual):
         calls.append(X.shape[0])
-        return backward(X, y, log_probs)
+        return backward(X, residual)
 
-    backward = learner.gradients
-    monkeypatch.setattr(learner, "gradients", counting)
+    backward = learner.device_gradients
+    monkeypatch.setattr(learner, "device_gradients", counting)
     records = run(parse_config(_toy_doc(T=3, eval_every=1, mode=mode, batch_size=batch_size)))
     assert calls == [2] * 3  # T calls, each over all M = 2 devices
     assert len(records) == 3
@@ -1023,14 +1023,14 @@ def test_run_makes_one_batched_backward_per_iteration(monkeypatch, mode, batch_s
 
 
 def _recording_backward(monkeypatch):
-    """Patch learner.gradients to list each call's device count and thread."""
-    backward, calls = learner.gradients, []
+    """Patch learner.device_gradients to list each call's device count and thread."""
+    backward, calls = learner.device_gradients, []
 
-    def recording(X, y, log_probs):
+    def recording(X, residual):
         calls.append((X.shape[0], threading.get_ident()))
-        return backward(X, y, log_probs)
+        return backward(X, residual)
 
-    monkeypatch.setattr(learner, "gradients", recording)
+    monkeypatch.setattr(learner, "device_gradients", recording)
     return calls
 
 
@@ -1072,29 +1072,45 @@ BACKWARD_SHAPES = [(20, 100, 784, 10), (3, 263, 784, 10), (5, 40, 97, 3)]
 def check_split_backward(M, n, features, classes):
     """The full-batch backward, cut in device halves on a side worker, gives the bytes of one call.
 
-    Run in a child process by the kernel test, with two worker CPUs and no
-    byte gate, so every shape is cut.
+    The devices draw their rows from fewer held rows, so they share rows.
+    The one call takes the held-row residuals gathered to the devices by
+    advanced indexing; ``experiment._backward`` takes them ungathered, held
+    row outermost in memory as ``run_cells`` keeps them, and each half must
+    gather only its own devices' rows. Run in a child process by the kernel
+    test, with two worker CPUs and no byte gate, so every shape is cut.
     """
     rng._WORKERS, rng._OFFLOAD_BYTES = 2, 0
     gen = np.random.default_rng((M, n, classes))
-    X = (gen.standard_normal((M, n, features)) + 3.0).astype(np.float32)  # offset, so sums round
-    y = gen.integers(0, classes, size=(M, n))
+    held = M * n // 3
+    held_X = (gen.standard_normal((held, features)) + 3.0).astype(np.float32)  # offset, so sums round
+    held_y = gen.integers(0, classes, size=held)
+    rows = np.stack([gen.choice(held, size=n, replace=False) for _ in range(M)])
+    X = held_X[rows]
     theta = gen.standard_normal((2, (features + 1) * classes)) / features
-    log_probs = learner.log_probabilities(theta[:, None], X)
-    backward, parts = learner.gradients, []
+    log_probs = learner.log_probabilities(theta, held_X)
+    residual = learner.residuals(held_y, log_probs, n)
+    held_first = learner.residuals(held_y, log_probs, n, out=np.empty((held, 2, classes)).swapaxes(0, 1))
+    backward, parts = learner.device_gradients, []
 
-    def recording(X, y, log_probs):
-        parts.append(len(X))
-        return backward(X, y, log_probs)
+    def recording(X, residual):
+        parts.append((X, residual.copy()))
+        return backward(X, residual)
 
-    learner.gradients = recording
+    learner.device_gradients = recording
     try:
         with rng.one_blas_thread(), rng.side_worker(X.nbytes) as start:
-            whole = backward(X, y, log_probs)
-            split = experiment._backward(start, X, y, log_probs)
+            whole = backward(X, residual[:, rows])
+            split = experiment._backward(start, X, held_first, rows, np.empty((M, n, 2, classes)))
     finally:
-        learner.gradients = backward
-    assert sorted(parts) == sorted([M // 2, M - M // 2]), parts
+        learner.device_gradients = backward
+    cut = M // 2
+    halves = []
+    for part, received in parts:
+        own = slice(0, cut) if np.array_equal(part, X[:cut]) else slice(cut, M)
+        halves.append(own.start)
+        # a half receives the residual rows of its own devices and no others
+        assert np.array_equal(part, X[own]) and np.array_equal(received, residual[:, rows[own]])
+    assert sorted(halves) == [0, cut], [len(part) for part, _ in parts]
     assert np.array_equal(split, whole), (M, n, features, classes)
 
 

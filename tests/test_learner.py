@@ -8,6 +8,7 @@ from airsgd.learner import (
     OptimizerSpec,
     _log_softmax,
     apply_update,
+    device_gradients,
     evaluate_accuracy,
     gradients,
     init_optimizer_state,
@@ -16,6 +17,7 @@ from airsgd.learner import (
     log_probabilities,
     losses,
     param_count,
+    residuals,
 )
 
 
@@ -203,6 +205,53 @@ def test_batched_gradient_and_loss_equal_per_device_bit_for_bit(M, n, pool, F, C
         alone = log_probabilities(theta, s.features)[None]
         assert np.array_equal(grads[m], gradients(s.features[None], s.labels[None], alone)[0])
         assert loss[m] == losses(s.labels[None], alone)[0]
+
+
+def _per_device_gradients(X, y, log_probs):
+    # the backward as it ran before the held-row residual: every device row's
+    # residual, then the per-device product
+    M, n, F = X.shape
+    probs = np.exp(log_probs)
+    probs[..., np.arange(M)[:, None], np.arange(n), y] -= 1.0
+    probs /= n
+    grad = np.empty(probs.shape[:-2] + (probs.shape[-1], F + 1))
+    grad[..., :F] = np.matmul(probs.swapaxes(-1, -2).astype(X.dtype, copy=False), X)
+    grad[..., F] = probs.sum(axis=-2)
+    return grad.reshape(*probs.shape[:-2], -1)
+
+
+def _per_device_losses(y, log_probs):
+    # the loss as it ran before the held-row pick: every device row's pick
+    M, n = y.shape
+    picked = np.ascontiguousarray(log_probs[..., np.arange(M)[:, None], np.arange(n), y])
+    return -picked.mean(axis=-1)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("C", [2, 10])
+def test_held_row_residual_and_pick_give_the_per_device_bytes(R, C):
+    # Five devices draw 40 rows each from 70 held rows, so rows repeat across
+    # devices. The residual and the loss's label pick run once a held row and
+    # are then gathered to the devices, as a training run does.
+    gen = np.random.default_rng(R * C)
+    M, n, held, F = 5, 40, 70, 32
+    held_X = (gen.standard_normal((held, F)) + 3.0).astype(np.float32)  # offset, so sums round
+    held_y = gen.integers(0, C, size=held)
+    rows = np.stack([gen.choice(held, size=n, replace=False) for _ in range(M)])
+    theta = gen.standard_normal((R, param_count(F, C))) / F
+    held_log_probs = log_probabilities(theta, held_X)
+    X, y, log_probs = held_X[rows], held_y[rows], held_log_probs[:, rows]
+    expected = _per_device_gradients(X, y, log_probs)
+    residual = residuals(held_y, held_log_probs, n)
+    assert device_gradients(X, residual[:, rows]).tobytes() == expected.tobytes()
+    # written held row outermost, and gathered device row outermost
+    held_first = residuals(held_y, held_log_probs, n, out=np.empty((held, R, C)).swapaxes(0, 1))
+    gathered = np.take(held_first.swapaxes(0, 1), rows, axis=0).transpose(2, 0, 1, 3)
+    assert device_gradients(X, gathered).tobytes() == expected.tobytes()
+    assert gradients(X, y, log_probs).tobytes() == expected.tobytes()
+    expected = _per_device_losses(y, log_probs)
+    assert losses(held_y, held_log_probs, rows).tobytes() == expected.tobytes()
+    assert losses(y, log_probs).tobytes() == expected.tobytes()
 
 
 def test_log_probabilities_of_a_stack_equal_each_set_alone():
