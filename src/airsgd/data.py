@@ -32,6 +32,7 @@ __all__ = [
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_CLASSES = 10  # an IDX dataset's labels are digits
 
 
 class DataError(Exception):
@@ -108,19 +109,21 @@ def idx_shape(images_path, labels_path):
 
 
 def load_idx(images_path, labels_path) -> LocalDataset:
-    """Load an IDX image/label file pair into a dataset.
+    """Load an IDX image/label file pair into a dataset with features in [0, 1].
 
-    Pixels become row-major float32 vectors with raw byte values (0..255).
-    Labels must lie in [0, 10).
+    Pixels become row-major float32 vectors, each byte divided by 255 in
+    float32, which gives the float64 quotient, rounded. Labels must lie in
+    [0, IDX_CLASSES).
     """
     with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
         count, features = _read_headers(images, labels, images_path, labels_path)
         pixels = np.frombuffer(images.read(count * features), dtype=np.uint8)
         label_bytes = np.frombuffer(labels.read(count), dtype=np.uint8)
-    if label_bytes.max() >= 10:
-        raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, 10)")
-    return LocalDataset(pixels.reshape(count, features).astype(np.float32),
-                        label_bytes.astype(np.int64))
+    if label_bytes.max() >= IDX_CLASSES:
+        raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, {IDX_CLASSES})")
+    scaled = pixels.reshape(count, features).astype(np.float32)
+    scaled /= 255.0
+    return LocalDataset(scaled, label_bytes.astype(np.int64))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -198,28 +201,34 @@ def make_synthetic(spec: SyntheticSpec):
     """Generate disjoint (train, test) draws of Gaussian class clusters.
 
     Rows come in class order, with labels ``np.repeat(np.arange(C), n)``.
-    Class c is ``rng.map_chunks``' keyed chunk c: it draws its train rows,
-    then its test rows, from the DATASET stream keyed c + 1 (``rng``'s
-    docstring), so the classes may be drawn on any number of threads. Rows
-    are drawn and offset in float64, a few dozen at a time in a buffer that
-    stays in cache, and stored as float32: the one-call float64 draw, cast.
+    Class c draws its train rows, then its test rows, from the DATASET
+    stream keyed c + 1 (``rng``'s docstring), so no byte depends on the
+    thread that draws it. ``rng.side_worker`` is opened with the bytes of
+    the float64 draw; given its thread, the first C // 2 classes are drawn
+    there while the caller draws the rest. Rows are drawn and offset in
+    float64, a few dozen at a time in a buffer that stays in cache, and
+    stored as float32: the one-call float64 draw, cast.
     """
     C, F = spec.classes, spec.features
     means = _class_means(spec)
     splits = tuple(np.empty((C, n, F), np.float32)
                    for n in (spec.train_per_class, spec.test_per_class))
 
-    def draw(c, _):
-        gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+    def draw(classes):
         buf = np.empty((32, F))
         with np.errstate(over="ignore"):  # a row beyond float32's range is stored as inf
-            for split in splits:
-                for start in range(0, split.shape[1], len(buf)):
-                    rows = split[c, start:start + len(buf)]
-                    normals = gen.standard_normal(out=buf[:len(rows)])
-                    np.add(normals, means[c], out=rows, casting="same_kind")
+            for c in classes:
+                gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+                for split in splits:
+                    for row in range(0, split.shape[1], len(buf)):
+                        rows = split[c, row:row + len(buf)]
+                        normals = gen.standard_normal(out=buf[:len(rows)])
+                        np.add(normals, means[c], out=rows, casting="same_kind")
 
-    rng.map_chunks(draw, C, 1)
+    with rng.side_worker(8 * sum(split.size for split in splits)) as start:
+        first = start(draw, range(C // 2))
+        draw(range(C // 2, C))
+        first()
     return tuple(LocalDataset(split.reshape(-1, F), np.repeat(np.arange(C), split.shape[1]))
                  for split in splits)
 

@@ -101,22 +101,14 @@ def _read_idx(read, images_path, labels_path):
         raise ConfigError(f"cannot load dataset {images_path}, {labels_path}: {exc}") from exc
 
 
-def _load_idx(images_path, labels_path) -> data.LocalDataset:
-    """One IDX pair with pixels rescaled to [0, 1]; a missing or bad file is a ConfigError.
-
-    In float32, each byte's quotient is the float64 quotient, rounded.
-    """
-    dataset = _read_idx(data.load_idx, images_path, labels_path)
-    dataset.features /= 255.0
-    return dataset
-
-
 def _check_idx_files(configs) -> None:
     """Read the headers of every distinct IDX pair the configs name, and check each config.
 
-    A ConfigError names the first missing or malformed file, or the first
-    config whose files do not fit it (:func:`_check_idx_shapes`), before any
-    cell runs. Only the label range waits until a pair is loaded.
+    A ConfigError names the first missing or malformed file, test images
+    whose pixel count is not the train images' (the model reads its class
+    count off d and the features of the rows it is handed), or the first
+    config whose d or per_device the train pair does not fit. Only the label
+    range waits until a pair is loaded.
     """
     shapes = {}
     for config in configs:
@@ -127,38 +119,28 @@ def _check_idx_files(configs) -> None:
         for pair in pairs:
             if pair not in shapes:
                 shapes[pair] = _read_idx(data.idx_shape, *pair)
-        _check_idx_shapes(config, *(shapes[pair] for pair in pairs))
-
-
-def _check_idx_shapes(config: RunConfig, train_shape, test_shape) -> None:
-    """Check d and per_device against the train pair's (samples, features), as a ConfigError.
-
-    The test images must have the train images' pixel count: the model reads
-    its class count off d and the features of the rows it is handed.
-    """
-    (samples, features), (_, test_features) = train_shape, test_shape
-    if test_features != features:
-        raise ConfigError(f"{config.dataset.test_images} holds images of {test_features} pixels, "
-                          f"{config.dataset.train_images} of {features}")
-    config.check_dataset(features, 10, samples)
+        (samples, features), (_, test_features) = (shapes[pair] for pair in pairs)
+        if test_features != features:
+            raise ConfigError(f"{paths.test_images} holds images of {test_features} pixels, "
+                              f"{paths.train_images} of {features}")
+        config.check_dataset(features, data.IDX_CLASSES, samples)
 
 
 def build_dataset(config: RunConfig):
-    """Materialize (train, test) datasets described by the config.
+    """Materialize the config's (train, test) datasets and their class count.
 
-    Synthetic features are used as generated; the config was checked
-    against them when it was parsed. IDX pixel features are rescaled to
-    [0, 1], and d, per_device and the test images' size are checked against
-    the files here, before any training starts.
+    A synthetic config was checked against its dataset when it was parsed.
+    An IDX config is checked against its files' headers by
+    :func:`_check_idx_files`, the check :func:`run_matrix` makes for every
+    cell, before any pixel is read; the pixels come from ``data.load_idx``
+    in [0, 1].
     """
-    if config.dataset.kind == "synthetic":
-        train, test = data.make_synthetic(config.dataset)
-        return train, test, config.dataset.classes
-    paths = config.dataset
-    train = _load_idx(paths.train_images, paths.train_labels)
-    test = _load_idx(paths.test_images, paths.test_labels)
-    _check_idx_shapes(config, train.features.shape, test.features.shape)
-    return train, test, 10
+    dataset = config.dataset
+    if dataset.kind == "synthetic":
+        return (*data.make_synthetic(dataset), dataset.classes)
+    _check_idx_files([config])
+    return (_read_idx(data.load_idx, dataset.train_images, dataset.train_labels),
+            _read_idx(data.load_idx, dataset.test_images, dataset.test_labels), data.IDX_CLASSES)
 
 
 def _batch_positions(config: RunConfig, t: int) -> np.ndarray:

@@ -39,8 +39,8 @@ keys are why no output byte depends on the thread or process that does the
 work: a draw's bytes are fixed by its substream key, a row copy is a copy,
 a device's backward product has the same shape in any thread, and results
 are combined in a fixed order.
-``map_chunks`` runs keyed chunks on ``_WORKERS`` threads: a Monte Carlo
-check's trials, and ``data.make_synthetic``'s classes, one chunk each.
+``map_chunks`` runs keyed chunks on ``_WORKERS`` threads: the trials of
+``verify``'s Monte Carlo checks, and of the tests' reference loops.
 ``side_worker(nbytes)`` is one thread beside the caller's, and it decides
 once, on entry, whether a block gets it: only with a second CPU and
 ``nbytes`` at least ``_OFFLOAD_BYTES``. A training run passes one
@@ -48,19 +48,22 @@ iteration's gradient bytes and, given the thread, hands it the next
 iteration's CHANNEL and NOISE draw (iteration 1's while the dataset is
 built), half of each row copy and, in full-batch mode, the backward product
 of the first M // 2 devices; otherwise the run stays in the caller's
-thread. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
-length of a run: its products then round the same whatever the CPU count,
-and the side worker's half of the backward does not compete with BLAS
-threads for the cores. ``map_groups`` runs a sweep's ensemble groups on
-forked worker processes beside the caller, which runs a fixed first share
-of them; a group's bytes depend only on its configs, so the same bytes come
-back from any process.
+thread. ``data.make_synthetic`` passes its float64 draw bytes and, given
+the thread, hands it the first half of the classes. ``one_blas_thread``
+pins numpy's OpenBLAS to one thread for the length of a run: its products
+then round the same whatever the CPU count, and the side worker's half of
+the backward does not compete with BLAS threads for the cores.
+``map_groups`` runs a sweep's ensemble groups on forked worker processes
+beside the caller, which runs a fixed first share of them; a group's bytes
+depend only on its configs, so the same bytes come back from any process.
 
 One rule places a sweep's second CPU: the gate on one iteration's gradient
 bytes. Groups at or above ``_OFFLOAD_BYTES`` run one after another, each
 with the side worker; groups below it run side by side on ``map_groups``'
 processes, each in one thread. A sweep uses its second CPU inside a group
-or across groups, never both.
+or across groups, never both. The one exception is a group whose synthetic
+draw passes the gate while its gradients do not (a paper-size dataset on a
+few devices): its process draws the classes on two threads.
 """
 
 import contextlib

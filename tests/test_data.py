@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from airsgd import experiment, rng
+from airsgd import rng
 from airsgd.data import (
     DataError,
     _class_means,
@@ -52,7 +52,8 @@ def test_load_idx_roundtrip(tmp_path):
     images, labels = _write_fixture(tmp_path)
     ds = load_idx(images, labels)
     assert ds.features.shape == (2, 4)
-    assert np.array_equal(ds.features, [[0.0, 64.0, 128.0, 255.0], [1.0, 2.0, 3.0, 4.0]])
+    expected = np.array([[0, 64, 128, 255], [1, 2, 3, 4]]) / 255  # float64 quotients, rounded
+    assert np.array_equal(ds.features, expected.astype(np.float32))
     assert np.array_equal(ds.labels, [3, 9])
 
 
@@ -119,20 +120,20 @@ def test_load_idx_rejects_label_out_of_range(tmp_path):
 
 
 def test_scale_to_unit(tmp_path):
-    # a run's IDX features: pixel bytes rescaled to [0, 1]
+    # a run's IDX features: pixel bytes rescaled to [0, 1] by the reader
     images, labels = _write_fixture(tmp_path)
-    ds = experiment._load_idx(images, labels)
+    ds = load_idx(images, labels)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     assert ds.features[0, 3] == 1.0
 
 
 def test_idx_features_are_each_bytes_float64_quotient_rounded_to_float32(tmp_path):
-    # a run divides the float32 pixels by 255 in float32; for every byte value
-    # that gives the bits of the float64 quotient cast to float32
+    # the reader divides the float32 pixels by 255 in float32; for every byte
+    # value that gives the bits of the float64 quotient cast to float32
     images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
     write_idx_images(images, np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
     write_idx_labels(labels, np.zeros(1, dtype=np.uint8))
-    features = experiment._load_idx(images, labels).features
+    features = load_idx(images, labels).features
     assert features.dtype == np.float32
     expected = (np.arange(256, dtype=np.float64) / 255).astype(np.float32)
     assert features.tobytes() == expected.tobytes()
@@ -252,8 +253,10 @@ def test_synthetic_bytes_pinned(fields):
     for workers in (1, 2, 3)
 ])
 def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields, workers):
-    # the classes are rng.map_chunks' chunks, drawn on _WORKERS threads
+    # with no byte gate, a second CPU gives the side worker the first half of
+    # the classes
     monkeypatch.setattr(rng, "_WORKERS", workers)
+    monkeypatch.setattr(rng, "_OFFLOAD_BYTES", 0)
     test_synthetic_bytes_pinned(fields)
 
 

@@ -604,8 +604,12 @@ def _standin_doc(**updates):
     return doc
 
 
-def _gate_figure(monkeypatch, docs) -> int:
-    """The nbytes that run_cells opens rng.side_worker with for the cells of ``docs``."""
+def _gate_figures(monkeypatch, docs) -> tuple:
+    """The nbytes that rng.side_worker is opened with for the cells of ``docs``.
+
+    run_cells opens it first, then make_synthetic, inside run_cells, for the
+    dataset's draw: (run figure, build figure).
+    """
     side_worker, seen = rng.side_worker, []
 
     def recording(nbytes):
@@ -614,22 +618,25 @@ def _gate_figure(monkeypatch, docs) -> int:
 
     monkeypatch.setattr(rng, "side_worker", recording)
     run_cells([parse_config(apply_overrides(doc, ["T=1"])) for doc in docs])
-    (nbytes,) = seen
-    return nbytes
+    run, build = seen
+    return run, build
 
 
 def test_only_a_paper_size_run_passes_the_side_workers_gate(monkeypatch):
     # the CI stand-in (tier1.yml), desk_sweep's 4-cell group (K x sigma_z_sq)
-    # and the minimal template: only the first hands work to the side worker
+    # and the minimal template: only the first hands work to the side worker,
+    # in the run and in the dataset's draw
     desk = template("minimal")
     desk.update(M=10, d=330, s=165, partition={"per_device": 150})
     desk["dataset"].update(classes=10, features=32)
     desk_group = [dict(desk, K=K, sigma_z_sq=sigma_z_sq)
                   for K in (1, 5) for sigma_z_sq in (20.0, 100.0)]
-    figures = [_gate_figure(monkeypatch, docs)
-               for docs in ([_standin_doc()], desk_group, [template("minimal")])]
-    assert figures == [1_256_000, 105_600, 4_224]
-    assert figures[0] >= rng._OFFLOAD_BYTES > max(figures[1:])
+    runs, builds = zip(*(_gate_figures(monkeypatch, docs)
+                         for docs in ([_standin_doc()], desk_group, [template("minimal")])))
+    assert runs == (1_256_000, 105_600, 4_224)
+    assert runs[0] >= rng._OFFLOAD_BYTES > max(runs[1:])
+    assert builds == (43_904_000, 384_000, 153_600)  # the float64 draw: 8 * C * (train + test) * F
+    assert builds[0] >= rng._OFFLOAD_BYTES > max(builds[1:])
 
 
 def test_a_run_and_a_verify_call_derive_distinct_streams(monkeypatch):
@@ -973,11 +980,14 @@ def test_build_dataset_checks_the_synthetic_config_against_the_dataset(tmp_path,
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_build_dataset_rejects_dimension_mismatch(tmp_path):
-    pixels = np.zeros((2, 2, 2), dtype=np.uint8)
-    write_idx_images(tmp_path / "i.idx", pixels)
+def test_build_dataset_rejects_dimension_mismatch(tmp_path, monkeypatch):
+    # build_dataset makes run_matrix's check of the config against the files'
+    # headers, so each fault is a ConfigError naming its key or file before
+    # any pixel is read
+    write_idx_images(tmp_path / "i.idx", np.zeros((2, 2, 2), dtype=np.uint8))
     write_idx_labels(tmp_path / "l.idx", np.array([0, 1], dtype=np.uint8))
-    doc = _toy_doc(T=2, d=40, s=20)
+    write_idx_images(tmp_path / "t.idx", np.zeros((2, 3, 3), dtype=np.uint8))
+    doc = _toy_doc(T=2, d=50, s=20)
     doc["dataset"] = {
         "kind": "idx",
         "train_images": str(tmp_path / "i.idx"),
@@ -986,8 +996,21 @@ def test_build_dataset_rejects_dimension_mismatch(tmp_path):
         "test_labels": str(tmp_path / "l.idx"),
     }
     doc["partition"] = {"per_device": 2}
-    with pytest.raises(ConfigError, match="dimension"):
-        build_dataset(parse_config(doc))
+
+    def forbidden(*args):
+        raise AssertionError("an IDX pair was loaded before the config was checked")
+
+    monkeypatch.setattr(data, "load_idx", forbidden)
+    for override, message in [
+        ("d=40", re.escape("config d=40, dataset implies (features+1)*classes=50")),
+        ("partition.per_device=3", "per_device=3 exceeds 2 training samples"),
+        (f"dataset.test_images={json.dumps(str(tmp_path / 't.idx'))}",
+         "t.idx holds images of 9 pixels, .*i.idx of 4"),
+        (f"dataset.test_images={json.dumps(str(tmp_path / 'no-such-file'))}",
+         "cannot load dataset .*no-such-file"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            build_dataset(parse_config(apply_overrides(doc, [override])))
 
 
 def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
@@ -1114,30 +1137,6 @@ def check_split_backward(M, n, features, classes):
     assert np.array_equal(split, whole), (M, n, features, classes)
 
 
-# Float64 held-row products in paper shape (5,848 rows of 784 pixels, 10
-# classes) and at the smallest first parts the measured cut rules allow for
-# 10, 3 and 2 classes, each with an odd row count in its second part.
-FORWARD_SHAPES = [(5848, 784, 10), (263, 784, 10), (819, 784, 3), (1219, 784, 2)]
-
-
-def check_split_forward(rows, features, classes):
-    """The float64 forward, cut in two row parts by the measured rules, gives the bytes of one call.
-
-    The cut is the multiple of 8 rows at or below half, and each shape's
-    first part holds more than 1200 // C rows. The float64 path keeps these
-    rules on every kernel; float32 products at 10 classes moved bytes at
-    such cuts on the AVX2 kernels, so a run's held-row forward is one call.
-    """
-    gen = np.random.default_rng((rows, classes))
-    X = gen.standard_normal((rows, features)) + 3.0  # an offset, so partial sums round
-    theta = gen.standard_normal((2, (features + 1) * classes)) / features
-    cut = rows // 16 * 8
-    with rng.one_blas_thread():
-        whole = learner.log_probabilities(theta, X)
-        parts = [learner.log_probabilities(theta, X[:cut]), learner.log_probabilities(theta, X[cut:])]
-    assert np.array_equal(np.concatenate(parts, axis=-2), whole), (rows, features, classes)
-
-
 def golden_runs() -> dict:
     """This process's BLAS fingerprint and the digests of the three golden runs."""
     with tempfile.TemporaryDirectory() as directory:
@@ -1150,33 +1149,26 @@ def golden_runs() -> dict:
 def kernel_checks() -> dict:
     """What the kernel tests check, run in a child process under one BLAS kernel.
 
-    "forward" and "backward" map to their split check's first failure, or to
-    "" when every shape passed; "runs" maps to :func:`golden_runs`.
+    "backward" maps to the split check's first failure, or to "" when every
+    shape passed; "runs" maps to :func:`golden_runs`.
     """
-    failures = {"runs": golden_runs()}  # before check_split_backward opens rng's gate
-    for name, check, shapes in [("forward", check_split_forward, FORWARD_SHAPES),
-                                ("backward", check_split_backward, BACKWARD_SHAPES)]:
-        failures[name] = ""
-        for shape in shapes:
-            try:
-                check(*shape)
-            except AssertionError as error:
-                failures[name] = f"{shape}: {error}"
-                break
+    # the runs come first, before check_split_backward opens rng's gate
+    failures = {"runs": golden_runs(), "backward": ""}
+    for shape in BACKWARD_SHAPES:
+        try:
+            check_split_backward(*shape)
+        except AssertionError as error:
+            failures["backward"] = f"{shape}: {error}"
+            break
     return failures
 
 
 @functools.cache
 def _kernel_checks_on(kernel):
-    # the three kernel tests share one child process a kernel, which saves an
+    # the two kernel tests share one child process a kernel, which saves an
     # interpreter start-up each
     return json.loads(run_on_kernel(kernel, "import json, test_experiment\n"
                                             "print(json.dumps(test_experiment.kernel_checks()))"))
-
-
-@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
-def test_the_forward_row_parts_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
-    assert _kernel_checks_on(kernel)["forward"] == ""
 
 
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))

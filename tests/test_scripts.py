@@ -40,5 +40,6 @@ def test_idx_fixture_maps_both_splits_with_the_train_range(tmp_path):
     for split, name in ((train, "train"), (test, "test")):
         expected = np.clip((split.features - lo) / (hi - lo) * 255.0, 0.0, 255.0).astype(np.uint8)
         written = load_idx(tmp_path / f"{name}-images-idx3-ubyte", tmp_path / f"{name}-labels-idx1-ubyte")
-        assert np.array_equal(written.features, expected)
+        # the reader gives each pixel byte's quotient by 255
+        assert np.array_equal(written.features, (expected / 255).astype(np.float32))
         assert np.array_equal(written.labels, split.labels)
