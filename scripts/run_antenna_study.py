@@ -23,11 +23,8 @@ NOISE_VARS = (20.0, 100.0)
 
 def desk_doc(iters):
     doc = template("minimal")
-    doc.update(M=10, K=1, T=iters, d=330, s=165, sigma_h_sq=1.0, sigma_z_sq=NOISE_VARS[0],
-               mode="ota", eval_every=max(1, iters // 10))
-    doc["power"] = {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001}
-    doc["optimizer"] = {"kind": "adam", "learning_rate": 0.01,
-                        "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    doc.update(M=10, K=1, T=iters, d=330, s=165, sigma_z_sq=NOISE_VARS[0],
+               eval_every=max(1, iters // 10))
     doc["dataset"] = {"kind": "synthetic", "classes": 10, "features": 32,
                       "train_per_class": 100, "test_per_class": 50,
                       "margin": 4.0, "seed": 42}

@@ -72,12 +72,13 @@ def _check_left(f, count: int, path, what: str) -> None:
         raise DataError(f"{path}: expected {count} bytes of {what}, got {left}")
 
 
-def _read_headers(images, labels, images_path, labels_path):
-    """(count, rows * cols) from the headers of an open IDX image/label pair.
+def _read_labels(images, labels, images_path, labels_path):
+    """(count, rows * cols, labels) of an open IDX image/label pair, its pixels unread.
 
     Checks each magic word, that there is at least one image, that the two
-    counts agree and that each file holds the data its header claims. Each
-    file is left at its first data byte.
+    counts agree, that each file holds the data its header claims and that
+    every label lies in [0, IDX_CLASSES). The labels come back as uint8 and
+    the image file is left at its first pixel byte.
     """
     _check_left(images, 16, images_path, "header")
     magic, count, rows, cols = struct.unpack(">IIII", images.read(16))
@@ -95,17 +96,19 @@ def _read_headers(images, labels, images_path, labels_path):
         raise DataError(
             f"{images_path} holds {count} images but {labels_path} holds {label_count} labels"
         )
-    return count, rows * cols
+    label_bytes = np.frombuffer(labels.read(count), dtype=np.uint8)
+    if label_bytes.max() >= IDX_CLASSES:
+        raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, {IDX_CLASSES})")
+    return count, rows * cols, label_bytes
 
 
 def idx_shape(images_path, labels_path):
-    """(samples, features) of an IDX image/label pair, from its two headers alone.
+    """(samples, features) of an IDX image/label pair, from its headers and labels.
 
-    Makes every check :func:`load_idx` makes but the label range, without
-    reading the data.
+    Makes every check :func:`load_idx` makes, without reading the pixels.
     """
     with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
-        return _read_headers(images, labels, images_path, labels_path)
+        return _read_labels(images, labels, images_path, labels_path)[:2]
 
 
 def load_idx(images_path, labels_path) -> LocalDataset:
@@ -116,11 +119,8 @@ def load_idx(images_path, labels_path) -> LocalDataset:
     [0, IDX_CLASSES).
     """
     with open(images_path, "rb") as images, open(labels_path, "rb") as labels:
-        count, features = _read_headers(images, labels, images_path, labels_path)
+        count, features, label_bytes = _read_labels(images, labels, images_path, labels_path)
         pixels = np.frombuffer(images.read(count * features), dtype=np.uint8)
-        label_bytes = np.frombuffer(labels.read(count), dtype=np.uint8)
-    if label_bytes.max() >= IDX_CLASSES:
-        raise DataError(f"{labels_path}: label {label_bytes.max()} outside [0, {IDX_CLASSES})")
     scaled = pixels.reshape(count, features).astype(np.float32)
     scaled /= 255.0
     return LocalDataset(scaled, label_bytes.astype(np.int64))

@@ -102,13 +102,13 @@ def _read_idx(read, images_path, labels_path):
 
 
 def _check_idx_files(configs) -> None:
-    """Read the headers of every distinct IDX pair the configs name, and check each config.
+    """Read the headers and labels of each IDX pair the configs name, and check each config.
 
-    A ConfigError names the first missing or malformed file, test images
-    whose pixel count is not the train images' (the model reads its class
-    count off d and the features of the rows it is handed), or the first
-    config whose d or per_device the train pair does not fit. Only the label
-    range waits until a pair is loaded.
+    A ConfigError names the first missing or malformed file (a label
+    outside [0, IDX_CLASSES) included), test images whose pixel count is not
+    the train images' (the model reads its class count off d and the
+    features of the rows it is handed), or the first config whose d or
+    per_device the train pair does not fit.
     """
     shapes = {}
     for config in configs:
@@ -130,7 +130,7 @@ def build_dataset(config: RunConfig):
     """Materialize the config's (train, test) datasets and their class count.
 
     A synthetic config was checked against its dataset when it was parsed.
-    An IDX config is checked against its files' headers by
+    An IDX config is checked against its files' headers and labels by
     :func:`_check_idx_files`, the check :func:`run_matrix` makes for every
     cell, before any pixel is read; the pixels come from ``data.load_idx``
     in [0, 1].
@@ -237,7 +237,6 @@ def run_cells(configs, gradient_fn=None) -> list:
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
             raise NumericAbort(0, "features", config.metrics_path)
-        learner.check_labels(held_y, classes)
         device = np.arange(M)[:, None]
         # the (M, n, F) device stack, in full-batch mode only; a batch gathers its own rows
         X = _gather(start, held_X, rows) if config.batch_size is None else None
@@ -451,9 +450,9 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     file name when the sweep has no field; ``out_dir`` None keeps each
     config's own ``metrics_path``. Returns one (metrics path, records) pair
     per cell, in cell order. Every cell is parsed, and every IDX file's
-    header read, before any runs; a repeated field, two cells with one
-    config, two cells with one metrics path, or a missing or malformed IDX
-    file is a ConfigError.
+    header and labels read, before any runs; a repeated field, two cells
+    with one config, two cells with one metrics path, or a missing or
+    malformed IDX file is a ConfigError.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
     group. Desk-size groups may run side by side, on ``rng.map_groups``'

@@ -39,8 +39,6 @@ keys are why no output byte depends on the thread or process that does the
 work: a draw's bytes are fixed by its substream key, a row copy is a copy,
 a device's backward product has the same shape in any thread, and results
 are combined in a fixed order.
-``map_chunks`` runs keyed chunks on ``_WORKERS`` threads: the trials of
-``verify``'s Monte Carlo checks, and of the tests' reference loops.
 ``side_worker(nbytes)`` is one thread beside the caller's, and it decides
 once, on entry, whether a block gets it: only with a second CPU and
 ``nbytes`` at least ``_OFFLOAD_BYTES``. A training run passes one
@@ -49,7 +47,9 @@ iteration's CHANNEL and NOISE draw (iteration 1's while the dataset is
 built), half of each row copy and, in full-batch mode, the backward product
 of the first M // 2 devices; otherwise the run stays in the caller's
 thread. ``data.make_synthetic`` passes its float64 draw bytes and, given
-the thread, hands it the first half of the classes. ``one_blas_thread``
+the thread, hands it the first half of the classes. Each of ``verify``'s
+Monte Carlo checks passes the bytes of its channel gains and, given the
+thread, hands it the first half of its keyed chunks. ``one_blas_thread``
 pins numpy's OpenBLAS to one thread for the length of a run: its products
 then round the same whatever the CPU count, and the side worker's half of
 the backward does not compete with BLAS threads for the cores.
@@ -57,9 +57,10 @@ the backward does not compete with BLAS threads for the cores.
 beside the caller, which runs a fixed first share of them; a group's bytes
 depend only on its configs, so the same bytes come back from any process.
 
-One rule places a sweep's second CPU: the gate on one iteration's gradient
-bytes. Groups at or above ``_OFFLOAD_BYTES`` run one after another, each
-with the side worker; groups below it run side by side on ``map_groups``'
+One rule, the gate on ``_OFFLOAD_BYTES``, places every thread the program
+starts and a sweep's second CPU. A sweep's gate reads one iteration's
+gradient bytes: groups at or above it run one after another, each with the
+side worker; groups below it run side by side on ``map_groups``'
 processes, each in one thread. A sweep uses its second CPU inside a group
 or across groups, never both. The one exception is a group whose synthetic
 draw passes the gate while its gradients do not (a paper-size dataset on a
@@ -118,20 +119,6 @@ def generator(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.SFC64(seed))
-
-
-def map_chunks(fn, trials: int, chunk: int) -> list:
-    """``fn(c, n)`` for each chunk c of ``trials`` cut into chunks of at most ``chunk``.
-
-    Chunk c holds n = min(chunk, trials - c * chunk) trials. The chunks run
-    on ``_WORKERS`` threads; the results come back in chunk order, and an
-    exception raised in one chunk propagates. Callers key chunk c's
-    randomness by c and combine the results in order, so the outcome does
-    not depend on the worker count.
-    """
-    sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
 
 
 def map_groups(fn, groups, nbytes: int):

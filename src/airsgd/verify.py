@@ -13,14 +13,15 @@ Two suites, both built on fresh channel draws:
 
 These back the `verify-stats` CLI verb and the statistical acceptance
 tests. Every check draws its channel matrices in chunks of at most
-``_CHUNK``, run on ``rng.map_chunks``; chunk c of check ``index`` reads its
-own substream (seed, CHANNEL, index, c), so the chunks are independent. A
-chunk is drawn from one generator in blocks of about ``_BLOCK_BYTES`` of
-channel gains, and each block is reduced before the next is drawn, so no
-chunk-sized tensor is ever held. The report's bytes depend on neither
-constant nor the worker count: consecutive blocks of one generator are the
-bytes of the one-call chunk draw, both statistics reduce each matrix on its
-own, and results are combined in chunk order (``rng``'s docstring).
+``_CHUNK``; chunk c of check ``index`` reads its own substream (seed,
+CHANNEL, index, c), so the chunks are independent, and the first half of
+them may run on ``rng.side_worker``. A chunk is drawn from one generator in
+blocks of about ``_BLOCK_BYTES`` of channel gains, and each block is
+reduced before the next is drawn, so no chunk-sized tensor is ever held.
+The report's bytes depend on neither constant nor the thread that draws a
+chunk: consecutive blocks of one generator are the bytes of the one-call
+chunk draw, both statistics reduce each matrix on its own, and results are
+combined in chunk order (``rng``'s docstring).
 """
 
 import itertools
@@ -62,18 +63,24 @@ def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> lis
     Chunk c holds at most ``_CHUNK`` matrices and reads (seed, CHANNEL,
     index, c). It is drawn from one generator in blocks of at least one
     matrix, and the per-block statistics, which must be per-matrix, are
-    concatenated along the first axis.
+    concatenated along the first axis. Given ``rng.side_worker``'s thread
+    for the check's channel bytes, the first half of the chunks runs there.
     """
     rows = max(1, _BLOCK_BYTES // (16 * M * K))
 
-    def chunk(c, n):
+    def chunk(c):
+        n = min(_CHUNK, trials - c * _CHUNK)
         gen = rng.generator(rng.substream(seed, rng.CHANNEL, index, c))
         return np.concatenate([
             statistic(channel.sample_channel(gen, min(rows, n - start), M, K, 1, sigma_h_sq))
             for start in range(0, n, rows)
         ])
 
-    return rng.map_chunks(chunk, trials, _CHUNK)
+    count = -(-trials // _CHUNK)
+    with rng.side_worker(16 * trials * M * K) as start:
+        first = start(list, map(chunk, range(count // 2)))
+        rest = list(map(chunk, range(count // 2, count)))
+        return first() + rest
 
 
 def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:

@@ -8,6 +8,8 @@ determinism. Monte Carlo seeds are pinned, so every verdict here is
 reproducible.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -130,13 +132,15 @@ def _criterion_4(observe, label):
             return ests.sum(axis=0), (ests**2).sum(axis=0), ((ests - true_avg) ** 2).sum()
 
         chunk = max(1000, min(20_000, int(4e6 // (M * K * s))))
+        sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
         total = np.zeros(d)
         total_sq = np.zeros(d)
         err_sq = 0.0
-        for chunk_total, chunk_sq, chunk_err in rng.map_chunks(chunk_sums, trials, chunk):
-            total += chunk_total
-            total_sq += chunk_sq
-            err_sq += chunk_err
+        with ThreadPoolExecutor(rng._WORKERS) as pool:
+            for chunk_total, chunk_sq, chunk_err in pool.map(chunk_sums, range(len(sizes)), sizes):
+                total += chunk_total
+                total_sq += chunk_sq
+                err_sq += chunk_err
         mean = total / trials
         var = (total_sq - trials * mean**2) / (trials - 1)
         se = np.sqrt(var / trials)
@@ -238,24 +242,25 @@ def desk_matrix():
     power schedule, 5 master seeds; plus the error-free baseline per seed.
     Shared between the accuracy-ordering and power-ordering tests because
     the grid is the expensive part. The seeds are independent, so they run
-    as the chunks of ``rng.map_chunks``, one seed a chunk.
+    on a pool of one thread per CPU, and their results come back in seed
+    order.
     """
     acc = {}
     power = {}
     baseline = []
     cells = [(sigma_z, K) for sigma_z in DESK_SIGMA for K in DESK_K]
 
-    def seed_runs(c, n):
-        master = DESK_SEEDS[c]
+    def seed_runs(master):
         # a seed's ota cells differ in K and sigma_z_sq only: one ensemble
         return (run(_desk_doc("error_free", 1, 20.0, master)),
                 run_cells([_desk_doc("ota", K, sigma_z, master) for sigma_z, K in cells]))
 
-    for records, group in rng.map_chunks(seed_runs, len(DESK_SEEDS), 1):
-        baseline.append(records[-1].accuracy)
-        for key, records in zip(cells, group):
-            acc.setdefault(key, []).append(records[-1].accuracy)
-            power.setdefault(key, []).append(records[-1].avg_power)
+    with ThreadPoolExecutor(rng._WORKERS) as pool:
+        for records, group in pool.map(seed_runs, DESK_SEEDS):
+            baseline.append(records[-1].accuracy)
+            for key, records in zip(cells, group):
+                acc.setdefault(key, []).append(records[-1].accuracy)
+                power.setdefault(key, []).append(records[-1].avg_power)
     mean_acc = {key: float(np.mean(v)) for key, v in acc.items()}
     mean_power = {key: float(np.mean(v)) for key, v in power.items()}
     return mean_acc, mean_power, float(np.mean(baseline))

@@ -1,4 +1,5 @@
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -290,7 +291,10 @@ def _reference_combiner(seed, M, K):
         coeffs = np.stack([combine(h[:, m], h)[0] for m in range(M)], axis=1)
         return coeffs, combine(z, h)[0]
 
-    chunks = rng.map_chunks(chunk_draw, SAMPLES, max(1, 2_000_000 // (M * K)))
+    chunk = max(1, 2_000_000 // (M * K))
+    sizes = [min(chunk, SAMPLES - start) for start in range(0, SAMPLES, chunk)]
+    with ThreadPoolExecutor(rng._WORKERS) as pool:
+        chunks = list(pool.map(chunk_draw, range(len(sizes)), sizes))
     return (np.concatenate([coeffs for coeffs, _ in chunks]),
             np.concatenate([noise for _, noise in chunks]))
 

@@ -207,6 +207,29 @@ def test_sweep_checks_every_idx_file_before_any_cell_runs(tmp_path, spoil):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_a_label_outside_the_classes_exits_2_before_any_directory_is_made(tmp_path, verb):
+    # a sweep's first cell is good and its second names the bad labels, so at
+    # most one cell could run; a run names them itself
+    images, labels, bad = tmp_path / "img.idx", tmp_path / "lbl.idx", tmp_path / "bad.idx"
+    write_idx_images(images, np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx_labels(labels, np.array([0, 1], dtype=np.uint8))
+    write_idx_labels(bad, np.array([0, 12], dtype=np.uint8))
+    dataset = {"kind": "idx", "train_images": str(images), "train_labels": str(labels),
+               "test_images": str(images), "test_labels": str(bad if verb == "run" else labels)}
+    config = _write_fast_config(tmp_path, dataset=dataset, d=50, s=25,
+                                partition={"per_device": 2})
+    out = tmp_path / "out"
+    sweep = (["--sweep", f"dataset.test_labels={json.dumps(str(labels))},{json.dumps(str(bad))}"]
+             if verb == "sweep" else [])
+    proc = _cli(verb, "--config", str(config), "--out", str(out), *sweep)
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("config error") and str(bad) in line and "label 12" in line
+               for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_run_creates_a_missing_metrics_directory(tmp_path):
     config = _write_fast_config(tmp_path)
     target = tmp_path / "new" / "deeper" / "x.csv"

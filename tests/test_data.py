@@ -92,12 +92,15 @@ def test_load_idx_rejects_a_header_the_file_cannot_hold(tmp_path, which, header,
 
 
 def test_idx_shape_reads_the_headers_alone(tmp_path):
+    # the headers and the labels: every check load_idx makes, no pixel read
     images, labels = _write_fixture(tmp_path)
-    assert idx_shape(images, labels) == (2, 4)
-    labels.write_bytes(labels.read_bytes()[:-1] + bytes([12]))  # a label past 9: data, not header
     assert idx_shape(images, labels) == (2, 4)
     images.write_bytes(images.read_bytes()[:-3])
     with pytest.raises(DataError, match="expected 8 bytes of pixel data, got 5"):
+        idx_shape(images, labels)
+    images, labels = _write_fixture(tmp_path)
+    labels.write_bytes(labels.read_bytes()[:-1] + bytes([12]))  # a label past 9
+    with pytest.raises(DataError, match=r"lbls.idx: label 12 outside \[0, 10\)"):
         idx_shape(images, labels)
 
 

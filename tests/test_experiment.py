@@ -350,8 +350,10 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 # sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
 # reference channel streams and the chunking of verify's draws: with chunks
 # of 512 matrices each check draws four chunks, the last one short. The
-# report must not depend on the worker count or the block size, so the
-# digests are also checked with 1 and 3 workers and with one matrix a block.
+# report must not depend on the worker count, the thread that draws a chunk
+# or the block size, so the digests are also checked with no side worker,
+# with 3 workers, with every check's first half of chunks on the side worker,
+# and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
     4096: "8bc5b79fce5e5eca6371df1c4582dd4cad75dc636a1f4d977a7d388549d459e3",
     512: "6857334cd875f3e25fa4db136664f627d16470369f31f287ed36f44d99e26349",
@@ -361,24 +363,26 @@ GOLDEN_VERIFY_SHA256 = {
 @pytest.mark.parametrize("chunk, settings", [
     pytest.param(chunk, settings, id="-".join([str(chunk), *(f"{k}={v}" for k, v in settings.items())]))
     for chunk in sorted(GOLDEN_VERIFY_SHA256)
-    for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, {"_BLOCK_BYTES": 1})
+    for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, ON_THE_WORKER, {"_BLOCK_BYTES": 1})
 ])
 def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, settings):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     for name, value in settings.items():
-        monkeypatch.setattr(rng if name == "_WORKERS" else verify, name, value)
+        monkeypatch.setattr(verify if name == "_BLOCK_BYTES" else rng, name, value)
     cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
 
 
-@pytest.mark.parametrize("workers, block_matrices", [(1, 5), (3, 1), (3, 5)])
+@pytest.mark.parametrize("workers, block_matrices", [(1, 5), (2, 1), (2, 5), (3, 1), (3, 5)])
 def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_matrices):
     # The report prints rounded figures; this reference, one draw per chunk
-    # reduced and summed in chunk order, pins the values exactly.
+    # reduced and summed in chunk order, pins the values exactly. With two
+    # or more workers the side worker draws chunk 0 and the caller chunks 1
+    # and 2; a third worker changes nothing.
     M, K, sigma_h_sq, trials = 3, 8, 1.5, 1300  # chunks of 512, 512 and 276
     monkeypatch.setattr(verify, "_CHUNK", 512)
-    monkeypatch.setattr(rng, "_WORKERS", workers)
+    _set(monkeypatch, {"_WORKERS": workers, "_OFFLOAD_BYTES": 0})
     monkeypatch.setattr(verify, "_BLOCK_BYTES", 16 * M * K * block_matrices)
     draws = [channel.sample_channel(rng.substream(4, rng.CHANNEL, 0, c), n, M, K, 1, sigma_h_sq)
              for c, n in enumerate((512, 512, 276))]
@@ -391,39 +395,24 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     assert verify.hardening_rms_deviation(M, K, sigma_h_sq, trials, 4, 0) == rms
 
 
-@pytest.mark.parametrize("trials, chunk, sizes", [
-    (1536, 512, [512, 512, 512]),
-    (1300, 512, [512, 512, 276]),
-    (300, 512, [300]),
-], ids=["multiple", "short-last", "one-short"])
-def test_map_chunks_cuts_trials_into_chunks(trials, chunk, sizes):
-    assert rng.map_chunks(lambda c, n: (c, n), trials, chunk) == list(enumerate(sizes))
+@pytest.mark.parametrize("half", ["worker", "caller"])
+def test_an_exception_in_either_half_of_a_checks_chunks_propagates_and_leaves_no_thread(
+        monkeypatch, half):
+    monkeypatch.setattr(verify, "_CHUNK", 512)
+    _set(monkeypatch, ON_THE_WORKER)
+    statistic = ota.interference_statistic
 
+    def failing(h):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (half == "worker"):
+            raise ValueError(f"a chunk of the {half}'s half")
+        return statistic(h)
 
-def test_map_chunks_returns_chunk_order_under_any_worker_count(monkeypatch):
-    def draw(c, n):
-        return rng.generator(rng.substream(9, rng.CHANNEL, c)).standard_normal(n)
-
-    results = {}
-    for workers in (1, 3):
-        monkeypatch.setattr(rng, "_WORKERS", workers)
-        results[workers] = rng.map_chunks(draw, 1000, 128)
-    assert len(results[1]) == 8
-    expected = [draw(c, min(128, 1000 - 128 * c)) for c in range(8)]
-    for chunks in results.values():
-        assert all(np.array_equal(a, b) for a, b in zip(chunks, expected, strict=True))
-
-
-def test_map_chunks_propagates_an_exception_from_one_chunk(monkeypatch):
-    monkeypatch.setattr(rng, "_WORKERS", 3)
-
-    def fn(c, n):
-        if c == 2:
-            raise ValueError(f"chunk {c} of {n}")
-        return c
-
-    with pytest.raises(ValueError, match="chunk 2 of 100"):
-        rng.map_chunks(fn, 1000, 100)
+    monkeypatch.setattr(ota, "interference_statistic", failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"a chunk of the {half}'s half"):
+        verify.interference_samples(3, 8, 1.5, 1300, 4, 0)  # chunk 0 on the worker, 1 and 2 here
+    assert threading.active_count() == threads
 
 
 def _group_and_pid(group):
