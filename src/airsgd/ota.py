@@ -132,12 +132,25 @@ def interference_statistic(h: np.ndarray) -> np.ndarray:
     device pairs and so real: |sum_m h|^2 - sum_m |h|^2, averaged over the
     K antennas. Zero mean, variance M(M-1) sigma_h^4 / K. Exactly zero for
     M = 1, where both terms are the same products.
+
+    Both device sums add the (N, K, s) device slices in device order, which
+    is faster than a reduction over the short device axis. That is the
+    order numpy's ``sum(axis=1)`` takes too, so the bytes are the same,
+    except with K = s = 1, where that axis is the innermost and numpy adds
+    M >= 8 terms pairwise: there the two can differ in the last bit.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 4:
         raise ValueError(f"expected h (N,M,K,s), got shape {h.shape}")
-    total = h.sum(axis=1)
-    pair_sum = total.real**2 + total.imag**2 - (h.real**2 + h.imag**2).sum(axis=1)
+    squares = h.real**2
+    squares += h.imag**2
+    total, energy = h[:, 0].copy(), squares[:, 0].copy()
+    for m in range(1, h.shape[1]):
+        total += h[:, m]
+        energy += squares[:, m]
+    pair_sum = total.real**2
+    pair_sum += total.imag**2
+    pair_sum -= energy
     return pair_sum.mean(axis=1)
 
 

@@ -48,14 +48,16 @@ built), half of each row copy and, in full-batch mode, the backward product
 of the first M // 2 devices; otherwise the run stays in the caller's
 thread. ``data.make_synthetic`` passes its float64 draw bytes and, given
 the thread, hands it the first half of the classes. Each of ``verify``'s
-Monte Carlo checks passes the bytes of its channel gains and, given the
-thread, hands it the first half of its keyed chunks. ``one_blas_thread``
-pins numpy's OpenBLAS to one thread for the length of a run: its products
-then round the same whatever the CPU count, and the side worker's half of
-the backward does not compete with BLAS threads for the cores.
+Monte Carlo suites passes the bytes of its checks' channel gains and,
+given the thread, deals its keyed chunks between it and the caller by
+cost. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
+length of a run: its products then round the same whatever the CPU count,
+and the side worker's half of the backward does not compete with BLAS
+threads for the cores.
 ``map_groups`` runs a sweep's ensemble groups on forked worker processes
 beside the caller, which runs a fixed first share of them; a group's bytes
 depend only on its configs, so the same bytes come back from any process.
+On Linux a worker dies with the caller, however the caller ends.
 
 One rule, the gate on ``_OFFLOAD_BYTES``, places every thread the program
 starts and a sweep's second CPU. A sweep's gate reads one iteration's
@@ -72,6 +74,7 @@ import ctypes
 import functools
 import glob
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -135,7 +138,8 @@ def map_groups(fn, groups, nbytes: int):
     group's exception is raised at its turn, after the results of every
     earlier group, and later groups' results are dropped. Closing the
     generator cancels groups not yet begun and waits for the running ones,
-    so no process outlives it.
+    so no process outlives it; on Linux a caller killed before that, by
+    SIGTERM say, takes its workers with it (``_adopt``).
     """
     processes = min(_WORKERS, len(groups))
     if (processes < 2 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
@@ -147,7 +151,7 @@ def map_groups(fn, groups, nbytes: int):
 
     share = -(-len(groups) // processes)
     pool = ProcessPoolExecutor(processes - 1, multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(fn, groups))
+                               initializer=_adopt, initargs=(fn, groups, os.getpid()))
     try:
         # the first submit forks every worker
         futures = [pool.submit(_run_adopted, i) for i in range(share, len(groups))]
@@ -159,11 +163,28 @@ def map_groups(fn, groups, nbytes: int):
 
 
 _adopted = None  # a forked worker's (fn, groups), from map_groups
+_PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for when the parent dies
 
 
-def _adopt(fn, groups) -> None:
+def _adopt(fn, groups, caller: int) -> None:
+    """Keep a forked worker's (fn, groups); on Linux, make it die with its caller.
+
+    The kernel sends the worker SIGKILL when the caller dies, by SIGTERM or
+    SIGKILL too, which skip the caller's clean-up. A caller that died
+    before the request was made has left the worker another parent, and
+    the worker exits at once. Only the caller writes files, so no file is
+    lost with the worker.
+    """
     global _adopted
     _adopted = fn, groups
+    if sys.platform.startswith("linux"):
+        import signal
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != caller:
+            os._exit(1)
 
 
 def _run_adopted(i: int):

@@ -14,10 +14,11 @@ Two suites, both built on fresh channel draws:
 These back the `verify-stats` CLI verb and the statistical acceptance
 tests. Every check draws its channel matrices in chunks of at most
 ``_CHUNK``; chunk c of check ``index`` reads its own substream (seed,
-CHANNEL, index, c), so the chunks are independent, and the first half of
-them may run on ``rng.side_worker``. A chunk is drawn from one generator in
-blocks of about ``_BLOCK_BYTES`` of channel gains, and each block is
-reduced before the next is drawn, so no chunk-sized tensor is ever held.
+CHANNEL, index, c), so the chunks are independent, and each suite deals
+the chunks of all its checks, by cost, between ``rng.side_worker`` and the
+caller. A chunk is drawn from one generator in blocks of about
+``_BLOCK_BYTES`` of channel gains, and each block is reduced before the
+next is drawn, so no chunk-sized tensor is ever held.
 The report's bytes depend on neither constant nor the thread that draws a
 chunk: consecutive blocks of one generator are the bytes of the one-call
 chunk draw, both statistics reduce each matrix on its own, and results are
@@ -57,30 +58,62 @@ def interference_variance(M: int, K: int, sigma_h_sq: float) -> float:
     return M * (M - 1) * sigma_h_sq**2 / K
 
 
-def _channel_statistics(statistic, M, K, sigma_h_sq, trials, seed, index) -> list:
-    """``statistic`` of each chunk's (n, M, K, 1) channel draw, in chunk order.
+def _deal(costs) -> tuple:
+    """Indices of ``costs`` for the side worker and for the caller, balanced by cost.
 
-    Chunk c holds at most ``_CHUNK`` matrices and reads (seed, CHANNEL,
-    index, c). It is drawn from one generator in blocks of at least one
-    matrix, and the per-block statistics, which must be per-matrix, are
-    concatenated along the first axis. Given ``rng.side_worker``'s thread
-    for the check's channel bytes, the first half of the chunks runs there.
+    The costs are taken from the largest down, ties in index order, and
+    each goes to the side whose total so far is smaller, the worker on a
+    tie; so the two totals differ by at most the largest cost.
     """
-    rows = max(1, _BLOCK_BYTES // (16 * M * K))
+    sides, totals = ([], []), [0, 0]
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        side = int(totals[1] < totals[0])
+        sides[side].append(i)
+        totals[side] += costs[i]
+    return sides
 
-    def chunk(c):
-        n = min(_CHUNK, trials - c * _CHUNK)
+
+def _channel_statistics(checks, trials, seed) -> list:
+    """Per check, ``statistic`` of each chunk's (n, M, K, 1) channel draw, in chunk order.
+
+    ``checks`` holds a suite's (statistic, M, K, sigma_h_sq, index) checks.
+    Chunk c of a check holds at most ``_CHUNK`` matrices and reads (seed,
+    CHANNEL, index, c). It is drawn from one generator in blocks of at
+    least one matrix, and the per-block statistics, which must be
+    per-matrix, are concatenated along the first axis. The suite's chunks
+    are dealt by their n * M * K gains (``_deal``): given
+    ``rng.side_worker``'s thread for the suite's channel bytes, the
+    worker's share runs there while the caller runs its own.
+    """
+    count = -(-trials // _CHUNK)
+    sizes = [min(_CHUNK, trials - c * _CHUNK) for c in range(count)]
+    chunks = [(check, c) for check in checks for c in range(count)]
+    gains = [sizes[c] * M * K for (_, M, K, _, _), c in chunks]
+
+    def draw(check, c):
+        statistic, M, K, sigma_h_sq, index = check
+        rows = max(1, _BLOCK_BYTES // (16 * M * K))
         gen = rng.generator(rng.substream(seed, rng.CHANNEL, index, c))
         return np.concatenate([
-            statistic(channel.sample_channel(gen, min(rows, n - start), M, K, 1, sigma_h_sq))
-            for start in range(0, n, rows)
+            statistic(channel.sample_channel(gen, min(rows, sizes[c] - start), M, K, 1, sigma_h_sq))
+            for start in range(0, sizes[c], rows)
         ])
 
-    count = -(-trials // _CHUNK)
-    with rng.side_worker(16 * trials * M * K) as start:
-        first = start(list, map(chunk, range(count // 2)))
-        rest = list(map(chunk, range(count // 2, count)))
-        return first() + rest
+    def run(share):
+        return [draw(*chunks[i]) for i in share]
+
+    worker, caller = _deal(gains)
+    results = [None] * len(chunks)
+    with rng.side_worker(16 * sum(gains)) as start:
+        first = start(run, worker)
+        mine = run(caller)
+        for i, statistic in zip(worker + caller, first() + mine):
+            results[i] = statistic
+    return [results[i:i + count] for i in range(0, len(results), count)]
+
+
+def _interference(h) -> np.ndarray:
+    return ota.interference_statistic(h)[:, 0]
 
 
 def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:
@@ -89,16 +122,18 @@ def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarr
     Each draw uses an independent channel matrix with a single subchannel;
     the statistic is scale-free in the gradients so no signal is needed.
     """
-    return np.concatenate(_channel_statistics(
-        lambda h: ota.interference_statistic(h)[:, 0], M, K, sigma_h_sq, trials, seed, case_index,
-    ))
+    (chunks,) = _channel_statistics([(_interference, M, K, sigma_h_sq, case_index)], trials, seed)
+    return np.concatenate(chunks)
 
 
 def interference_checks(trials: int, seed: int) -> list:
-    """Mean and variance checks of the interference statistic per case."""
+    """Mean and variance checks of the interference statistic per case, as one suite."""
+    checks = [(_interference, M, K, sigma_h_sq, index)
+              for index, (M, K, sigma_h_sq) in enumerate(INTERFERENCE_CASES)]
     results = []
-    for index, (M, K, sigma_h_sq) in enumerate(INTERFERENCE_CASES):
-        samples = interference_samples(M, K, sigma_h_sq, trials, seed, index)
+    for (M, K, sigma_h_sq), chunks in zip(INTERFERENCE_CASES,
+                                          _channel_statistics(checks, trials, seed)):
+        samples = np.concatenate(chunks)
         label = f"interference(M={M},K={K},sig_h2={sigma_h_sq:g})"
         results.append(statcheck.check_mean_zero(f"{label}.mean", samples))
         expected = interference_variance(M, K, sigma_h_sq)
@@ -106,25 +141,30 @@ def interference_checks(trials: int, seed: int) -> list:
     return results
 
 
-def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
-    """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
+def _rms_deviation(chunks, sigma_h_sq) -> float:
     total = 0.0
     count = 0
-    chunks = _channel_statistics(ota.effective_signal_gains, M, K, sigma_h_sq, trials, seed, k_index)
     for gains in chunks:
         total += float(((gains - sigma_h_sq) ** 2).sum())  # gains: (n, M, 1)
         count += gains.size
     return float(np.sqrt(total / count) / sigma_h_sq)
 
 
+def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
+    """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
+    (chunks,) = _channel_statistics(
+        [(ota.effective_signal_gains, M, K, sigma_h_sq, k_index)], trials, seed)
+    return _rms_deviation(chunks, sigma_h_sq)
+
+
 def hardening_checks(trials: int, seed: int) -> list:
     """Check the RMS deviation roughly halves each time K quadruples."""
     # Offset the stream index so these draws never coincide with an
     # interference case of the same shape and seed.
-    deviations = [
-        hardening_rms_deviation(HARDENING_M, K, HARDENING_SIGMA_H_SQ, trials, seed, 100 + i)
-        for i, K in enumerate(HARDENING_K)
-    ]
+    checks = [(ota.effective_signal_gains, HARDENING_M, K, HARDENING_SIGMA_H_SQ, 100 + i)
+              for i, K in enumerate(HARDENING_K)]
+    deviations = [_rms_deviation(chunks, HARDENING_SIGMA_H_SQ)
+                  for chunks in _channel_statistics(checks, trials, seed)]
     results = []
     for (k_lo, dev_lo), (k_hi, dev_hi) in itertools.pairwise(zip(HARDENING_K, deviations)):
         ratio = dev_hi / dev_lo

@@ -6,6 +6,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -375,6 +376,72 @@ def test_a_sweep_whose_worker_dies_exits_1_and_keeps_the_callers_groups(tmp_path
     assert stdout == ""
     assert sorted(p.name for p in out.iterdir()) == [
         f"metrics_master_seed={seed}_K={K}.csv" for seed in (1, 2) for K in (1, 5)]
+
+
+# A sweep that marks each group it begins with a file named for the pid
+# that runs it, in the directory given first.
+_MARKING_SWEEP = """
+import os, sys
+from airsgd import cli, experiment, rng
+
+marks, run_cells = sys.argv.pop(1), experiment.run_cells
+
+def marking(configs):
+    open(os.path.join(marks, str(os.getpid())), "a").close()
+    return run_cells(configs)
+
+experiment.run_cells = marking
+rng._WORKERS = 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _live_processes_in_session(session) -> list:
+    """Pids of the processes of ``session`` still running: neither gone nor zombies."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as f:
+                state, _, _, sid = f.read().rsplit(")", 1)[1].split()[:4]
+        except OSError:
+            continue  # gone meanwhile
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL, signal.SIGINT],
+                         ids=["SIGTERM", "SIGKILL", "SIGINT"])
+def test_a_stopped_sweep_leaves_no_process_and_only_whole_groups_files(tmp_path, signum):
+    # four groups on two processes, about a second each; the signal goes to
+    # the caller alone once the worker has begun its first group
+    config = _write_fast_config(tmp_path, T=3000, eval_every=100)
+    out, marks = tmp_path / "grid", tmp_path / "marks"
+    marks.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _MARKING_SWEEP, str(marks), "sweep", "--config", str(config),
+         "--out", str(out), "--sweep", "master_seed=1,2,3,4", "--sweep", "K=1,5"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while {p.name for p in marks.iterdir()} <= {str(proc.pid)}:
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker began"
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while _live_processes_in_session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = _live_processes_in_session(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, left) == (-signum, [])
+    files = sorted(p.name for p in out.iterdir())
+    groups = [[f"metrics_master_seed={seed}_K={K}.csv" for K in (1, 5)] for seed in (1, 2, 3, 4)]
+    assert files in [sum(groups[:n], []) for n in range(len(groups))]
 
 
 @pytest.mark.parametrize("command", [

@@ -352,8 +352,8 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
 # of 512 matrices each check draws four chunks, the last one short. The
 # report must not depend on the worker count, the thread that draws a chunk
 # or the block size, so the digests are also checked with no side worker,
-# with 3 workers, with every check's first half of chunks on the side worker,
-# and with one matrix a block.
+# with 3 workers, with each suite's chunks dealt between the side worker and
+# the caller, and with one matrix a block.
 GOLDEN_VERIFY_SHA256 = {
     4096: "8bc5b79fce5e5eca6371df1c4582dd4cad75dc636a1f4d977a7d388549d459e3",
     512: "6857334cd875f3e25fa4db136664f627d16470369f31f287ed36f44d99e26349",
@@ -378,8 +378,8 @@ def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, s
 def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_matrices):
     # The report prints rounded figures; this reference, one draw per chunk
     # reduced and summed in chunk order, pins the values exactly. With two
-    # or more workers the side worker draws chunk 0 and the caller chunks 1
-    # and 2; a third worker changes nothing.
+    # or more workers the deal gives the side worker chunks 0 and 2 and the
+    # caller chunk 1; a third worker changes nothing.
     M, K, sigma_h_sq, trials = 3, 8, 1.5, 1300  # chunks of 512, 512 and 276
     monkeypatch.setattr(verify, "_CHUNK", 512)
     _set(monkeypatch, {"_WORKERS": workers, "_OFFLOAD_BYTES": 0})
@@ -411,7 +411,48 @@ def test_an_exception_in_either_half_of_a_checks_chunks_propagates_and_leaves_no
     monkeypatch.setattr(ota, "interference_statistic", failing)
     threads = threading.active_count()
     with pytest.raises(ValueError, match=f"a chunk of the {half}'s half"):
-        verify.interference_samples(3, 8, 1.5, 1300, 4, 0)  # chunk 0 on the worker, 1 and 2 here
+        verify.interference_samples(3, 8, 1.5, 1300, 4, 0)  # chunks 0 and 2 on the worker, 1 here
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("trials", [10_000, 2_000])
+def test_the_deal_balances_a_suites_chunks_to_within_the_largest(trials):
+    # the n * M * K gains of the hardening suite's chunks, in (check, chunk) order
+    sizes = [min(verify._CHUNK, trials - start) for start in range(0, trials, verify._CHUNK)]
+    gains = [n * verify.HARDENING_M * K for K in verify.HARDENING_K for n in sizes]
+    worker, caller = verify._deal(gains)
+    assert sorted(worker + caller) == list(range(len(gains)))
+    assert abs(sum(gains[i] for i in worker) - sum(gains[i] for i in caller)) <= max(gains)
+    assert verify._deal(gains) == (worker, caller)
+
+
+def test_the_deal_gives_the_worker_the_first_of_equal_chunks():
+    # chunks of 512, 512 and 276 matrices: the worker takes chunk 0, the
+    # caller chunk 1, and chunk 2, the totals being tied, goes to the worker
+    assert verify._deal([512 * 24, 512 * 24, 276 * 24]) == ([0, 2], [1])
+
+
+@pytest.mark.parametrize("suite, statistic", [
+    (verify.interference_checks, "interference_statistic"),
+    (verify.hardening_checks, "effective_signal_gains"),
+], ids=["interference", "hardening"])
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_an_exception_on_either_side_of_a_suites_deal_propagates_and_leaves_no_thread(
+        monkeypatch, suite, statistic, side):
+    monkeypatch.setattr(verify, "_CHUNK", 512)
+    _set(monkeypatch, ON_THE_WORKER)
+    reduce = getattr(ota, statistic)
+
+    def failing(h):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (side == "worker"):
+            raise ValueError(f"a chunk of the {side}'s share")
+        return reduce(h)
+
+    monkeypatch.setattr(ota, statistic, failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"a chunk of the {side}'s share"):
+        suite(2000, 4)
     assert threading.active_count() == threads
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airsgd import rng
+from airsgd import rng, verify
 from airsgd.channel import propagate, sample_channel, sample_noise
 from airsgd.ota import (
     Decomposition,
@@ -145,6 +145,33 @@ def test_interference_statistic_two_device_hand_value():
     stat = interference_statistic(h)
     assert stat.dtype == np.float64
     assert np.isclose(stat[0, 0], 2 * (np.conj(a) * b).real)  # conj(a) b + conj(b) a
+
+
+def _reduced_interference_statistic(h):
+    """The statistic as numpy's reductions over the device axis give it."""
+    total = h.sum(axis=1)
+    pair_sum = total.real**2 + total.imag**2 - (h.real**2 + h.imag**2).sum(axis=1)
+    return pair_sum.mean(axis=1)
+
+
+@pytest.mark.parametrize("M, K, sigma_h_sq", verify.INTERFERENCE_CASES)
+def test_interference_statistic_has_the_bytes_of_the_reductions_on_verifys_blocks(
+        M, K, sigma_h_sq):
+    rows = verify._BLOCK_BYTES // (16 * M * K)
+    h = sample_channel(rng.substream(7, rng.CHANNEL, M), rows, M, K, 1, sigma_h_sq)
+    assert interference_statistic(h).tobytes() == _reduced_interference_statistic(h).tobytes()
+
+
+def test_interference_statistic_has_the_bytes_of_the_reductions_over_a_grid():
+    # K = 1 with s = 1 is left out: there the device axis is the innermost
+    # and numpy adds M >= 8 terms pairwise, so the last bit may differ
+    for N in (1, 64):
+        for M in (1, 2, 3, 8, 16):
+            for K in (2, 4, 16, 256):
+                for s in (1, 3):
+                    h = sample_channel(rng.substream(8, rng.CHANNEL, N, M, K, s), N, M, K, s, 1.0)
+                    assert (interference_statistic(h).tobytes()
+                            == _reduced_interference_statistic(h).tobytes()), (N, M, K, s)
 
 
 def test_decomposition_identity_random_instance():
