@@ -9,8 +9,9 @@ Verbs:
 Exit codes: 0 success, 1 a sweep's worker process died (earlier groups'
 files are kept), 2 config problem (a missing or malformed dataset file
 included), 3 numeric abort mid-run, 4 statistical check failure. A sweep
-stopped by a signal exits by that signal; on Linux its forked workers die
-with it, even by SIGTERM or SIGKILL.
+stopped by a signal exits by that signal, and its forked workers die with
+it: on SIGINT the caller kills them at once, and on Linux they die with it
+by SIGTERM or SIGKILL too.
 """
 
 import argparse

@@ -34,8 +34,9 @@ docstring says why no output byte depends on it. Every (cell, device)
 backward product keeps its shape in either half, the forward over the held
 rows is one call, and BLAS runs on one thread for the length of a run
 (``rng.one_blas_thread``), so no product's bytes depend on the CPU count.
-A sweep's ensembles below the worker's gate run side by side instead, on
-``rng.map_groups``' forked processes and in the caller.
+A sweep's ensembles below the worker's gate run side by side instead: the
+caller runs the first of them, and each of ``rng.map_groups``' forked
+processes a contiguous slice of the rest.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -456,7 +457,8 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
     group. Desk-size groups may run side by side, on ``rng.map_groups``'
-    forked workers and in this process; a group's files are written, in
+    forked workers, a contiguous slice of the later groups each, and in
+    this process, which runs the first ones; a group's files are written, in
     group order, once it and every earlier group have finished, so a
     NumericAbort leaves the files of earlier groups and none of its own or
     of any later group.

@@ -54,10 +54,13 @@ cost. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
 length of a run: its products then round the same whatever the CPU count,
 and the side worker's half of the backward does not compete with BLAS
 threads for the cores.
-``map_groups`` runs a sweep's ensemble groups on forked worker processes
-beside the caller, which runs a fixed first share of them; a group's bytes
-depend only on its configs, so the same bytes come back from any process.
-On Linux a worker dies with the caller, however the caller ends.
+``map_groups`` runs a sweep's ensemble groups on worker processes beside
+the caller, which runs a fixed first share of them; each worker is forked
+directly, with one pipe for its contiguous slice of the later groups, and
+no pool or helper thread is made. A group's bytes depend only on its
+configs, so the same bytes come back from any process. A worker dies with
+the caller: at once on the caller's exception or close, and on Linux
+however the caller ends.
 
 One rule, the gate on ``_OFFLOAD_BYTES``, places every thread the program
 starts and a sweep's second CPU. A sweep's gate reads one iteration's
@@ -74,9 +77,10 @@ import ctypes
 import functools
 import glob
 import os
+import pickle
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -130,44 +134,113 @@ def map_groups(fn, groups, nbytes: int):
     Given two or more groups, ``_WORKERS`` > 1, ``fork``, no other thread
     alive and ``nbytes`` (the largest group's, as ``side_worker`` is given
     them) below ``_OFFLOAD_BYTES``, P = min(``_WORKERS``, len(groups))
-    processes share the groups: P - 1 are forked, with fn and the groups,
-    and take the groups after the first ceil(len(groups) / P) in group
-    order, while the caller runs those first ones itself. Otherwise every
-    group runs in the caller, one after another. A worker's result or
-    exception comes back pickled. Results are yielded in group order; a
-    group's exception is raised at its turn, after the results of every
-    earlier group, and later groups' results are dropped. Closing the
-    generator cancels groups not yet begun and waits for the running ones,
-    so no process outlives it; on Linux a caller killed before that, by
-    SIGTERM say, takes its workers with it (``_adopt``).
+    processes share the groups: the caller runs the first
+    ceil(len(groups) / P) itself, and each of P - 1 forked workers a
+    contiguous slice of the rest, in group order. Otherwise every group runs
+    in the caller, one after another. A worker runs its slice to the end or
+    to its first exception, then writes one pickled list of its results,
+    and that exception, to its pipe and exits; it never waits on the
+    caller before that. Results are yielded in group order; a group's
+    exception is raised at its turn, after the results of every earlier
+    group, and later groups' results are dropped; a worker's exception has
+    its traceback in the worker as its ``__cause__``. A worker that exits
+    without writing its results raises ``BrokenExecutor`` at its slice's
+    turn. Closing the generator, or an exception in it, kills every worker
+    at once with SIGKILL and reaps it, so no process outlives it; on Linux
+    a caller killed before that, by SIGTERM say, takes its workers with it
+    (``_adopt``).
     """
     processes = min(_WORKERS, len(groups))
     if (processes < 2 or nbytes >= _OFFLOAD_BYTES or not hasattr(os, "fork")
             or threading.active_count() > 1):
         yield from map(fn, groups)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import signal  # here, so that a process that never forks does not load it
 
     share = -(-len(groups) // processes)
-    pool = ProcessPoolExecutor(processes - 1, multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(fn, groups, os.getpid()))
+    later = len(groups) - share
+    bounds = [share + later * k // (processes - 1) for k in range(processes)]
+    # no worker starts with a copy of the caller's buffered output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    caller, pids, reads = os.getpid(), [], []  # workers not yet reaped, pipes not yet closed
     try:
-        # the first submit forks every worker
-        futures = [pool.submit(_run_adopted, i) for i in range(share, len(groups))]
+        for start, stop in zip(bounds, bounds[1:]):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, groups[start:stop], write, reads, caller)
+            finally:
+                os.close(write)
+            pids.append(pid)
         yield from map(fn, groups[:share])
-        for future in futures:
-            yield future.result()
+        while pids:
+            payload = _read_to_end(reads[0])
+            os.close(reads.pop(0))
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status != 0:
+                raise BrokenExecutor(f"worker process {pid} ended without its groups' "
+                                     f"results (wait status {status})")
+            results, error, trace = pickle.loads(payload)
+            yield from results
+            if error is not None:
+                raise error from _WorkerTraceback(f"in worker process {pid}:\n{trace}")
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
-_adopted = None  # a forked worker's (fn, groups), from map_groups
+def _work(fn, groups, write: int, reads, caller: int):
+    """A forked worker's life: run ``groups``, write their results to ``write``, exit.
+
+    Exits 0 once the results are written, 1 if it cannot write them (a
+    result that does not pickle, say); never returns.
+    """
+    code = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        _adopt(caller)
+        results, error, trace = [], None, None
+        try:
+            for group in groups:
+                results.append(fn(group))
+        except BaseException as exc:  # the caller raises it at its group's turn
+            import traceback
+
+            error, trace = exc, traceback.format_exc()
+        view = memoryview(pickle.dumps((results, error, trace)))
+        while view:
+            view = view[os.write(write, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _WorkerTraceback(Exception):
+    """The cause of an exception from a worker: where in the worker it was raised."""
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 _PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for when the parent dies
 
 
-def _adopt(fn, groups, caller: int) -> None:
-    """Keep a forked worker's (fn, groups); on Linux, make it die with its caller.
+def _adopt(caller: int) -> None:
+    """On Linux, make a forked worker die with its caller.
 
     The kernel sends the worker SIGKILL when the caller dies, by SIGTERM or
     SIGKILL too, which skip the caller's clean-up. A caller that died
@@ -175,8 +248,6 @@ def _adopt(fn, groups, caller: int) -> None:
     the worker exits at once. Only the caller writes files, so no file is
     lost with the worker.
     """
-    global _adopted
-    _adopted = fn, groups
     if sys.platform.startswith("linux"):
         import signal
 
@@ -185,11 +256,6 @@ def _adopt(fn, groups, caller: int) -> None:
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
         if os.getppid() != caller:
             os._exit(1)
-
-
-def _run_adopted(i: int):
-    fn, groups = _adopted
-    return fn(groups[i])
 
 
 @contextlib.contextmanager

@@ -7,7 +7,6 @@ configs.
 """
 
 import json
-import multiprocessing
 import os
 import time
 
@@ -46,8 +45,13 @@ def recorded_groups(log) -> list:
 
 
 def assert_no_child_alive(pids) -> None:
-    """No multiprocessing child of this process, and none of ``pids``, is alive or unreaped."""
-    assert multiprocessing.active_children() == []
+    """No child of this process, and none of ``pids``, is alive or unreaped."""
+    try:
+        child = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError(f"a child of this process outlived the sweep: {child}")
     for pid in pids:
         if pid != os.getpid():
             try:

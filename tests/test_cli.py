@@ -560,9 +560,19 @@ def test_cli_import_leaves_jsonschema_unloaded():
 
 
 def test_cli_import_leaves_the_process_machinery_unloaded():
-    # rng.map_groups imports it when a sweep first forks: a run's set-up,
-    # and every one-group run, never pays for it
     loaded = _fresh_modules("import airsgd.cli")
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
+
+
+def test_a_forked_sweep_loads_no_process_machinery(tmp_path):
+    # rng.map_groups forks its workers itself, on a pipe each
+    config = _write_fast_config(tmp_path, T=2, eval_every=1)
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "grid"),
+            "--sweep", "master_seed=1,2"]
+    loaded = _fresh_modules(
+        "import os; forks = []; os.register_at_fork(after_in_parent=lambda: forks.append(1)); "
+        f"from airsgd import cli, rng; rng._WORKERS = 2; code = cli.main({argv!r}); "
+        "assert (code, forks) == (0, [1]), (code, forks)")
     assert not {"multiprocessing", "concurrent.futures.process"} & loaded
 
 

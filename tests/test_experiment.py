@@ -474,13 +474,14 @@ def test_map_groups_gives_the_caller_the_first_share_of_the_groups(monkeypatch):
     # slow (here the caller's group 0 and a worker's group 3)
     for workers, n, share in ((2, 6, 3), (3, 6, 2), (3, 7, 3)):
         monkeypatch.setattr(rng, "_WORKERS", workers)
-        before = threading.active_count()
+        before, fds = threading.active_count(), len(os.listdir("/proc/self/fd"))
         results = list(rng.map_groups(_sleeping({0: 0.1, 3: 0.3}), list(range(n)), 0))
         assert [group for group, _ in results] == list(range(n))
         pids = [pid for _, pid in results]
         assert [pid == os.getpid() for pid in pids] == [group < share for group in range(n)]
         assert len(set(pids[share:])) <= workers - 1
         assert threading.active_count() == before
+        assert len(os.listdir("/proc/self/fd")) == fds  # every pipe closed
         assert_no_child_alive(pids)
 
 
@@ -550,18 +551,21 @@ def test_map_groups_raises_the_first_failure_in_group_order_after_earlier_result
     assert [pid == os.getpid() for _, pid in seen] == [group < share for group in range(first)]
     assert excinfo.value.iteration == first
     assert (excinfo.value.path == f"cell-{first}-{os.getpid()}.csv") == (first < share)
+    # a worker's abort carries its traceback in the worker as its cause
+    assert ("in fn\n" in str(excinfo.value.__cause__)) == (first >= share)
     assert threading.active_count() == before
     assert_no_child_alive([pid for _, pid in seen])
 
 
 # The first group a worker begins (one of groups 3-7: 3 CPUs give the
-# caller groups 0-2 and two workers the rest) kills that worker after 0.3 s,
-# while the other worker has 2 s of its group to go. The broken pool must end
-# that worker and the pool's threads, so the process exits at once, and leave
-# nothing behind that would keep the next call from forking.
+# caller groups 0-2 and two workers the rest, groups 3-4 and 5-7) kills that
+# worker after 0.3 s, while each group of the other worker takes 2 s. The
+# caller finds the death when it reaches that worker's slice; it must then
+# kill the other worker if it is still running, so the process exits, and
+# leave nothing behind that would keep the next call from forking.
 _DYING_WORKER = """
 import os, sys, threading, time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from airsgd import rng
 
 caller = os.getpid()
@@ -581,12 +585,29 @@ def fn(group):
 rng._WORKERS = 3
 try:
     list(rng.map_groups(fn, list(range(8)), 0))
-except BrokenProcessPool:
+except BrokenExecutor:
     print("broken pool")
 print("threads:", [thread.name for thread in threading.enumerate()])
 pids = list(rng.map_groups(lambda group: os.getpid(), [0, 1], 0))
 print("next call forks:", pids[0] == caller != pids[1])
 """
+
+
+def test_a_caller_exception_kills_the_workers_at_once(monkeypatch):
+    # the worker's group would take 10 s; the caller's group raises at once
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+
+    def fn(group):
+        if group == 0:
+            raise ValueError("the caller's group")
+        time.sleep(10.0)
+        return group
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's group"):
+        list(rng.map_groups(fn, [0, 1], 0))
+    assert time.monotonic() - start < 2.0
+    assert_no_child_alive([])
 
 
 def test_a_worker_that_dies_breaks_the_sweep_and_leaves_no_process_behind(tmp_path):
