@@ -6,24 +6,19 @@ Gains are independent across symbols, devices, antennas, and subchannels
 (the only correlation model supported); noise likewise across symbols,
 antennas, and subchannels.
 
-Two ways to draw the channel:
-
-* the reference path: ``sample_channel`` and ``sample_noise`` draw the full
-  fading tensor and the per-antenna noise, ``propagate`` superposes the
-  device symbols and ``ota.combine`` applies the matched-sum combiner. The
-  verification suites and the signal/interference/noise split use it,
-  because they need the individual gains.
-* ``sample_combined`` draws the combiner output's law directly: the
-  per-device coefficients and the combined noise, O(M s) values per symbol
-  instead of O(M K s). Training runs use it, because the receiver's
-  estimate depends on the channel only through that output.
+The receiver sees the channel only through its matched-sum combiner output,
+so the program draws that output from its exact law: ``sample_combined``
+gives the per-device coefficients and the combined noise, O(M s) values per
+symbol instead of O(M K s) gains. ``sample_channel`` draws the full fading
+tensor, which only ``verify``'s statistics need, since they reduce the
+individual gains. The per-antenna noise, the superposed received signal and
+the combiner itself, written literally, live in the tests' oracle,
+``tests/reference.py``, against which ``sample_combined`` is checked.
 
 Array conventions used throughout the package:
 
     channel gains h : (N, M, K, s) complex128   symbol, device, antenna, subchannel
-    noise z         : (N, K, s)    complex128
     transmitted x   : (M, N, s)    complex128   one block row per symbol
-    received y      : (N, K, s)    complex128
     combiner coeffs : (N, M, s)    complex128
     combined noise  : (N, s)       complex128
 """
@@ -32,7 +27,7 @@ import numpy as np
 
 from . import rng
 
-__all__ = ["sample_channel", "sample_noise", "propagate", "sample_combined"]
+__all__ = ["sample_channel", "sample_combined"]
 
 
 def _complex_normal(gen: np.random.Generator, shape, variance) -> np.ndarray:
@@ -57,11 +52,6 @@ def _check_gain_variance(sigma_h_sq: float):
         raise ValueError(f"sigma_h_sq must be positive, got {sigma_h_sq}")
 
 
-def _check_noise_variance(sigma_z_sq: float):
-    if sigma_z_sq < 0:
-        raise ValueError(f"sigma_z_sq must be nonnegative, got {sigma_z_sq}")
-
-
 def sample_channel(rng_seed, N: int, M: int, K: int, s: int, sigma_h_sq: float) -> np.ndarray:
     """Draw an (N, M, K, s) tensor of fading gains, each CN(0, sigma_h_sq).
 
@@ -77,42 +67,6 @@ def sample_channel(rng_seed, N: int, M: int, K: int, s: int, sigma_h_sq: float) 
     return _complex_normal(gen, (N, M, K, s), sigma_h_sq)
 
 
-def sample_noise(rng_seed, N: int, K: int, s: int, sigma_z_sq: float) -> np.ndarray:
-    """Draw an (N, K, s) tensor of receiver noise, each CN(0, sigma_z_sq).
-
-    sigma_z_sq = 0 yields an exactly zero tensor (noiseless channel).
-    """
-    _check_dims(N=N, K=K, s=s)
-    _check_noise_variance(sigma_z_sq)
-    if sigma_z_sq == 0:
-        return np.zeros((N, K, s), dtype=np.complex128)
-    gen = rng.generator(rng_seed)
-    return _complex_normal(gen, (N, K, s), sigma_z_sq)
-
-
-def propagate(tx: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Superpose the scaled device symbols through the fading MAC.
-
-    y[n, k, i] = sum_m h[n, m, k, i] * tx[m, n, i] + z[n, k, i]
-
-    ``tx`` holds the already power-scaled symbol blocks of every device.
-    The channel acts entrywise per subchannel.
-    """
-    tx = np.asarray(tx, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    if tx.ndim != 3 or h.ndim != 4 or z.ndim != 3:
-        raise ValueError(
-            f"expected tx (M,N,s), h (N,M,K,s), z (N,K,s); got {tx.shape}, {h.shape}, {z.shape}"
-        )
-    M, N, s = tx.shape
-    if h.shape[0] != N or h.shape[1] != M or h.shape[3] != s:
-        raise ValueError(f"channel shape {h.shape} inconsistent with tx shape {tx.shape}")
-    if z.shape != (N, h.shape[2], s):
-        raise ValueError(f"noise shape {z.shape} inconsistent with channel shape {h.shape}")
-    return np.einsum("nmki,mni->nki", h, tx) + z
-
-
 def sample_combined(
     channel_seed, noise_seed, N: int, M: int, K: int, s: int,
     sigma_h_sq: float, sigma_z_sq: float,
@@ -120,13 +74,14 @@ def sample_combined(
     """Draw the matched-sum combiner output's coefficients and noise directly.
 
     Returns ``(coeffs, noise)`` of shapes (N, M, s) and (N, s), distributed
-    exactly as ``c[n, m, i]`` and ``w[n, i]`` in
+    exactly as ``c[n, m, i]`` and ``w[n, i]`` in the combiner output
 
-        combine(propagate(tx, h, z), h)[n, i] = sum_m c[n, m, i] tx[m, n, i] + w[n, i]
+        (1/K) sum_k conj(sum_m h[n, m, k, i]) (sum_m h[n, m, k, i] tx[m, n, i] + z[n, k, i])
+            = sum_m c[n, m, i] tx[m, n, i] + w[n, i]
 
-    for h from ``sample_channel`` and z from ``sample_noise``, jointly over
-    (c, w), for every K >= 1. Per symbol and subchannel, with
-    sigma^2 = sigma_h_sq:
+    for h from ``sample_channel`` and per-antenna noise z with entries
+    CN(0, sigma_z_sq), jointly over (c, w), for every K >= 1. Per symbol and
+    subchannel, with sigma^2 = sigma_h_sq:
 
         r   ~ sigma^2 Gamma(K, 1)
         f   ~ CN(0, sigma^2 r I_M)
@@ -152,7 +107,8 @@ def sample_combined(
     K, sigma_z_sq = np.broadcast_arrays(np.asarray(K), np.asarray(sigma_z_sq, dtype=np.float64))
     _check_dims(N=N, M=M, K=K.min(), s=s)
     _check_gain_variance(sigma_h_sq)
-    _check_noise_variance(sigma_z_sq.min())
+    if sigma_z_sq.min() < 0:
+        raise ValueError(f"sigma_z_sq must be nonnegative, got {sigma_z_sq.min()}")
     r = np.empty(K.shape + (N, s))
     coeffs = np.empty(K.shape + (N, M, s), dtype=np.complex128)
     for k in map(int, np.unique(K)):

@@ -11,9 +11,9 @@ rows are gathered from them only for each device's backward product and bias
 sum and for its loss mean. The combiner output sum_m c_m x_m + w is drawn
 from its exact law by ``channel.sample_combined`` (coefficients c and
 combined noise w), never from the full per-antenna fading tensor, which only
-the verification and decomposition paths draw. The error_free mode skips the
-channel and hands the optimizer the exact device-average gradient, giving
-the idealized baseline the noisy runs are compared against.
+``verify``'s statistics draw. The error_free mode skips the channel and hands
+the optimizer the exact device-average gradient, giving the idealized
+baseline the noisy runs are compared against.
 
 Cells that differ only in K and sigma_z_sq run as one ensemble (``run_cells``)
 on a leading cell axis: data, partition, batches and each iteration's CHANNEL

@@ -1,5 +1,5 @@
-"""Over-the-air aggregation: transmit scaling, matched-sum combining,
-gradient-average estimation, and diagnostics.
+"""Over-the-air aggregation: transmit scaling, gradient-average estimation,
+and the channel statistics behind the estimate.
 
 Devices send x^n_m = alpha_t * g^n_m uncoded. The receiver, knowing all
 gains, combines its K antennas per symbol n and subchannel i as
@@ -12,7 +12,9 @@ combined noise part. The interference gain, summed over ordered device
 pairs, is real, with zero mean and variance M(M-1) sigma_h^4 / K per
 coefficient. As K grows the effective gains concentrate at sigma_h^2
 (channel hardening), so dividing the combined observation by
-alpha_t * M * sigma_h^2 recovers the gradient average.
+alpha_t * M * sigma_h^2 recovers the gradient average. A run draws that
+observation from its exact law (``channel.sample_combined``); the two gain
+statistics below serve ``verify``, which reduces the full fading tensor.
 """
 
 from dataclasses import dataclass
@@ -25,12 +27,9 @@ __all__ = [
     "PowerSchedule",
     "transmit",
     "transmit_energy",
-    "combine",
     "estimate_average_gradient",
     "effective_signal_gains",
     "interference_statistic",
-    "Decomposition",
-    "decompose",
 ]
 
 
@@ -77,23 +76,6 @@ def transmit_energy(blocks: np.ndarray):
     """Total symbol energy sum_n ||x^n||^2 of each (N, s) block array in (..., N, s)."""
     b = np.asarray(blocks)
     return np.sum(b.real**2 + b.imag**2, axis=(-2, -1))
-
-
-def combine(rx: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Matched-sum combining of the per-antenna received symbols.
-
-    Weights each antenna by the conjugated sum of its device gains and
-    averages over the K antennas, per symbol and subchannel.
-    """
-    rx = np.asarray(rx, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 4 or rx.ndim != 3:
-        raise ValueError(f"expected rx (N,K,s) and h (N,M,K,s); got {rx.shape}, {h.shape}")
-    N, M, K, s = h.shape
-    if rx.shape != (N, K, s):
-        raise ValueError(f"received shape {rx.shape} inconsistent with channel shape {h.shape}")
-    weights = h.sum(axis=1).conj()
-    return (weights * rx).sum(axis=1) / K
 
 
 def estimate_average_gradient(
@@ -152,47 +134,3 @@ def interference_statistic(h: np.ndarray) -> np.ndarray:
     pair_sum += total.imag**2
     pair_sum -= energy
     return pair_sum.mean(axis=1)
-
-
-@dataclass
-class Decomposition:
-    """Signal / interference / noise split of the combiner output."""
-
-    signal: np.ndarray
-    interference: np.ndarray
-    noise_out: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.signal + self.interference + self.noise_out
-
-
-def decompose(
-    gradient_blocks: np.ndarray,
-    h: np.ndarray,
-    z: np.ndarray,
-    alpha_t: float,
-) -> Decomposition:
-    """Split the combiner output into signal, interference, and noise parts.
-
-    ``gradient_blocks`` holds the unscaled packed gradients, shape (M, N, s);
-    the alpha_t scaling is applied here. This is a diagnostics path: it needs
-    per-device gradients the receiver never observes separately. The noise
-    part is combine(z, h), so signal + interference + noise_out equals
-    combine(propagate(...)).
-    """
-    g = np.asarray(gradient_blocks, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if g.ndim != 3 or h.ndim != 4:
-        raise ValueError(f"expected gradient_blocks (M,N,s) and h (N,M,K,s); got {g.shape}, {h.shape}")
-    N, M, K, s = h.shape
-    if g.shape != (M, N, s):
-        raise ValueError(f"gradient blocks shape {g.shape} inconsistent with channel shape {h.shape}")
-
-    gains = effective_signal_gains(h)
-    signal = alpha_t * np.einsum("nmi,mni->ni", gains, g)
-    # device m's gain times the other devices' conjugated gains: exactly 0 at M = 1
-    others = (h.sum(axis=1, keepdims=True) - h).conj()
-    interference = alpha_t * np.einsum("nmki,nmki,mni->ni", others, h, g) / K
-
-    return Decomposition(signal=signal, interference=interference, noise_out=combine(z, h))

@@ -33,9 +33,7 @@ from . import channel, ota, rng, statcheck
 from .config import ConfigError
 
 __all__ = [
-    "interference_samples",
     "interference_checks",
-    "hardening_rms_deviation",
     "hardening_checks",
     "stat_suite",
     "format_report",
@@ -116,16 +114,6 @@ def _interference(h) -> np.ndarray:
     return ota.interference_statistic(h)[:, 0]
 
 
-def interference_samples(M, K, sigma_h_sq, trials, seed, case_index) -> np.ndarray:
-    """Draw `trials` independent realizations of the interference statistic.
-
-    Each draw uses an independent channel matrix with a single subchannel;
-    the statistic is scale-free in the gradients so no signal is needed.
-    """
-    (chunks,) = _channel_statistics([(_interference, M, K, sigma_h_sq, case_index)], trials, seed)
-    return np.concatenate(chunks)
-
-
 def interference_checks(trials: int, seed: int) -> list:
     """Mean and variance checks of the interference statistic per case, as one suite."""
     checks = [(_interference, M, K, sigma_h_sq, index)
@@ -142,19 +130,13 @@ def interference_checks(trials: int, seed: int) -> list:
 
 
 def _rms_deviation(chunks, sigma_h_sq) -> float:
+    """Relative RMS deviation from sigma_h^2 of a check's effective gains, over its chunks."""
     total = 0.0
     count = 0
     for gains in chunks:
         total += float(((gains - sigma_h_sq) ** 2).sum())  # gains: (n, M, 1)
         count += gains.size
     return float(np.sqrt(total / count) / sigma_h_sq)
-
-
-def hardening_rms_deviation(M, K, sigma_h_sq, trials, seed, k_index) -> float:
-    """Relative RMS deviation of the effective per-coefficient gain from sigma_h^2."""
-    (chunks,) = _channel_statistics(
-        [(ota.effective_signal_gains, M, K, sigma_h_sq, k_index)], trials, seed)
-    return _rms_deviation(chunks, sigma_h_sq)
 
 
 def hardening_checks(trials: int, seed: int) -> list:

