@@ -1,19 +1,22 @@
 """Full training runs: local gradients, analog aggregation, metrics files.
 
-One iteration in ota mode is the pipeline
-(M, d) local gradients -> (M, N, s) transmit blocks -> combiner output
--> estimate_average_gradient -> optimizer update. The device axis is an array
-axis throughout: one forward pass over the distinct training rows the devices
-hold (or, with batch_size set, over their stacked batch rows), one batched
-backward product for all M gradients, one pack. In full-batch runs the
-residual and the loss's label pick also run once per held row; the devices'
-rows are gathered from them only for each device's backward product and bias
-sum and for its loss mean. The combiner output sum_m c_m x_m + w is drawn
-from its exact law by ``channel.sample_combined`` (coefficients c and
-combined noise w), never from the full per-antenna fading tensor, which only
-``verify``'s statistics draw. The error_free mode skips the channel and hands
-the optimizer the exact device-average gradient, giving the idealized
-baseline the noisy runs are compared against.
+An iteration is the paper's DSGD step in stages: local gradients, aggregation,
+the optimizer update and, every eval_every iterations, the evaluation. A run
+picks its local-gradient stage (full batch, or batch_size rows per device) and
+its aggregation stage (ota or error_free) once, before its first iteration.
+The device axis is an array axis throughout: one forward pass over the
+distinct training rows the devices hold (or over their stacked batch rows),
+one batched backward product for all M gradients, one pack. In full-batch runs
+the residual and the loss's label pick also run once per held row; the
+devices' rows are gathered from them only for each device's backward product
+and bias sum and for its loss mean. The ota aggregation is (M, d) gradients ->
+(M, N, s) transmit blocks -> combiner output -> estimate_average_gradient; the
+combiner output sum_m c_m x_m + w is drawn from its exact law by
+``channel.sample_combined`` (coefficients c and combined noise w), never from
+the full per-antenna fading tensor, which only ``verify``'s statistics draw.
+The error_free aggregation skips the channel and hands the optimizer the exact
+device-average gradient, the idealized baseline the noisy runs are compared
+against.
 
 Cells that differ only in K and sigma_z_sq run as one ensemble (``run_cells``)
 on a leading cell axis: data, partition, batches and each iteration's CHANNEL
@@ -199,27 +202,52 @@ def run_cells(configs, gradient_fn=None) -> list:
     gets the bytes of its own :func:`run`. ``gradient_fn`` acts per cell as
     in :func:`run`, and a NumericAbort names the metrics path of the cell it
     hit, or the first cell's for features, which every cell shares.
+
+    Its stages are picked once, before the loop; an iteration is local
+    gradients, the ``gradient_fn`` hook, aggregation, update and evaluation.
     """
     config = configs[0]
     if any(_group_key(cell) != _group_key(config) for cell in configs):
         raise ValueError("cells of one ensemble may differ in K, sigma_z_sq and metrics_path only")
     R, M, d, s = len(configs), config.M, config.d, config.s
-    K = np.array([cell.K for cell in configs])
-    sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
-    N = packing.block_count(d, s)
-
-    def draw(t):
-        return channel.sample_combined(
-            rng.substream(config.master_seed, rng.CHANNEL, t),
-            rng.substream(config.master_seed, rng.NOISE, t),
-            N, M, K, s, config.sigma_h_sq, sigma_z_sq,
-        )
 
     # BLAS is pinned until the side worker, with any product it runs, has stopped
     with rng.one_blas_thread(), rng.side_worker(_gradient_bytes(configs)) as start:
-        # One channel draw is in flight at a time: iteration 1's overlaps the
-        # dataset's synthesis, and t + 1's is started when t's is taken.
-        channel_draw = start(draw, 1) if config.mode == "ota" else None
+        if config.mode == "ota":  # aggregation: transmit, the MAC, the PS's estimate
+            K = np.array([cell.K for cell in configs])
+            sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
+            N = packing.block_count(d, s)
+
+            def draw(t):
+                return channel.sample_combined(rng.substream(config.master_seed, rng.CHANNEL, t),
+                                               rng.substream(config.master_seed, rng.NOISE, t),
+                                               N, M, K, s, config.sigma_h_sq, sigma_z_sq)
+
+            # One channel draw is in flight at a time: iteration 1's overlaps the
+            # dataset's synthesis, and t + 1's is started when t's is taken.
+            channel_draw = start(draw, 1)
+
+            def aggregate(grads, t):
+                nonlocal channel_draw
+                alpha = config.power.alpha_at(t)
+                tx = ota.transmit(grads, alpha, s)
+                coeffs, noise = channel_draw()
+                if t < config.T:
+                    channel_draw = start(draw, t + 1)
+                obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
+                update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
+                _check_finite(update_grad, t, "estimate", configs)
+                inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
+                _check_finite(inst_power, t, "power", configs)
+                est_mse = np.mean((update_grad - grads.mean(axis=1)) ** 2, axis=1)
+                _check_finite(est_mse, t, "est_mse", configs)
+                return update_grad, inst_power, est_mse.tolist()
+        else:  # aggregation: the exact device average, sent at no power
+            def aggregate(grads, t):
+                update_grad = grads.mean(axis=1)
+                _check_finite(update_grad, t, "average", configs)
+                return update_grad, np.zeros(R), [None] * R
+
         train, test, classes = build_dataset(config)
         index = data.partition(train, M, config.partition.per_device, config.master_seed)
         # Devices share rows: the forward pass, each row's residual and its
@@ -238,10 +266,8 @@ def run_cells(configs, gradient_fn=None) -> list:
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
             raise NumericAbort(0, "features", config.metrics_path)
-        device = np.arange(M)[:, None]
-        # the (M, n, F) device stack, in full-batch mode only; a batch gathers its own rows
-        X = _gather(start, held_X, rows) if config.batch_size is None else None
-        if X is not None:
+        if config.batch_size is None:  # local gradients: the backward over the device stack
+            X = _gather(start, held_X, rows)  # the (M, n, F) device stack
             # The backward's work arrays, made once a run: the held rows'
             # (R, H, C) residuals, held row outermost in memory, and the device
             # rows gathered from them, (M, n, R, C) in memory as an
@@ -251,6 +277,18 @@ def run_cells(configs, gradient_fn=None) -> list:
             residual = np.empty((len(held), R, classes)).swapaxes(0, 1)
             device_residual = np.empty(rows.shape + (R, classes))
 
+            def local_gradients(theta, t, log_probs):
+                if log_probs is None:
+                    log_probs = learner.log_probabilities(theta, held_X)
+                learner.residuals(held_y, log_probs, X.shape[1], out=residual)
+                return _backward(start, X, residual, rows, device_residual)
+        else:  # local gradients: each device's batch, with its own forward
+            def local_gradients(theta, t, log_probs):
+                batch_rows = np.take_along_axis(rows, _batch_positions(config, t), axis=1)
+                X_batch = held_X[batch_rows]
+                return learner.gradients(X_batch, held_y[batch_rows],
+                                         learner.log_probabilities(theta[:, None], X_batch))
+
         theta = np.tile(learner.init_params(held_X.shape[-1], classes), (R, 1))
         state = learner.init_optimizer_state(d)  # its zero moments broadcast to (R, d)
         records = [[] for _ in configs]
@@ -258,18 +296,7 @@ def run_cells(configs, gradient_fn=None) -> list:
         log_probs = None  # (R, H, C) held-row log-probabilities at the current theta, once computed
 
         for t in range(1, config.T + 1):
-            alpha = config.power.alpha_at(t)
-            if X is not None:
-                if log_probs is None:
-                    log_probs = learner.log_probabilities(theta, held_X)
-                learner.residuals(held_y, log_probs, X.shape[1], out=residual)
-                grads = _backward(start, X, residual, rows, device_residual)
-            else:
-                batch_rows = rows[device, _batch_positions(config, t)]
-                X_batch = held_X[batch_rows]
-                grads = learner.gradients(
-                    X_batch, held_y[batch_rows], learner.log_probabilities(theta[:, None], X_batch)
-                )
+            grads = local_gradients(theta, t, log_probs)
             if gradient_fn is not None:
                 sent = [np.asarray(gradient_fn(cell_theta, t, cell_grads), dtype=np.float64)
                         for cell_theta, cell_grads in zip(theta, grads)]
@@ -278,27 +305,7 @@ def run_cells(configs, gradient_fn=None) -> list:
                     raise ValueError(f"gradient_fn returned shape {wrong[0]}, expected {(M, d)}")
                 grads = np.stack(sent)
             _check_finite(grads, t, "local_gradient", configs)
-            true_avg = grads.mean(axis=1)
-
-            if config.mode == "ota":
-                tx = ota.transmit(grads, alpha, s)
-                coeffs, noise = channel_draw()
-                if t < config.T:
-                    channel_draw = start(draw, t + 1)
-                obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
-                update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
-                _check_finite(update_grad, t, "estimate", configs)
-                inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N
-                _check_finite(inst_power, t, "power", configs)
-                est_mse = np.mean((update_grad - true_avg) ** 2, axis=1)
-                _check_finite(est_mse, t, "est_mse", configs)
-                est_mse = est_mse.tolist()
-            else:
-                update_grad = true_avg
-                _check_finite(update_grad, t, "average", configs)
-                est_mse = [None] * R
-                inst_power = np.zeros(R)
-
+            update_grad, inst_power, est_mse = aggregate(grads, t)
             theta, state = learner.apply_update(theta, update_grad, config.optimizer, state)
             _check_finite(theta, t, "update", configs)
             log_probs = None
@@ -375,19 +382,12 @@ def write_metrics(records, config: RunConfig, path) -> None:
 
     The file appears at ``path`` complete or not at all.
     """
-    lines = [
-        f"# config: {resolved_json(config)}",
-        f"# master_seed: {config.master_seed}",
-        CSV_HEADER,
-    ]
+    lines = [f"# config: {resolved_json(config)}", f"# master_seed: {config.master_seed}",
+             CSV_HEADER]
     for rec in records:
-        if rec.accuracy is None:
-            continue
-        lines.append(
-            f"{rec.iteration},{_format_cell(rec.accuracy)},{_format_cell(rec.loss)},"
-            f"{_format_cell(rec.inst_power)},{_format_cell(rec.avg_power)},"
-            f"{_format_cell(rec.est_mse)}"
-        )
+        if rec.accuracy is not None:
+            fields = rec.accuracy, rec.loss, rec.inst_power, rec.avg_power, rec.est_mse
+            lines.append(",".join([str(rec.iteration), *map(_format_cell, fields)]))
     # Write a sibling temp file, then rename it over the target: a failed or
     # interrupted write leaves any earlier file at ``path`` as it was.
     tmp = _temp_path(path)

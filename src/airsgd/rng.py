@@ -177,7 +177,8 @@ def map_groups(fn, groups, nbytes: int):
             pids.append(pid)
         yield from map(fn, groups[:share])
         while pids:
-            payload = _read_to_end(reads[0])
+            with open(reads[0], "rb", closefd=False) as pipe:
+                payload = pipe.read()
             os.close(reads.pop(0))
             status = os.waitpid(pids[0], 0)[1]
             pid = pids.pop(0)
@@ -217,9 +218,8 @@ def _work(fn, groups, write: int, reads, caller: int):
             import traceback
 
             error, trace = exc, traceback.format_exc()
-        view = memoryview(pickle.dumps((results, error, trace)))
-        while view:
-            view = view[os.write(write, view):]
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps((results, error, trace)))
         code = 0
     finally:
         os._exit(code)
@@ -227,13 +227,6 @@ def _work(fn, groups, write: int, reads, caller: int):
 
 class _WorkerTraceback(Exception):
     """The cause of an exception from a worker: where in the worker it was raised."""
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 _PR_SET_PDEATHSIG = 1  # Linux's prctl option: a signal for when the parent dies

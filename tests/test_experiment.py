@@ -334,7 +334,12 @@ def test_batch_positions_break_key_ties_by_position(monkeypatch):
     np.testing.assert_array_equal(experiment._batch_positions(config, 1), [[1, 3, 0], [3, 0, 1]])
 
 
-def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
+@pytest.mark.parametrize("batch_size", [None, 8])
+@pytest.mark.parametrize("mode", ["ota", "error_free"])
+def test_batch_run_derives_one_substream_per_iteration(monkeypatch, mode, batch_size):
+    # Streams are keyed, so no digest sees a draw that a run makes and never
+    # uses: each run derives the run tags its two stages need, once per
+    # iteration, and no others (an error_free run makes no channel draw).
     keys = []
     substream = rng.substream
 
@@ -343,8 +348,10 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch):
         return substream(master_seed, tag, *indices)
 
     monkeypatch.setattr(rng, "substream", recording)
-    run(parse_config(_toy_doc(T=6, batch_size=8, master_seed=5)))
-    assert [key for key in keys if key[1] == rng.BATCH] == [(5, rng.BATCH, t) for t in range(1, 7)]
+    run(parse_config(_toy_doc(T=6, batch_size=batch_size, master_seed=5, mode=mode)))
+    over_the_air, batch = mode == "ota", batch_size is not None
+    for tag, used in ((rng.CHANNEL, over_the_air), (rng.NOISE, over_the_air), (rng.BATCH, batch)):
+        assert [key for key in keys if key[1] == tag] == [(5, tag, t) for t in range(1, 7) if used]
 
 
 # sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
