@@ -9,7 +9,8 @@ antennas, and subchannels.
 The receiver sees the channel only through its matched-sum combiner output,
 so the program draws that output from its exact law: ``sample_combined``
 gives the per-device coefficients and the combined noise, O(M s) values per
-symbol instead of O(M K s) gains. ``sample_channel`` draws the full fading
+symbol instead of O(M K s) gains, for a block of iterations in one call,
+each iteration from its own seeds. ``sample_channel`` draws the full fading
 tensor, which only ``verify``'s statistics need, since they reduce the
 individual gains. The per-antenna noise, the superposed received signal and
 the combiner itself, written literally, live in the tests' oracle,
@@ -19,8 +20,8 @@ Array conventions used throughout the package:
 
     channel gains h : (N, M, K, s) complex128   symbol, device, antenna, subchannel
     transmitted x   : (M, N, s)    complex128   one block row per symbol
-    combiner coeffs : (N, M, s)    complex128
-    combined noise  : (N, s)       complex128
+    combiner coeffs : (B, N, M, s) complex128   iteration of the block, symbol, device, subchannel
+    combined noise  : (B, N, s)    complex128
 """
 
 import numpy as np
@@ -68,12 +69,14 @@ def sample_channel(rng_seed, N: int, M: int, K: int, s: int, sigma_h_sq: float) 
 
 
 def sample_combined(
-    channel_seed, noise_seed, N: int, M: int, K: int, s: int,
+    channel_seeds, noise_seeds, N: int, M: int, K: int, s: int,
     sigma_h_sq: float, sigma_z_sq: float,
 ):
-    """Draw the matched-sum combiner output's coefficients and noise directly.
+    """Draw a block of iterations' matched-sum combiner coefficients and noise directly.
 
-    Returns ``(coeffs, noise)`` of shapes (N, M, s) and (N, s), distributed
+    Takes one channel seed and one noise seed per iteration, as two
+    sequences of one length B, and returns ``(coeffs, noise)`` of shapes
+    (B, N, M, s) and (B, N, s), entry b being iteration b's, distributed
     exactly as ``c[n, m, i]`` and ``w[n, i]`` in the combiner output
 
         (1/K) sum_k conj(sum_m h[n, m, k, i]) (sum_m h[n, m, k, i] tx[m, n, i] + z[n, k, i])
@@ -95,36 +98,45 @@ def sample_combined(
     a, a^H B ~ CN(0, sigma^2 |a|^2 I) and (1/K) (H 1)^H z ~
     CN(0, sigma_z_sq M |a|^2 / K^2). Hence r = |a|^2.
 
-    Stream contract: the channel seed's generator draws the gamma array
-    (N, s) first, then the standard normals (N, M, s, 2) behind f; the noise
-    seed's generator draws the normals (N, s, 2) behind w.
+    Stream contract, per iteration: its channel seed's generator draws the
+    gamma array (N, s) first, then the standard normals (N, M, s, 2) behind
+    f; its noise seed's generator draws the normals (N, s, 2) behind w.
+    Only the arithmetic on the draws spans the block, so an iteration's
+    bytes do not depend on the block it is drawn in.
 
-    An ensemble of cells that share both seeds passes K and sigma_z_sq as (R,)
-    arrays and gets outputs with that leading axis: the channel stream is drawn
-    once per distinct K and the noise normals once, scaled for each cell, so
-    each cell gets the bytes of its own call.
+    An ensemble of cells that share the seeds passes K and sigma_z_sq as (R,)
+    arrays and gets outputs with that axis after the block's: each channel
+    stream is drawn once per distinct K and the noise normals once, scaled
+    for each cell, so each cell gets the bytes of its own call.
     """
     K, sigma_z_sq = np.broadcast_arrays(np.asarray(K), np.asarray(sigma_z_sq, dtype=np.float64))
     _check_dims(N=N, M=M, K=K.min(), s=s)
     _check_gain_variance(sigma_h_sq)
     if sigma_z_sq.min() < 0:
         raise ValueError(f"sigma_z_sq must be nonnegative, got {sigma_z_sq.min()}")
-    r = np.empty(K.shape + (N, s))
-    coeffs = np.empty(K.shape + (N, M, s), dtype=np.complex128)
-    for k in map(int, np.unique(K)):
-        gen = rng.generator(channel_seed)
-        r_k = sigma_h_sq * gen.standard_gamma(k, size=(N, s))
-        # f / sqrt(sigma^2 r), centred over the devices, then scaled and shifted in place
-        c = _complex_normal(gen, (N, M, s), 1.0)
-        c -= c.mean(axis=1, keepdims=True)
-        c *= (np.sqrt(M * sigma_h_sq * r_k) / k)[:, None, :]
-        c += (r_k / k)[:, None, :]
-        r[K == k], coeffs[K == k] = r_k, c
-    noise = np.zeros(K.shape + (N, s), dtype=np.complex128)
+    distinct, cell = np.unique(K, return_inverse=True)
+    lead = (len(channel_seeds), distinct.size, N)  # iteration, distinct K, symbol
+    r, parts = np.empty(lead + (s,)), np.empty(lead + (M, s, 2))
+    for j, k in enumerate(map(int, distinct)):
+        for b, seed in enumerate(channel_seeds):
+            gen = rng.generator(seed)
+            gen.standard_gamma(k, out=r[b, j])
+            gen.standard_normal(out=parts[b, j])
+    r *= sigma_h_sq
+    # f / sqrt(sigma^2 r), centred over the devices, then scaled and shifted in place
+    parts *= np.sqrt(0.5)
+    c = parts.view(np.complex128)[..., 0]
+    c -= c.mean(axis=3, keepdims=True)
+    k = distinct[:, None, None]
+    c *= (np.sqrt(M * sigma_h_sq * r) / k)[..., None, :]
+    c += (r / k)[..., None, :]
+    coeffs, r = c[:, cell], r[:, cell]
+    noise = np.zeros(r.shape, dtype=np.complex128)
     if sigma_z_sq.max() > 0:
         K_sq = np.square(K[..., None, None], dtype=np.float64)  # an int64 square wraps past 3e9
         scale = np.sqrt(sigma_z_sq[..., None, None] * M * r / K_sq / 2.0)
-        parts = rng.generator(noise_seed).standard_normal((N, s, 2)) * scale[..., None]
-        noise = parts.view(np.complex128)[..., 0]
-        noise[sigma_z_sq == 0] = 0  # sqrt(0) times a negative normal is -0.0
+        normals = np.stack([rng.generator(seed).standard_normal((N, s, 2)) for seed in noise_seeds])
+        parts = normals.reshape(normals.shape[:1] + (1,) * K.ndim + normals.shape[1:])
+        noise = (parts * scale[..., None]).view(np.complex128)[..., 0]
+        noise[:, sigma_z_sq == 0] = 0  # sqrt(0) times a negative normal is -0.0
     return coeffs, noise

@@ -37,6 +37,8 @@ docstring says why no output byte depends on it. Every (cell, device)
 backward product keeps its shape in either half, the forward over the held
 rows is one call, and BLAS runs on one thread for the length of a run
 (``rng.one_blas_thread``), so no product's bytes depend on the CPU count.
+A run draws its channel a block of iterations a call (``rng``'s docstring):
+one with the worker, four for a desk-size group, the whole minimal run.
 A sweep's ensembles below the worker's gate run side by side instead: the
 caller runs the first of them, and each of ``rng.map_groups``' forked
 processes a contiguous slice of the rest.
@@ -217,24 +219,32 @@ def run_cells(configs, gradient_fn=None) -> list:
             K = np.array([cell.K for cell in configs])
             sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
             N = packing.block_count(d, s)
+            # iterations a draw: as many as fit the gate in coefficients and noise
+            block = max(1, rng._OFFLOAD_BYTES // (16 * R * N * (M + 1) * s))
 
-            def draw(t):
-                return channel.sample_combined(rng.substream(config.master_seed, rng.CHANNEL, t),
-                                               rng.substream(config.master_seed, rng.NOISE, t),
-                                               N, M, K, s, config.sigma_h_sq, sigma_z_sq)
+            def draw(t):  # iterations t to t + block - 1, or to T
+                ts = range(t, min(t + block, config.T + 1))
+                return channel.sample_combined(
+                    [rng.substream(config.master_seed, rng.CHANNEL, u) for u in ts],
+                    [rng.substream(config.master_seed, rng.NOISE, u) for u in ts],
+                    N, M, K, s, config.sigma_h_sq, sigma_z_sq)
 
-            # One channel draw is in flight at a time: iteration 1's overlaps the
-            # dataset's synthesis, and t + 1's is started when t's is taken.
-            channel_draw = start(draw, 1)
+            # One block of draws is in flight at a time: the first overlaps the
+            # dataset's synthesis, and the next is started when one is taken.
+            channel_draw, drawn = start(draw, 1), None
 
             def aggregate(grads, t):
-                nonlocal channel_draw
+                nonlocal channel_draw, drawn
                 alpha = config.power.alpha_at(t)
                 tx = ota.transmit(grads, alpha, s)
-                coeffs, noise = channel_draw()
-                if t < config.T:
-                    channel_draw = start(draw, t + 1)
-                obs = np.einsum("rnmi,rmni->rni", coeffs, tx) + noise
+                i = (t - 1) % block
+                if i == 0:
+                    drawn = channel_draw()
+                    if t + block <= config.T:
+                        channel_draw = start(draw, t + block)
+                coeffs, noise = drawn[0][i], drawn[1][i]
+                obs = np.einsum("rnmi,rmni->rni", coeffs, tx)
+                obs += noise
                 update_grad = ota.estimate_average_gradient(obs, alpha, M, config.sigma_h_sq, d)
                 _check_finite(update_grad, t, "estimate", configs)
                 inst_power = np.mean(ota.transmit_energy(tx), axis=1) / N

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packing import pack, unpack
+from .packing import scaled_pack, unpack
 
 __all__ = [
     "PowerSchedule",
@@ -66,10 +66,10 @@ class PowerSchedule:
 
 
 def transmit(gradient, alpha_t: float, s: int) -> np.ndarray:
-    """Scale and pack gradients (..., d) into their transmit blocks (..., N, s)."""
+    """Scale and pack gradients (..., d), already checked finite, into blocks (..., N, s)."""
     if alpha_t <= 0:
         raise ValueError(f"alpha_t must be positive, got {alpha_t}")
-    return alpha_t * pack(gradient, s)
+    return scaled_pack(np.asarray(gradient, dtype=np.float64), s, alpha_t)
 
 
 def transmit_energy(blocks: np.ndarray):

@@ -15,7 +15,7 @@ per ensemble cell, folds to blocks (..., N, s) and back.
 
 import numpy as np
 
-__all__ = ["block_count", "pack", "unpack"]
+__all__ = ["block_count", "pack", "scaled_pack", "unpack"]
 
 
 def block_count(d: int, s: int) -> int:
@@ -40,12 +40,24 @@ def pack(gradient, s: int) -> np.ndarray:
         raise ValueError("gradient must have a vector axis, got a scalar")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
+    return scaled_pack(g, s, 1.0)
+
+
+def scaled_pack(g: np.ndarray, s: int, scale: float) -> np.ndarray:
+    """``scale * pack(g, s)`` for float64 vectors ``g`` (..., d), with no finiteness check.
+
+    Written in one pass into one complex array; a zero may differ in sign.
+    """
     *lead, d = g.shape
-    n_blocks = block_count(d, s)
-    padded = np.zeros((*lead, 2 * s * n_blocks), dtype=np.float64)
-    padded[..., :d] = g
-    folded = padded.reshape(*lead, n_blocks, 2, s)
-    return folded[..., 0, :] + 1j * folded[..., 1, :]
+    blocks = np.zeros((*lead, block_count(d, s), s), dtype=np.complex128)
+    whole, rest = divmod(d, 2 * s)
+    # each block's real, then imaginary, parts: (..., N, 2, s)
+    halves = blocks.view(np.float64).reshape(*blocks.shape, 2).swapaxes(-2, -1)
+    np.multiply(g[..., :d - rest].reshape(*lead, whole, 2, s), scale, out=halves[..., :whole, :, :])
+    for half in range(2 if rest else 0):  # the last block, which ends in padding
+        part = g[..., d - rest + half * s:d - rest + (half + 1) * s]
+        np.multiply(part, scale, out=halves[..., whole, half, :part.shape[-1]])
+    return blocks
 
 
 def unpack(blocks, d: int) -> np.ndarray:

@@ -53,7 +53,8 @@ given the thread, deals its keyed chunks between it and the caller by
 cost. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
 length of a run: its products then round the same whatever the CPU count,
 and the side worker's half of the backward does not compete with BLAS
-threads for the cores.
+threads for the cores. ``map_groups`` pins it from before its first fork, or
+each worker would pay for OpenBLAS's thread pool in its first group.
 ``map_groups`` runs a sweep's ensemble groups on worker processes beside
 the caller, which runs a fixed first share of them; each worker is forked
 directly, with one pipe for its contiguous slice of the later groups, and
@@ -63,13 +64,17 @@ the caller: at once on the caller's exception or close, and on Linux
 however the caller ends.
 
 One rule, the gate on ``_OFFLOAD_BYTES``, places every thread the program
-starts and a sweep's second CPU. A sweep's gate reads one iteration's
-gradient bytes: groups at or above it run one after another, each with the
-side worker; groups below it run side by side on ``map_groups``'
-processes, each in one thread. A sweep uses its second CPU inside a group
-or across groups, never both. The one exception is a group whose synthetic
-draw passes the gate while its gradients do not (a paper-size dataset on a
-few devices): its process draws the classes on two threads.
+starts and a sweep's second CPU. It also sets a run's draw block: one
+``channel.sample_combined`` call draws as many iterations' coefficients and
+noise as fit in the gate's bytes, at least one, so exactly one with the side
+worker, since an iteration's coefficients outweigh its gradients. A sweep's
+gate reads one iteration's gradient bytes: groups at or above it run one
+after another, each with the side worker; groups below it run side by side
+on ``map_groups``' processes, each in one thread. A sweep uses its second
+CPU inside a group or across groups, never both. The one exception is a
+group whose synthetic draw passes the gate while its gradients do not (a
+paper-size dataset on a few devices): its process draws the classes on two
+threads.
 """
 
 import contextlib
@@ -164,39 +169,40 @@ def map_groups(fn, groups, nbytes: int):
     sys.stdout.flush()
     sys.stderr.flush()
     caller, pids, reads = os.getpid(), [], []  # workers not yet reaped, pipes not yet closed
-    try:
-        for start, stop in zip(bounds, bounds[1:]):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fn, groups[start:stop], write, reads, caller)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        yield from map(fn, groups[:share])
-        while pids:
-            with open(reads[0], "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            os.close(reads.pop(0))
-            status = os.waitpid(pids[0], 0)[1]
-            pid = pids.pop(0)
-            if status != 0:
-                raise BrokenExecutor(f"worker process {pid} ended without its groups' "
-                                     f"results (wait status {status})")
-            results, error, trace = pickle.loads(payload)
-            yield from results
-            if error is not None:
-                raise error from _WorkerTraceback(f"in worker process {pid}:\n{trace}")
-    finally:
-        for fd in reads:
-            os.close(fd)
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
+    with one_blas_thread():
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                read, write = os.pipe()
+                reads.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(fn, groups[start:stop], write, reads, caller)
+                finally:
+                    os.close(write)
+                pids.append(pid)
+            yield from map(fn, groups[:share])
+            while pids:
+                with open(reads[0], "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+                os.close(reads.pop(0))
+                status = os.waitpid(pids[0], 0)[1]
+                pid = pids.pop(0)
+                if status != 0:
+                    raise BrokenExecutor(f"worker process {pid} ended without its groups' "
+                                         f"results (wait status {status})")
+                results, error, trace = pickle.loads(payload)
+                yield from results
+                if error is not None:
+                    raise error from _WorkerTraceback(f"in worker process {pid}:\n{trace}")
+        finally:
+            for fd in reads:
+                os.close(fd)
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
 
 
 def _work(fn, groups, write: int, reads, caller: int):

@@ -105,9 +105,9 @@ def _reference_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_ind
 
 
 def _combined_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):
-    coeffs, noise = channel.sample_combined(
-        rng.substream(123, rng.CHANNEL, K_index, chunk_index),
-        rng.substream(123, rng.NOISE, K_index, chunk_index),
+    (coeffs,), (noise,) = channel.sample_combined(
+        [rng.substream(123, rng.CHANNEL, K_index, chunk_index)],
+        [rng.substream(123, rng.NOISE, K_index, chunk_index)],
         n, M, K, s, sigma_h, sigma_z,
     )
     return np.einsum("nmi,mni->ni", coeffs, tx) + noise

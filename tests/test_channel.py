@@ -167,8 +167,10 @@ def test_sample_noise_bytes_pinned():
 
 
 def _combined(seed=42, N=2, M=3, K=4, s=5, var=1.5, noise_var=2.0):
-    return sample_combined(rng.substream(seed, rng.CHANNEL, 0), rng.substream(seed, rng.NOISE, 0),
-                           N, M, K, s, var, noise_var)
+    (coeffs,), (noise,) = sample_combined([rng.substream(seed, rng.CHANNEL, 0)],
+                                          [rng.substream(seed, rng.NOISE, 0)],
+                                          N, M, K, s, var, noise_var)
+    return coeffs, noise
 
 
 def test_combined_follows_documented_stream_contract():
@@ -241,6 +243,30 @@ def test_combined_ensemble_gives_each_cell_its_own_bytes(monkeypatch):
         assert noise[cell].tobytes() == alone[1].tobytes()
 
 
+@pytest.mark.parametrize("N, M, K, s, noise_var", [
+    (1, 10, 3, 1, 2.0),  # s = 1: the device mean is a pairwise sum over M >= 8
+    (3, 4, 5, 7, 2.0),  # N = 3, as d = 40 at s = 7 gives, its last block padded
+    (2, 3, np.array([1, 7, 1, 200]), 5, np.array([2.0, 3.0, 0.5, 1.0])),  # three distinct K
+    (2, 3, np.array([4, 4, 9]), 5, np.array([0.0, 2.0, 0.0])),  # zero noise beside noisy cells
+    (1, 20, np.array([40]), 3925, np.array([20.0])),  # the paper shape
+], ids=["s1-pairwise", "N3", "three-K", "zero-noise", "paper"])
+def test_combined_block_is_its_iterations_draws_stacked(N, M, K, s, noise_var):
+    # a block draws each iteration from its own seeds; the arithmetic on the
+    # draws runs once over the block and moves no byte
+    def draw(ts):
+        return sample_combined([rng.substream(5, rng.CHANNEL, t) for t in ts],
+                               [rng.substream(5, rng.NOISE, t) for t in ts],
+                               N, M, K, s, 1.5, noise_var)
+
+    alone = [draw([t]) for t in range(1, 6)]
+    for cut in ([1, 2, 3, 4, 5], [1, 2], [3, 4, 5]):
+        coeffs, noise = draw(cut)
+        assert coeffs.shape == (len(cut), *np.shape(K), N, M, s)
+        assert noise.shape == (len(cut), *np.shape(K), N, s)
+        assert coeffs.tobytes() == b"".join(alone[t - 1][0].tobytes() for t in cut)
+        assert noise.tobytes() == b"".join(alone[t - 1][1].tobytes() for t in cut)
+
+
 def test_combined_single_device_gain_is_real():
     # M = 1: no interference, the coefficient is the effective gain r / K
     coeffs, _ = _combined(M=1, K=7)
@@ -249,7 +275,7 @@ def test_combined_single_device_gain_is_real():
 
 
 def test_combined_rejects_bad_arguments():
-    seeds = (rng.substream(1, rng.CHANNEL, 0), rng.substream(1, rng.NOISE, 0))
+    seeds = ([rng.substream(1, rng.CHANNEL, 0)], [rng.substream(1, rng.NOISE, 0)])
     with pytest.raises(ValueError):
         sample_combined(*seeds, 1, 1, 0, 1, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -329,9 +355,9 @@ def _standard_errors_apart(a, b):
 @pytest.mark.parametrize("M,K", COMBINED_CASES)
 def test_combined_matches_reference_moments(M, K):
     ref_c, ref_w = _reference_combiner(31, M, K)
-    new_c, new_w = sample_combined(rng.substream(32, rng.CHANNEL), rng.substream(32, rng.NOISE),
+    new_c, new_w = sample_combined([rng.substream(32, rng.CHANNEL)], [rng.substream(32, rng.NOISE)],
                                    1, M, K, SAMPLES, SIG_H, SIG_Z)
-    new_c, new_w = new_c[0].T, new_w[0]
+    new_c, new_w = new_c[0, 0].T, new_w[0, 0]
     mu = SIG_H  # E[c_m] for every device; checked below on both samples
     ref = _moment_samples(ref_c, ref_w, mu)
     new = _moment_samples(new_c, new_w, mu)

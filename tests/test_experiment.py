@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -640,6 +641,34 @@ def test_a_worker_that_dies_breaks_the_sweep_and_leaves_no_process_behind(tmp_pa
                                    "next call forks: True"], output
 
 
+# OpenBLAS's thread count before a two-group sweep, as each group starts,
+# before any run pins it, and once the sweep is done. OpenBLAS caps the
+# count at the CPUs the process may run on, so on one CPU it reads 1 throughout.
+_BLAS_THREADS_IN_A_SWEEP = """
+import os
+from airsgd import rng
+
+rng._WORKERS = 2
+get = rng._openblas_threads()[0]
+print(get())
+print(list(rng.map_groups(lambda group: (os.getpid(), get()), [0, 1], 0)))
+print(get())
+"""
+
+
+def test_a_sweeps_processes_run_their_groups_with_openblas_on_one_thread():
+    # a worker forked while OpenBLAS keeps its default pool pays for that pool
+    if rng._openblas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS of its own")
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_IN_A_SWEEP], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    before, groups, after = proc.stdout.splitlines()
+    (caller, caller_threads), (worker, worker_threads) = ast.literal_eval(groups)
+    assert caller != worker
+    assert (caller_threads, worker_threads, after) == (1, 1, before)
+
+
 @pytest.mark.parametrize("workers, nbytes, on_worker", [
     (2, rng._OFFLOAD_BYTES, True),
     (2, rng._OFFLOAD_BYTES - 1, False),
@@ -911,6 +940,33 @@ def test_run_matrix_cells_are_byte_identical_to_their_solo_runs(tmp_path):
         solo = tmp_path / "solo.csv"
         write_metrics(run(config), config, solo)
         assert solo.read_bytes() == grid_bytes, os.path.basename(path)
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_a_desk_ensembles_records_do_not_depend_on_its_draw_block(monkeypatch, batch_size):
+    # A group of four cells (K x sigma_z_sq) draws its channel a block of
+    # iterations a call, as many as fit the side worker's gate in bytes of
+    # coefficients and noise: the gates below give T = 7 iterations in blocks
+    # of 1, of 3 (3 + 3 + 1) and of all 7, with no side worker.
+    configs = [parse_config(_desk_doc(T=7, K=K, sigma_z_sq=sigma_z_sq, batch_size=batch_size))
+               for K in (1, 4) for sigma_z_sq in (0.0, 20.0)]
+    iteration = 16 * 4 * 1 * (10 + 1) * 165  # complex (R, N, M + 1, s): N = 1 block of s = 165
+    monkeypatch.setattr(rng, "_WORKERS", 1)
+    sample, blocks = channel.sample_combined, []
+
+    def recording(channel_seeds, *args):
+        blocks.append(len(channel_seeds))
+        return sample(channel_seeds, *args)
+
+    monkeypatch.setattr(channel, "sample_combined", recording)
+    records = []
+    for gate, expected in ((iteration, [1] * 7), (4 * iteration - 1, [3, 3, 1]),
+                           (10 * iteration, [7])):
+        monkeypatch.setattr(rng, "_OFFLOAD_BYTES", gate)
+        blocks.clear()
+        records.append(pickle.dumps(run_cells(configs)))
+        assert blocks == expected
+    assert records[0] == records[1] == records[2]
 
 
 def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):

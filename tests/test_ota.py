@@ -47,6 +47,19 @@ def test_transmit_is_scaled_pack():
         transmit(g, 0.0, 2)
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["vector", "devices", "cells"])
+def test_transmit_is_alpha_times_pack_with_and_without_padding(lead):
+    # one pass into one complex array: the values of the two-step product,
+    # on whole blocks and on a last block that is partly padding
+    gen = np.random.default_rng(3)
+    for d, s in [(6, 3), (12, 3), (7, 3), (10, 3), (1, 4), (5, 1), (330, 165), (132, 33)]:
+        g = gen.normal(size=lead + (d,))
+        g[..., ::4] = 0.0
+        blocks = transmit(g, 0.7, s)
+        assert blocks.shape == lead + (-(-d // (2 * s)), s) and blocks.dtype == np.complex128
+        assert np.array_equal(blocks, 0.7 * pack(g, s))
+
+
 def test_transmit_energy_matches_alpha_squared_norm():
     g = np.array([3.0, 4.0])
     blocks = transmit(g, 2.0, 1)
