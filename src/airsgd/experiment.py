@@ -28,20 +28,19 @@ The learner's two matrix products run in float32, the dtype in which
 from the float32 pool, with no cast in the run. The parameters, the
 optimizer state, the gradients and the whole channel side stay float64.
 
-A run decides once whether it uses a second core: it opens
-``rng.side_worker`` with the bytes of one iteration's (R, M, d) float64
-gradients. With a worker, the channel draws, half of each row copy and the
-first device half of a full-batch backward, with the gather of those
-devices' residual rows, go to its thread; ``rng``'s
-docstring says why no output byte depends on it. Every (cell, device)
-backward product keeps its shape in either half, the forward over the held
-rows is one call, and BLAS runs on one thread for the length of a run
-(``rng.one_blas_thread``), so no product's bytes depend on the CPU count.
-A run draws its channel a block of iterations a call (``rng``'s docstring):
-one with the worker, four for a desk-size group, the whole minimal run.
-A sweep's ensembles below the worker's gate run side by side instead: the
-caller runs the first of them, and each of ``rng.map_groups``' forked
-processes a contiguous slice of the rest.
+A run opens ``rng.side_worker`` with the bytes of one iteration's (R, M, d)
+float64 gradients and, given its thread, hands it the channel draws, half of
+each row copy and the first device half of a full-batch backward, with the
+gather of those devices' residual rows. It draws its channel
+``rng.block_length`` iterations a call, an iteration's coefficients and
+noise being one item, with one block in flight at a time. ``run_matrix``
+hands ``rng.map_groups`` its groups and the largest group's gradient bytes.
+``rng``'s docstring says where each of these runs and why no output byte
+depends on it. Every (cell, device) backward product keeps its shape in
+either half, and the forward over the held rows is one call, since float32
+products cut in row parts move last bits on OpenBLAS's AVX2 kernels; BLAS
+runs on one thread for the length of a run (``rng.one_blas_thread``), so no
+product's bytes depend on the CPU count.
 
 Metrics land in a CSV whose header comments carry the fully resolved config,
 so every data file is reproducible on its own.
@@ -154,7 +153,8 @@ def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
 
     BATCH substream t draws (M, per_device) uniform keys; row m-1 is device m's
     and selects the positions of its batch_size smallest keys, in key order
-    (a tie goes to the lower position).
+    (a tie goes to the lower position), so the batch and its order depend on
+    the keys alone, not on how numpy orders a partition.
     """
     keys = rng.generator(rng.substream(config.master_seed, rng.BATCH, t)).random(
         (config.M, config.partition.per_device))
@@ -219,8 +219,8 @@ def run_cells(configs, gradient_fn=None) -> list:
             K = np.array([cell.K for cell in configs])
             sigma_z_sq = np.array([cell.sigma_z_sq for cell in configs])
             N = packing.block_count(d, s)
-            # iterations a draw: as many as fit the gate in coefficients and noise
-            block = max(1, rng._OFFLOAD_BYTES // (16 * R * N * (M + 1) * s))
+            # iterations a draw, an iteration being its coefficients and noise
+            block = rng.block_length(16 * R * N * (M + 1) * s)
 
             def draw(t):  # iterations t to t + block - 1, or to T
                 ts = range(t, min(t + block, config.T + 1))
@@ -461,19 +461,22 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     file name when the sweep has no field; ``out_dir`` None keeps each
     config's own ``metrics_path``. Returns one (metrics path, records) pair
     per cell, in cell order. Every cell is parsed, and every IDX file's
-    header and labels read, before any runs; a repeated field, two cells
-    with one config, two cells with one metrics path, or a missing or
-    malformed IDX file is a ConfigError.
+    header and labels read, before any runs; a field with no value, a
+    repeated field, two cells with one config, two cells with one metrics
+    path, or a missing or malformed IDX file is a ConfigError, raised
+    before any directory is made.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
-    group. Desk-size groups may run side by side, on ``rng.map_groups``'
-    forked workers, a contiguous slice of the later groups each, and in
-    this process, which runs the first ones; a group's files are written, in
+    group, and the groups run through ``rng.map_groups``, which may fork
+    workers for them; a group's files are written by this process, in
     group order, once it and every earlier group have finished, so a
     NumericAbort leaves the files of earlier groups and none of its own or
     of any later group.
     """
     fields = [field for field, _ in sweep]
+    empty = [field for field, values in sweep if not values]
+    if empty:
+        raise ConfigError(f"sweep lists no value for {', '.join(empty)}")
     repeated = sorted({field for field in fields if fields.count(field) > 1})
     configs = []
     for combo in itertools.product(*(values for _, values in sweep)):

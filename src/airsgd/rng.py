@@ -3,13 +3,13 @@
 All randomness flows through numpy's SFC64 bit generator, one generator a
 key, seeded by ``SeedSequence(key)``. Each consumer derives its own stream
 from (master_seed, stream tag, indices...), so results never depend on the
-order in which tensors are drawn, and no stream is jumped or advanced: a
-counter-based generator's jump-ahead (Philox's) would buy nothing, and SFC64
-draws a normal in about two thirds of Philox's time. Within a stream, each
-tensor is drawn in one vectorized call, in a documented order and axis
-layout, which pins the stream position of every scalar; a tensor drawn in
-consecutive slices along its first axis from one ``Generator`` has the
-same bytes, since the stream fills in C order. A
+order in which tensors are drawn or on the evaluation cadence, and no stream
+is jumped or advanced: a counter-based generator's jump-ahead (Philox's)
+would buy nothing, and SFC64 draws a normal in about two thirds of Philox's
+time. Within a stream, each tensor is drawn in one vectorized call, in a
+documented order and axis layout, which pins the stream position of every
+scalar; a tensor drawn in consecutive slices along its first axis from one
+``Generator`` has the same bytes, since the stream fills in C order. A
 training run derives CHANNEL, NOISE and, with batch_size set, BATCH once per
 iteration t, keyed (master_seed, tag, t). The cells of one
 ``experiment.run_cells`` ensemble share these substreams, and each shared
@@ -41,40 +41,37 @@ a device's backward product has the same shape in any thread, and results
 are combined in a fixed order.
 ``side_worker(nbytes)`` is one thread beside the caller's, and it decides
 once, on entry, whether a block gets it: only with a second CPU and
-``nbytes`` at least ``_OFFLOAD_BYTES``. A training run passes one
-iteration's gradient bytes and, given the thread, hands it the next
-iteration's CHANNEL and NOISE draw (iteration 1's while the dataset is
-built), half of each row copy and, in full-batch mode, the backward product
-of the first M // 2 devices; otherwise the run stays in the caller's
-thread. ``data.make_synthetic`` passes its float64 draw bytes and, given
-the thread, hands it the first half of the classes. Each of ``verify``'s
-Monte Carlo suites passes the bytes of its checks' channel gains and,
-given the thread, deals its keyed chunks between it and the caller by
-cost. ``one_blas_thread`` pins numpy's OpenBLAS to one thread for the
-length of a run: its products then round the same whatever the CPU count,
-and the side worker's half of the backward does not compete with BLAS
-threads for the cores. ``map_groups`` pins it from before its first fork, or
-each worker would pay for OpenBLAS's thread pool in its first group.
-``map_groups`` runs a sweep's ensemble groups on worker processes beside
-the caller, which runs a fixed first share of them; each worker is forked
-directly, with one pipe for its contiguous slice of the later groups, and
-no pool or helper thread is made. A group's bytes depend only on its
-configs, so the same bytes come back from any process. A worker dies with
-the caller: at once on the caller's exception or close, and on Linux
-however the caller ends.
+``nbytes`` at least ``_OFFLOAD_BYTES``. Each caller's docstring says what it
+hands the thread; the bytes it passes are one iteration's gradients for
+``experiment.run_cells``, the float64 draw for ``data.make_synthetic`` and a
+suite's channel gains for ``verify``. ``one_blas_thread`` pins numpy's
+OpenBLAS to one thread for the length of a run: its products then round the
+same whatever the CPU count, and the side worker's half of the backward does
+not compete with BLAS threads for the cores. ``map_groups`` pins it from
+before its first fork, or each worker would pay for OpenBLAS's thread pool
+in its first group. ``map_groups`` runs a sweep's ensemble groups on worker
+processes beside the caller, which runs a fixed first share of them; each
+worker is forked directly, with one pipe for its contiguous slice of the
+later groups, and no pool or helper thread is made. A group's bytes depend
+only on its configs, so the same bytes come back from any process. A worker
+dies with the caller: at once on the caller's exception or close, and on
+Linux however the caller ends.
 
-One rule, the gate on ``_OFFLOAD_BYTES``, places every thread the program
-starts and a sweep's second CPU. It also sets a run's draw block: one
-``channel.sample_combined`` call draws as many iterations' coefficients and
-noise as fit in the gate's bytes, at least one, so exactly one with the side
-worker, since an iteration's coefficients outweigh its gradients. A sweep's
-gate reads one iteration's gradient bytes: groups at or above it run one
-after another, each with the side worker; groups below it run side by side
-on ``map_groups``' processes, each in one thread. A sweep uses its second
-CPU inside a group or across groups, never both. The one exception is a
-group whose synthetic draw passes the gate while its gradients do not (a
-paper-size dataset on a few devices): its process draws the classes on two
-threads.
+One rule, the gate of 512 KiB (``_OFFLOAD_BYTES``), places every thread the
+program starts and a sweep's second CPU, and ``block_length`` sizes every
+draw block by it: as many items as fit in the gate's bytes, at least one. A
+run's ``channel.sample_combined`` call draws that many iterations'
+coefficients and noise: one whenever the side worker is on, since an
+iteration's coefficients outweigh its gradients; four for a desk-size group
+of four cells; the whole run for the minimal template. A ``verify`` chunk is
+drawn and reduced that many channel matrices at a time. A sweep's gate reads
+the gradient bytes of one iteration of its largest group: groups at or above
+it run one after another, each with the side worker; groups below it run
+side by side on ``map_groups``' processes, each in one thread. A sweep uses
+its second CPU inside a group or across groups, never both. The one
+exception is a group whose synthetic draw passes the gate while its
+gradients do not (a paper-size dataset on a few devices): its process draws
+the classes on two threads.
 """
 
 import contextlib
@@ -255,6 +252,11 @@ def _adopt(caller: int) -> None:
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
         if os.getppid() != caller:
             os._exit(1)
+
+
+def block_length(item_bytes: int) -> int:
+    """Items of ``item_bytes`` each in one draw block: as many as fit the gate, at least one."""
+    return max(1, _OFFLOAD_BYTES // item_bytes)
 
 
 @contextlib.contextmanager

@@ -14,15 +14,16 @@ Two suites, both built on fresh channel draws:
 These back the `verify-stats` CLI verb and the statistical acceptance
 tests. Every check draws its channel matrices in chunks of at most
 ``_CHUNK``; chunk c of check ``index`` reads its own substream (seed,
-CHANNEL, index, c), so the chunks are independent, and each suite deals
-the chunks of all its checks, by cost, between ``rng.side_worker`` and the
-caller. A chunk is drawn from one generator in blocks of about
-``_BLOCK_BYTES`` of channel gains, and each block is reduced before the
-next is drawn, so no chunk-sized tensor is ever held.
-The report's bytes depend on neither constant nor the thread that draws a
-chunk: consecutive blocks of one generator are the bytes of the one-call
-chunk draw, both statistics reduce each matrix on its own, and results are
-combined in chunk order (``rng``'s docstring).
+CHANNEL, index, c), so the chunks are independent. Each suite opens
+``rng.side_worker`` with the bytes of its checks' channel gains and, given
+its thread, deals the chunks of all its checks between it and the caller
+by cost. A chunk is drawn from one generator in blocks of
+``rng.block_length`` matrices, and each block is reduced before the next
+is drawn, so no chunk-sized tensor is ever held.
+The report's bytes depend on neither the block length nor the thread that
+draws a chunk: consecutive blocks of one generator are the bytes of the
+one-call chunk draw, both statistics reduce each matrix on its own, and
+results are combined in chunk order (``rng``'s docstring).
 """
 
 import itertools
@@ -40,8 +41,6 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-# Bytes of channel gains (16 per complex gain) drawn and reduced per block.
-_BLOCK_BYTES = 1 << 19
 
 # (M, K, sigma_h_sq) triples exercised by the interference suite.
 INTERFERENCE_CASES = ((2, 4, 1.0), (4, 8, 1.0), (8, 16, 2.0))
@@ -76,9 +75,9 @@ def _channel_statistics(checks, trials, seed) -> list:
 
     ``checks`` holds a suite's (statistic, M, K, sigma_h_sq, index) checks.
     Chunk c of a check holds at most ``_CHUNK`` matrices and reads (seed,
-    CHANNEL, index, c). It is drawn from one generator in blocks of at
-    least one matrix, and the per-block statistics, which must be
-    per-matrix, are concatenated along the first axis. The suite's chunks
+    CHANNEL, index, c). It is drawn from one generator in blocks of
+    ``rng.block_length`` matrices, and the per-block statistics, which must
+    be per-matrix, are concatenated along the first axis. The suite's chunks
     are dealt by their n * M * K gains (``_deal``): given
     ``rng.side_worker``'s thread for the suite's channel bytes, the
     worker's share runs there while the caller runs its own.
@@ -90,7 +89,7 @@ def _channel_statistics(checks, trials, seed) -> list:
 
     def draw(check, c):
         statistic, M, K, sigma_h_sq, index = check
-        rows = max(1, _BLOCK_BYTES // (16 * M * K))
+        rows = rng.block_length(16 * M * K)  # matrices a block
         gen = rng.generator(rng.substream(seed, rng.CHANNEL, index, c))
         return np.concatenate([
             statistic(channel.sample_channel(gen, min(rows, sizes[c] - start), M, K, 1, sigma_h_sq))

@@ -90,11 +90,11 @@ def test_criterion_3_decomposition_identity():
 
 
 def _reference_observations(n, M, K, s, sigma_h, sigma_z, tx, K_index, chunk_index):
-    # drawn and combined in blocks of about verify._BLOCK_BYTES of fading
-    # gains: consecutive slices of one generator are the bytes of one draw
+    # drawn and combined in draw blocks of fading gains: consecutive slices
+    # of one generator are the bytes of one draw
     h_gen = rng.generator(rng.substream(123, rng.CHANNEL, K_index, chunk_index))
     z_gen = rng.generator(rng.substream(123, rng.NOISE, K_index, chunk_index))
-    rows = max(1, verify._BLOCK_BYTES // (16 * M * K * s))
+    rows = rng.block_length(16 * M * K * s)
     obs = []
     for start in range(0, n, rows):
         stop = min(n, start + rows)

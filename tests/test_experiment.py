@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from airsgd import channel, cli, data, experiment, learner, ota, rng, verify
+from airsgd import channel, cli, data, experiment, learner, ota, packing, rng, verify
 from airsgd.config import ConfigError, apply_overrides, parse_config, template
 from airsgd.data import write_idx_images, write_idx_labels
 from airsgd.experiment import (
@@ -359,9 +359,9 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch, mode, batch_
 # reference channel streams and the chunking of verify's draws: with chunks
 # of 512 matrices each check draws four chunks, the last one short. The
 # report must not depend on the worker count, the thread that draws a chunk
-# or the block size, so the digests are also checked with no side worker,
+# or the block length, so the digests are also checked with no side worker,
 # with 3 workers, with each suite's chunks dealt between the side worker and
-# the caller, and with one matrix a block.
+# the caller, and with one matrix a block (a gate of one byte).
 GOLDEN_VERIFY_SHA256 = {
     4096: "8bc5b79fce5e5eca6371df1c4582dd4cad75dc636a1f4d977a7d388549d459e3",
     512: "6857334cd875f3e25fa4db136664f627d16470369f31f287ed36f44d99e26349",
@@ -371,12 +371,11 @@ GOLDEN_VERIFY_SHA256 = {
 @pytest.mark.parametrize("chunk, settings", [
     pytest.param(chunk, settings, id="-".join([str(chunk), *(f"{k}={v}" for k, v in settings.items())]))
     for chunk in sorted(GOLDEN_VERIFY_SHA256)
-    for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, ON_THE_WORKER, {"_BLOCK_BYTES": 1})
+    for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, ON_THE_WORKER, {"_OFFLOAD_BYTES": 1})
 ])
 def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, settings):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
-    for name, value in settings.items():
-        monkeypatch.setattr(verify if name == "_BLOCK_BYTES" else rng, name, value)
+    _set(monkeypatch, settings)
     cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
@@ -390,8 +389,8 @@ def test_verify_statistics_equal_one_draw_per_chunk(monkeypatch, workers, block_
     # caller chunk 1; a third worker changes nothing.
     M, K, sigma_h_sq, trials = 3, 8, 1.5, 1300  # chunks of 512, 512 and 276
     monkeypatch.setattr(verify, "_CHUNK", 512)
-    _set(monkeypatch, {"_WORKERS": workers, "_OFFLOAD_BYTES": 0})
-    monkeypatch.setattr(verify, "_BLOCK_BYTES", 16 * M * K * block_matrices)
+    # the suite's gains pass this gate, which makes blocks of block_matrices
+    _set(monkeypatch, {"_WORKERS": workers, "_OFFLOAD_BYTES": 16 * M * K * block_matrices})
     draws = [channel.sample_channel(rng.substream(4, rng.CHANNEL, 0, c), n, M, K, 1, sigma_h_sq)
              for c, n in enumerate((512, 512, 276))]
     expected = np.concatenate([ota.interference_statistic(h)[:, 0] for h in draws])
@@ -910,6 +909,13 @@ def test_run_matrix_parses_every_cell_before_any_runs(tmp_path, monkeypatch):
     assert not (tmp_path / "grid").exists()
 
 
+def test_run_matrix_refuses_a_field_with_no_value_before_making_a_directory(tmp_path):
+    # the CLI refuses an empty value itself; a library caller reaches this
+    with pytest.raises(ConfigError, match="sweep lists no value for K$"):
+        run_matrix(_toy_doc(T=2), [("T", [2]), ("K", [])], tmp_path / "grid")
+    assert not (tmp_path / "grid").exists()
+
+
 def _desk_doc(**updates):
     # the desk shape: 10 devices and 10 classes, so every mean over devices
     # and over a local set sums enough terms for its order to show
@@ -967,6 +973,39 @@ def test_a_desk_ensembles_records_do_not_depend_on_its_draw_block(monkeypatch, b
         records.append(pickle.dumps(run_cells(configs)))
         assert blocks == expected
     assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_a_runs_and_verifys_draw_blocks_follow_the_one_gate(monkeypatch, k):
+    # The gate is set for blocks of k items: a minimal run's T = 7 iterations
+    # of coefficients and noise, and a verify chunk's 20 channel matrices.
+    monkeypatch.setattr(rng, "_WORKERS", 1)
+    sample_combined, sample_channel, sizes = channel.sample_combined, channel.sample_channel, []
+
+    def combined(channel_seeds, *args):
+        sizes.append(len(channel_seeds))
+        return sample_combined(channel_seeds, *args)
+
+    def full(gen, n, *args):
+        sizes.append(n)
+        return sample_channel(gen, n, *args)
+
+    monkeypatch.setattr(channel, "sample_combined", combined)
+    monkeypatch.setattr(channel, "sample_channel", full)
+    config = parse_config(apply_overrides(template("minimal"), ["T=7"]))
+    iteration = 16 * packing.block_count(config.d, config.s) * (config.M + 1) * config.s
+    monkeypatch.setattr(rng, "_OFFLOAD_BYTES", k * iteration)
+    run(config)
+    assert rng.block_length(iteration) == k
+    assert sizes == [min(k, 7 - t) for t in range(0, 7, k)]
+
+    M, K = 3, 8
+    matrix = 16 * M * K
+    sizes.clear()
+    monkeypatch.setattr(rng, "_OFFLOAD_BYTES", k * matrix)
+    verify._channel_statistics([(verify._interference, M, K, 1.0, 0)], 20, 4)
+    assert rng.block_length(matrix) == k
+    assert sizes == [min(k, 20 - start) for start in range(0, 20, k)]
 
 
 def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkeypatch):

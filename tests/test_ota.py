@@ -168,7 +168,7 @@ def _reduced_interference_statistic(h):
 @pytest.mark.parametrize("M, K, sigma_h_sq", verify.INTERFERENCE_CASES)
 def test_interference_statistic_has_the_bytes_of_the_reductions_on_verifys_blocks(
         M, K, sigma_h_sq):
-    rows = verify._BLOCK_BYTES // (16 * M * K)
+    rows = rng.block_length(16 * M * K)
     h = sample_channel(rng.substream(7, rng.CHANNEL, M), rows, M, K, 1, sigma_h_sq)
     assert interference_statistic(h).tobytes() == _reduced_interference_statistic(h).tobytes()
 
