@@ -71,10 +71,13 @@ def _parse_sweep_args(items) -> list:
         if "=" not in item:
             raise ConfigError(f"sweep {item!r} is not of the form KEY=V1,V2,...")
         field, text = item.split("=", 1)
-        pieces = [piece.strip() for piece in text.split(",")]
-        if not all(pieces):
+        values = parse_value(f"[{text}]")  # one JSON array, so a value may hold commas
+        if isinstance(values, str):  # else values split on commas, each JSON or bare text
+            pieces = [piece.strip() for piece in text.split(",")]
+            values = [parse_value(piece) for piece in pieces] if all(pieces) else []
+        if not values:
             raise ConfigError(f"sweep {item!r} has an empty value")
-        sweep.append((field, [parse_value(piece) for piece in pieces]))
+        sweep.append((field, values))
     return sweep
 
 

@@ -4,13 +4,12 @@ An iteration is the paper's DSGD step in stages: local gradients, aggregation,
 the optimizer update and, every eval_every iterations, the evaluation. A run
 picks its local-gradient stage (full batch, or batch_size rows per device) and
 its aggregation stage (ota or error_free) once, before its first iteration.
-The device axis is an array axis throughout: one forward pass over the
-distinct training rows the devices hold (or over their stacked batch rows),
-one batched backward product for all M gradients, one pack. In full-batch runs
-the residual and the loss's label pick also run once per held row; the
-devices' rows are gathered from them only for each device's backward product
-and bias sum and for its loss mean. The ota aggregation is (M, d) gradients ->
-(M, N, s) transmit blocks -> combiner output -> estimate_average_gradient; the
+The device axis is an array axis throughout: the learner gets the distinct
+training rows the devices hold and each device's positions in them (or the
+devices' stacked batch rows) and computes all M gradients at once, and one
+pack sends them; ``learner``'s docstring says which of its work runs once
+per held row. The ota aggregation is (M, d) gradients -> (M, N, s) transmit
+blocks -> combiner output -> estimate_average_gradient; the
 combiner output sum_m c_m x_m + w is drawn from its exact law by
 ``channel.sample_combined`` (coefficients c and combined noise w), never from
 the full per-antenna fading tensor, which only ``verify``'s statistics draw.
@@ -23,10 +22,9 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-The learner's two matrix products run in float32, the dtype in which
-``data`` makes the features: the held rows and the device stack are gathered
-from the float32 pool, with no cast in the run. The parameters, the
-optimizer state, the gradients and the whole channel side stay float64.
+The learner gets the held rows and the device stack gathered from ``data``'s
+float32 pool, with no cast in the run; ``learner``'s docstring says which of
+its values are float32. The channel side is float64.
 
 A run opens ``rng.side_worker`` with the bytes of one iteration's (R, M, d)
 float64 gradients and, given its thread, hands it the channel draws, half of
@@ -260,13 +258,8 @@ def run_cells(configs, gradient_fn=None) -> list:
 
         train, test, classes = build_dataset(config)
         index = data.partition(train, M, config.partition.per_device, config.master_seed)
-        # Devices share rows: the forward pass, each row's residual and its
-        # loss pick run once over the distinct rows they hold, and rows[m]
-        # gathers device m's local set out of them only for the per-device
-        # backward product and loss mean. A BLAS may round a row's product by
-        # the size of the matrix it sits in, so the last bit can differ from a
-        # per-device forward pass when a local set is small (OpenBLAS's
-        # AVX-512 kernel has a small-matrix path).
+        # held: the distinct rows the devices hold; rows[m]: device m's local
+        # set as positions in held
         held, rows = np.unique(index, return_inverse=True)
         rows = rows.reshape(index.shape)
         held_X, held_y = _gather(start, train.features, held), train.labels[held]
@@ -479,7 +472,8 @@ def run_matrix(base_doc: dict, sweep, out_dir) -> list:
         raise ConfigError(f"sweep lists no value for {', '.join(empty)}")
     repeated = sorted({field for field in fields if fields.count(field) > 1})
     configs = []
-    for combo in itertools.product(*(values for _, values in sweep)):
+    # a repeated field's last value would win, so its cells are never built
+    for combo in [] if repeated else itertools.product(*(values for _, values in sweep)):
         assignments = list(zip(fields, combo))
         overrides = [f"{field}={json.dumps(value)}" for field, value in assignments]
         config = parse_config(apply_overrides(base_doc, overrides))

@@ -15,7 +15,9 @@ rows, so the per-row work runs once per distinct row they hold: the forward
 pass, the residual ``(p - onehot(y)) / n`` (:func:`residuals`) and the
 loss's label pick. Only the backward product with each device's (n, F) rows
 and its bias sum (:func:`device_gradients`) and each device's loss mean run
-per device row.
+per device row. A BLAS may round a row's product by the size of the matrix
+it sits in, so the last bit can differ from a per-device forward pass when a
+local set is small (OpenBLAS's AVX-512 kernel has a small-matrix path).
 The two matrix products run in the features' dtype (float32 in a training
 run, whose features ``data`` makes float32); the parameters, logits,
 log-probabilities, losses and gradients are float64 whatever that dtype.

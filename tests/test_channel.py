@@ -1,4 +1,3 @@
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from airsgd import rng
 from airsgd.channel import sample_channel, sample_combined
+import pins
 from reference import combine, propagate, sample_noise
 
 
@@ -144,23 +144,16 @@ def test_received_mean_concentrates_at_zero():
         assert abs(part.mean()) <= 4 * sem
 
 
-# sha256 of small reference draws. Training runs draw neither the fading
-# tensor nor the oracle's per-antenna noise, so the metrics golden digests do
-# not cover their streams; these do. Recorded with numpy 2.4 on x86-64.
 def test_sample_channel_bytes_pinned():
     h = sample_channel(rng.substream(2026, rng.CHANNEL, 7), 2, 3, 4, 5, 1.5)
     assert h.shape == (2, 3, 4, 5)
-    assert hashlib.sha256(h.tobytes()).hexdigest() == (
-        "9f265af0d034cb0cdc6619ad2cf8dca8e39534b2930e00db6ecf33c43e014b5f"
-    )
+    pins.check("sample_channel", h)
 
 
 def test_sample_noise_bytes_pinned():
     z = sample_noise(rng.substream(2026, rng.NOISE, 7), 2, 4, 5, 20.0)
     assert z.shape == (2, 4, 5)
-    assert hashlib.sha256(z.tobytes()).hexdigest() == (
-        "36ce5ab63d111b1c35879469a97bb53a44fd0f8bfd09a178e89a1cc7358a6d09"
-    )
+    pins.check("sample_noise", z)
 
 
 # ------------------------------------------------------------ sample_combined
@@ -202,15 +195,8 @@ def test_combined_noise_scale_holds_past_the_int64_square(ensemble):
     assert np.allclose(noise, np.broadcast_to(w, noise.shape), rtol=1e-12, atol=0)
 
 
-# sha256 of a small sample_combined draw: coefficient bytes, then noise bytes.
-# This pins the stream contract of the training path's channel.
-COMBINED_SHA256 = "b262a6875bf0ad64be3f634e098a518b3defdf7fd43b4f78fe749984c93dd5a9"
-
-
 def test_combined_bytes_pinned():
-    coeffs, noise = _combined(seed=2026)
-    digest = hashlib.sha256(coeffs.tobytes() + noise.tobytes()).hexdigest()
-    assert digest == COMBINED_SHA256
+    pins.check("sample_combined", *_combined(seed=2026))
 
 
 def test_combined_zero_noise_is_exactly_zero():

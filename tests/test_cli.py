@@ -263,10 +263,7 @@ def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, message):
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_a_metrics_file_name_the_os_refuses_exits_2_before_any_cell(tmp_path, monkeypatch, verb):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(experiment, "run_cells", forbidden)
+    monkeypatch.setattr(experiment, "run_cells", lambda *args: pytest.fail("a cell ran"))
     config = _write_fast_config(tmp_path)
     out = tmp_path / "out"
     name = "a" * 300 + ".csv"  # past the 255-byte file name limit
@@ -480,6 +477,17 @@ def test_sweep_writes_all_cells(tmp_path):
     assert "4 runs complete" in proc.stdout
 
 
+def test_a_sweep_reads_its_values_as_one_json_array_so_an_object_may_hold_commas(tmp_path):
+    schedules = [{"kind": "constant", "alpha0": 1.0, "slope": 0.0},
+                 {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001}]
+    proc = _cli("sweep", "--config", str(_write_fast_config(tmp_path, T=2)), "--out",
+                str(tmp_path / "grid"), "--sweep", "power=" + ",".join(map(json.dumps, schedules)))
+    assert proc.returncode == 0, proc.stderr
+    paths = sorted((tmp_path / "grid").iterdir())  # the constant schedule's name sorts first
+    headers = [path.read_text(encoding="utf-8").splitlines()[0] for path in paths]
+    assert [json.loads(header[len("# config: "):])["power"] for header in headers] == schedules
+
+
 def test_an_omitted_batch_size_can_be_set_and_swept(tmp_path):
     config = _write_fast_config(tmp_path, T=2, eval_every=1)
     doc = json.loads(config.read_text())
@@ -501,7 +509,8 @@ def test_an_omitted_batch_size_can_be_set_and_swept(tmp_path):
 @pytest.mark.parametrize("item, message", [
     ("K", "sweep 'K' is not of the form KEY=V1,V2,..."),
     ("K=1,,2", "sweep 'K=1,,2' has an empty value"),
-], ids=["no-equals", "empty-value"])
+    ("K=", "sweep 'K=' has an empty value"),
+], ids=["no-equals", "empty-value", "empty-list"])
 def test_a_malformed_sweep_exits_2_naming_it(tmp_path, item, message):
     config = _write_fast_config(tmp_path)
     proc = _cli("sweep", "--config", str(config), "--sweep", item, "--out", str(tmp_path / "out"))

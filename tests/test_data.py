@@ -1,4 +1,3 @@
-import hashlib
 import struct
 import tracemalloc
 
@@ -21,6 +20,7 @@ from airsgd.data import (
 from airsgd.learner import OptimizerSpec, apply_update, evaluate_accuracy, gradients
 from airsgd.learner import init_optimizer_state, init_params, log_probabilities
 from blas_kernels import BLAS_KERNELS, run_on_kernel
+import pins
 
 PIXELS = np.array(
     [[[0, 64], [128, 255]], [[1, 2], [3, 4]]], dtype=np.uint8
@@ -213,46 +213,24 @@ def synthetic_reference(spec):
             for n in (spec.train_per_class, spec.test_per_class)]
 
 
-def _splits_digest(splits) -> str:
-    digest = hashlib.sha256()
-    for features, labels in splits:
-        digest.update(np.ascontiguousarray(features).tobytes())
-        digest.update(np.ascontiguousarray(labels).tobytes())
-    return digest.hexdigest()
-
-
-# sha256 of the float64 features and labels of both splits of two small
-# synthetic datasets (orthogonal means, then means on a line), as the
-# reference draws them from the SFC64 streams
-SYNTHETIC_SHA256 = {
-    (3, 5, 7, 4, 2.0, 11): "7812629c100311b62946230a0948771d88422f73bfb5f7fedd405b45e25226f8",
-    (6, 3, 5, 2, 1.5, 4): "c4efc205e8591e0c32bf6ea8c09bdc8693fbbe50444c3a33a6afe2e2a4a940ab",
-}
-# the same digests of make_synthetic's float32 features
-SYNTHETIC_FLOAT32_SHA256 = {
-    (3, 5, 7, 4, 2.0, 11): "f909107f3559859f98bb701f35e6dc0b09562ecba63730a25a92b1e1a5efb352",
-    (6, 3, 5, 2, 1.5, 4): "68051b9921e70f5ef708a74661376ff1d035078193582f3d8dcc4e34b09a736b",
-}
-
-
-@pytest.mark.parametrize("fields", sorted(SYNTHETIC_SHA256))
+@pytest.mark.parametrize("fields", sorted(pins.PINS["synthetic"]))
 def test_synthetic_bytes_pinned(fields):
     spec = SyntheticSpec(*fields)
     reference = synthetic_reference(spec)
-    assert _splits_digest(reference) == SYNTHETIC_SHA256[fields]
+    pins.check(("synthetic", fields, "float64"), *(part for split in reference for part in split))
     splits = [(split.features, split.labels) for split in make_synthetic(spec)]
     for (features, labels), (ref_features, ref_labels) in zip(splits, reference):
         assert features.dtype == np.float32
         assert features.tobytes() == ref_features.astype(np.float32).tobytes()
         assert np.array_equal(labels, ref_labels)
-    assert _splits_digest(splits) == SYNTHETIC_FLOAT32_SHA256[fields]
+    pins.check(("synthetic", fields, "float32"), *(part for split in splits for part in split))
 
 
 @pytest.mark.parametrize("fields, workers", [
     # two workers keep the ids these tests had when a side worker drew half the classes
     pytest.param(fields, workers,
                  id=f"fields{i}" + ("" if workers == 2 else f"-_WORKERS={workers}"))
-    for i, fields in enumerate(sorted(SYNTHETIC_SHA256))
+    for i, fields in enumerate(sorted(pins.PINS["synthetic"]))
     for workers in (1, 2, 3)
 ])
 def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields, workers):
@@ -266,8 +244,8 @@ def test_synthetic_bytes_pinned_on_the_worker(monkeypatch, fields, workers):
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_synthetic_bytes_pinned_on_every_blas_kernel(kernel):
     # the synthetic dataset makes no BLAS call, so its pins hold on any kernel
-    run_on_kernel(kernel, "import test_data\n"
-                          "for fields in sorted(test_data.SYNTHETIC_SHA256):\n"
+    run_on_kernel(kernel, "import pins, test_data\n"
+                          "for fields in sorted(pins.PINS['synthetic']):\n"
                           "    test_data.test_synthetic_bytes_pinned(fields)")
 
 

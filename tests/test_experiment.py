@@ -1,6 +1,5 @@
 import ast
 import functools
-import hashlib
 import json
 import os
 import pathlib
@@ -30,6 +29,7 @@ from airsgd.experiment import (
 )
 from blas_kernels import BLAS_KERNELS, run_on_kernel
 from group_log import assert_no_child_alive, record_groups, recorded_groups
+import pins
 from test_data import synthetic_reference
 
 
@@ -138,69 +138,16 @@ def blas_fingerprint() -> str:
     with rng.one_blas_thread():
         log_probs = learner.log_probabilities(theta[:, None], X)
         products = (learner.log_probabilities(theta, held_X), learner.gradients(X, y, log_probs))
-    return hashlib.sha256(b"".join(product.tobytes() for product in products)).hexdigest()
+    return pins.sha256(*products)
 
 
-# sha256 of the metrics file of a 12-iteration run of the minimal template,
-# one entry per BLAS kernel family. These pin the reproducibility contract
-# across processes and commits: a change that moves any byte updates them on
-# purpose and says why in CHANGES.md. Recorded with numpy 2.4.6 on x86-64.
-# The learner's float32 products run on OpenBLAS, whose kernel families round
-# them differently, so each family's digests are keyed by its blas_fingerprint.
-# The ota digest pins the channel.sample_combined stream; test_channel pins
-# the reference streams.
-GOLDEN_MODES = ("error_free", "ota")
-FINGERPRINT = {
-    "SkylakeX": "c07c4d691126f812d9f94a133da62a9ab129ade253acdfd8544a7bc0463ef8a4",
-    "Haswell": "1d1505cc72b6acb45d45ccec4ebd177952972a70fbe1009a52a2c0b33c1941b6",  # Zen too
-    "Sandybridge": "8de226edba46963824746b2ffb85bdff8681bd3dbf40a6eb5d0de711cea729a8",
-    "Prescott": "35ea71f0b9664dbdac063d1ef18cc72d915ffae35ffb3d8f7d026593d664f93a",
-}
-GOLDEN_METRICS_SHA256 = {
-    FINGERPRINT["SkylakeX"]: {
-        "ota": "6b2df8ed3b10ef16ef38b32598bbda6242f1c7dbbf2cc17772b79d8f8e7e0812",
-        "error_free": "0e3dc1fed5ac4c3e1b568ea99c6163d1b79c8d6e53f73c391e4a957d2be70ee4",
-    },
-    FINGERPRINT["Haswell"]: {
-        "ota": "0639f7eb6cf48b2424263677adc2c69fefec2b2a2f9126da4cfd18485328881a",
-        "error_free": "7779741352647c913a0100471779a1106142c38759bf3a3c502579cf64defc61",
-    },
-    FINGERPRINT["Sandybridge"]: {
-        "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",
-        "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",
-    },
-    FINGERPRINT["Prescott"]: {
-        "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",
-        "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",
-    },
-}
-# The same ota run with batch_size=16: pins the BATCH substreams, one per
-# iteration, the smallest-keys selection in key order, and the minibatch
-# gradient path.
-GOLDEN_BATCH_METRICS_SHA256 = {
-    FINGERPRINT["SkylakeX"]: "ec7b2d67bc3b3a07defb88ed691a8186fbaaae8e952f03d6f1675b46a74955c1",
-    FINGERPRINT["Haswell"]: "b49fcf9903a02e02316352f922582648819cd6dc8700cb7f77e83e4b98819e8b",
-    FINGERPRINT["Sandybridge"]: "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",
-    FINGERPRINT["Prescott"]: "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",
-}
-
-
-def _golden(pins, fingerprint=None):
-    """The entry of ``pins`` for a BLAS fingerprint, by default this process's.
-
-    A fingerprint with no recorded family fails, naming itself.
-    """
-    fingerprint = fingerprint or blas_fingerprint()
-    if fingerprint not in pins:
-        pytest.fail(f"no golden digests recorded for BLAS fingerprint {fingerprint}")
-    return pins[fingerprint]
-
-
-def _golden_digest(tmp_path, *overrides):
-    config = parse_config(apply_overrides(template("minimal"), ["T=12", "eval_every=4", *overrides]))
+def _check_golden_run(tmp_path, run_pin):
+    """Check the metrics file of run ``run_pin`` against this BLAS family's pin."""
+    override = "batch_size=16" if run_pin == "batch" else f"mode={run_pin}"
+    config = parse_config(apply_overrides(template("minimal"), ["T=12", "eval_every=4", override]))
     path = tmp_path / "m.csv"
     write_metrics(run(config), config, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    pins.check(("runs", pins.runs(blas_fingerprint()), run_pin), path.read_bytes())
 
 
 # A minimal run's gate figure is below the side worker's threshold; with these
@@ -217,21 +164,34 @@ def _set(monkeypatch, settings):
 
 @pytest.mark.parametrize("mode, settings", [
     pytest.param(mode, settings, id="-".join([mode, *(f"{k}={v}" for k, v in settings.items())]))
-    for mode in GOLDEN_MODES
+    for mode in ("error_free", "ota")
     for settings in ({}, ON_THE_WORKER)
 ])
 def test_metrics_file_matches_golden_digest(tmp_path, monkeypatch, mode, settings):
     _set(monkeypatch, settings)
-    assert _golden_digest(tmp_path, f"mode={mode}") == _golden(GOLDEN_METRICS_SHA256)[mode]
+    _check_golden_run(tmp_path, mode)
 
 
 def test_batch_metrics_file_matches_golden_digest(tmp_path):
-    assert _golden_digest(tmp_path, "batch_size=16") == _golden(GOLDEN_BATCH_METRICS_SHA256)
+    _check_golden_run(tmp_path, "batch")
 
 
 def test_batch_metrics_file_matches_golden_digest_on_the_worker(tmp_path, monkeypatch):
     _set(monkeypatch, ON_THE_WORKER)
-    assert _golden_digest(tmp_path, "batch_size=16") == _golden(GOLDEN_BATCH_METRICS_SHA256)
+    _check_golden_run(tmp_path, "batch")
+
+
+def test_every_family_row_holds_its_key_and_the_three_run_digests():
+    for family, row in pins.PINS["runs"].items():
+        assert family in BLAS_KERNELS, family  # so a kernel test checks the row
+        assert sorted(row) == ["batch", "error_free", "fingerprint", "ota"], family
+
+
+def test_every_pin_is_named_by_a_test():
+    # a grouped pin's tests run over its own keys, so its name is enough
+    tests = [path.read_text(encoding="utf-8") for path in pathlib.Path(__file__).parent.glob("test_*.py")]
+    named = set(re.findall(r'pins\.check\(\(?"(\w+)"', "".join(tests)))
+    assert set(pins.PINS) - named == set()
 
 
 def _recording_draws(monkeypatch):
@@ -252,10 +212,9 @@ def test_golden_digest_holds_on_the_worker_under_constant_thread_switching(tmp_p
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        digest = _golden_digest(tmp_path, "mode=ota")
+        _check_golden_run(tmp_path, "ota")
     finally:
         sys.setswitchinterval(interval)
-    assert digest == _golden(GOLDEN_METRICS_SHA256)["ota"]
     assert len(threads) == 12 and threading.get_ident() not in threads
 
 
@@ -355,30 +314,18 @@ def test_batch_run_derives_one_substream_per_iteration(monkeypatch, mode, batch_
         assert [key for key in keys if key[1] == tag] == [(5, tag, t) for t in range(1, 7) if used]
 
 
-# sha256 of the `verify-stats --trials 2000 --seed 1` report, which pins the
-# reference channel streams and the chunking of verify's draws: with chunks
-# of 512 matrices each check draws four chunks, the last one short. The
-# report must not depend on the worker count, the thread that draws a chunk
-# or the block length, so the digests are also checked with no side worker,
-# with 3 workers, with each suite's chunks dealt between the side worker and
-# the caller, and with one matrix a block (a gate of one byte).
-GOLDEN_VERIFY_SHA256 = {
-    4096: "8bc5b79fce5e5eca6371df1c4582dd4cad75dc636a1f4d977a7d388549d459e3",
-    512: "6857334cd875f3e25fa4db136664f627d16470369f31f287ed36f44d99e26349",
-}
-
-
+# no report byte may depend on the worker count, the thread that draws a chunk
+# (dealt between the side worker and the caller) or the block length
 @pytest.mark.parametrize("chunk, settings", [
     pytest.param(chunk, settings, id="-".join([str(chunk), *(f"{k}={v}" for k, v in settings.items())]))
-    for chunk in sorted(GOLDEN_VERIFY_SHA256)
+    for chunk in sorted(pins.PINS["verify_stats"])
     for settings in ({}, {"_WORKERS": 1}, {"_WORKERS": 3}, ON_THE_WORKER, {"_OFFLOAD_BYTES": 1})
 ])
 def test_verify_stats_report_matches_golden_digest(monkeypatch, capsys, chunk, settings):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     _set(monkeypatch, settings)
     cli.main(["verify-stats", "--trials", "2000", "--seed", "1"])
-    report = capsys.readouterr().out
-    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[chunk]
+    pins.check(("verify_stats", chunk), capsys.readouterr().out.encode())
 
 
 @pytest.mark.parametrize("workers, block_matrices", [(1, 5), (2, 1), (2, 5), (3, 1), (3, 5)])
@@ -888,22 +835,17 @@ def test_run_matrix_unknown_field(tmp_path):
     ([("K", [4, 4])], "metrics_K=4.csv"),
     ([("K", [4]), ("sigma_z_sq", [1.0]), ("K", [8])], "K"),
     ([("sigma_z_sq", [20, 20.0])], "metrics_sigma_z_sq=20.0.csv, metrics_sigma_z_sq=20.csv"),
-], ids=["value", "field", "parsed_value"])
+    ([("K", [1, 2]), ("K", [3])], "K"),  # the field alone: its cells' names would not exist
+], ids=["value", "field", "parsed_value", "field_only"])
 def test_run_matrix_rejects_repeats_before_any_cell(tmp_path, monkeypatch, sweep, repeated):
-    def forbidden(configs):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(experiment, "run_cells", forbidden)
-    with pytest.raises(ConfigError, match=f"sweep repeats .*{re.escape(repeated)}"):
+    monkeypatch.setattr(experiment, "run_cells", lambda configs: pytest.fail("a cell ran"))
+    with pytest.raises(ConfigError, match=f"sweep repeats .*: {re.escape(repeated)}$"):
         run_matrix(_toy_doc(T=2), sweep, tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
 
 
 def test_run_matrix_parses_every_cell_before_any_runs(tmp_path, monkeypatch):
-    def forbidden(configs):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(experiment, "run_cells", forbidden)
+    monkeypatch.setattr(experiment, "run_cells", lambda configs: pytest.fail("a cell ran"))
     with pytest.raises(ConfigError, match="K must be a positive integer"):
         run_matrix(_toy_doc(T=2), [("K", [4, 0])], tmp_path / "grid")
     assert not (tmp_path / "grid").exists()
@@ -1294,23 +1236,20 @@ def check_split_backward(M, n, features, classes):
     assert np.array_equal(split, whole), (M, n, features, classes)
 
 
-def golden_runs() -> dict:
-    """This process's BLAS fingerprint and the digests of the three golden runs."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = pathlib.Path(directory)
-        return {"fingerprint": blas_fingerprint(),
-                **{mode: _golden_digest(path, f"mode={mode}") for mode in GOLDEN_MODES},
-                "batch": _golden_digest(path, "batch_size=16")}
-
-
 def kernel_checks() -> dict:
     """What the kernel tests check, run in a child process under one BLAS kernel.
 
-    "backward" maps to the split check's first failure, or to "" when every
-    shape passed; "runs" maps to :func:`golden_runs`.
+    "runs" maps to the first failed pin of the three golden runs, "backward"
+    to the split check's first failure; each maps to "" when all passed.
     """
+    failures = {"runs": "", "backward": ""}
     # the runs come first, before check_split_backward opens rng's gate
-    failures = {"runs": golden_runs(), "backward": ""}
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            for run_pin in ("error_free", "ota", "batch"):
+                _check_golden_run(pathlib.Path(directory), run_pin)
+        except AssertionError as error:
+            failures["runs"] = str(error)
     for shape in BACKWARD_SHAPES:
         try:
             check_split_backward(*shape)
@@ -1335,10 +1274,7 @@ def test_the_backward_halves_give_the_bytes_of_one_call_on_every_blas_kernel(ker
 
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_the_golden_runs_match_their_kernel_familys_digests_on_every_blas_kernel(kernel):
-    runs = dict(_kernel_checks_on(kernel)["runs"])
-    fingerprint = runs.pop("fingerprint")
-    assert runs == {**_golden(GOLDEN_METRICS_SHA256, fingerprint),
-                    "batch": _golden(GOLDEN_BATCH_METRICS_SHA256, fingerprint)}
+    assert _kernel_checks_on(kernel)["runs"] == ""
 
 
 def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
