@@ -42,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON config path")
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (repeatable, dots for nesting)")
-    p_run.add_argument("--out", default=None, metavar="DIR",
-                       help="directory for the metrics file (default: per config)")
+    p_run.add_argument("--out", default=".", metavar="DIR",
+                       help="directory for metrics.csv (default: current)")
 
     p_sweep = sub.add_parser("sweep", help="run a grid of experiments")
     p_sweep.add_argument("--config", required=True, help="base JSON config path")

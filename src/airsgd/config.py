@@ -74,7 +74,6 @@ class RunConfig:
     partition: PartitionSpec
     mode: str  # "ota" | "error_free"
     master_seed: int
-    metrics_path: str = "metrics.csv"
     eval_every: int = 10
     batch_size: Optional[int] = None  # None means the full local set each iteration
 
@@ -95,8 +94,6 @@ class RunConfig:
             raise ConfigError("ota mode needs sigma_h_sq > 0")
         if not 0 <= self.master_seed < SEED_LIMIT:
             raise ConfigError(f"master_seed must lie in [0, 2**32), got {self.master_seed}")
-        if not self.metrics_path:
-            raise ConfigError("metrics_path must be a nonempty path")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive or null, got {self.batch_size}")
         if self.batch_size is not None and self.batch_size > self.partition.per_device:
@@ -260,7 +257,6 @@ def template(kind: str) -> dict:
         "master_seed": 1,
         "eval_every": 10,
         "batch_size": None,
-        "metrics_path": "metrics.csv",
         "power": {"kind": "linear_ramp", "alpha0": 1.0, "slope": 0.001},
         "optimizer": {
             "kind": "adam", "learning_rate": 0.01,

@@ -40,8 +40,9 @@ products cut in row parts move last bits on OpenBLAS's AVX2 kernels; BLAS
 runs on one thread for the length of a run (``rng.one_blas_thread``), so no
 product's bytes depend on the CPU count.
 
-Metrics land in a CSV whose header comments carry the fully resolved config,
-so every data file is reproducible on its own.
+Metrics land in a CSV whose header comment carries the fully resolved config,
+so every data file is reproducible on its own. ``run_matrix`` picks where a
+file lies, and no byte of it says where: its bytes depend on the run alone.
 """
 
 import contextlib
@@ -85,15 +86,16 @@ class MetricsRecord:
 class NumericAbort(Exception):
     """A run produced non-finite numbers; carries where it happened."""
 
-    def __init__(self, iteration: int, stage: str, path: str):
+    def __init__(self, iteration: int, stage: str, cell):
         self.iteration = iteration
         self.stage = stage
-        self.path = path  # metrics path of the run that aborted
-        super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r} of {path}")
+        self.cell = cell  # its index in its ensemble, or its metrics path from run_matrix
+        where = f"cell {cell}" if isinstance(cell, int) else cell
+        super().__init__(f"non-finite values at iteration {iteration} in stage {stage!r} of {where}")
 
     def __reduce__(self):
         # pickled by its fields, as a sweep group's abort returns from a worker process
-        return type(self), (self.iteration, self.stage, self.path)
+        return type(self), (self.iteration, self.stage, self.cell)
 
 
 def _read_idx(read, images_path, labels_path):
@@ -160,8 +162,8 @@ def _batch_positions(config: RunConfig, t: int) -> np.ndarray:
 
 
 def _group_key(config: RunConfig) -> RunConfig:
-    """What the cells of one ensemble share: the config but K, sigma_z_sq and metrics_path."""
-    return replace(config, K=1, sigma_z_sq=0.0, metrics_path="metrics.csv")
+    """What the cells of one ensemble share: the config but K and sigma_z_sq."""
+    return replace(config, K=1, sigma_z_sq=0.0)
 
 
 def _gradient_bytes(configs) -> int:
@@ -174,7 +176,7 @@ def _check_finite(values, t: int, stage: str, configs) -> None:
     finite = np.isfinite(values)
     if not finite.all():
         cell = int(np.argmin(finite.reshape(len(configs), -1).all(axis=1)))
-        raise NumericAbort(t, stage, configs[cell].metrics_path)
+        raise NumericAbort(t, stage, cell)
 
 
 def run(config: RunConfig, gradient_fn=None) -> list:
@@ -188,8 +190,8 @@ def run(config: RunConfig, gradient_fn=None) -> list:
 
     Accuracy and training loss are computed every ``eval_every`` iterations
     and always at t = T; power is tracked every iteration. Raises
-    NumericAbort rather than continuing with non-finite numbers. This is the
-    one-cell case of :func:`run_cells`.
+    NumericAbort, naming cell 0, rather than continuing with non-finite
+    numbers. This is the one-cell case of :func:`run_cells`.
     """
     (records,) = run_cells([config], gradient_fn)
     return records
@@ -198,17 +200,17 @@ def run(config: RunConfig, gradient_fn=None) -> list:
 def run_cells(configs, gradient_fn=None) -> list:
     """Execute R runs as one ensemble; returns each cell's list of MetricsRecords.
 
-    The configs may differ in K, sigma_z_sq and metrics_path only; each cell
-    gets the bytes of its own :func:`run`. ``gradient_fn`` acts per cell as
-    in :func:`run`, and a NumericAbort names the metrics path of the cell it
-    hit, or the first cell's for features, which every cell shares.
+    The configs may differ in K and sigma_z_sq only; each cell gets the
+    bytes of its own :func:`run`. ``gradient_fn`` acts per cell as in
+    :func:`run`, and a NumericAbort names the index of the cell it hit, or
+    0 for features, which every cell shares.
 
     Its stages are picked once, before the loop; an iteration is local
     gradients, the ``gradient_fn`` hook, aggregation, update and evaluation.
     """
     config = configs[0]
     if any(_group_key(cell) != _group_key(config) for cell in configs):
-        raise ValueError("cells of one ensemble may differ in K, sigma_z_sq and metrics_path only")
+        raise ValueError("cells of one ensemble may differ in K and sigma_z_sq only")
     R, M, d, s = len(configs), config.M, config.d, config.s
 
     # BLAS is pinned until the side worker, with any product it runs, has stopped
@@ -268,7 +270,7 @@ def run_cells(configs, gradient_fn=None) -> list:
         # Float32 features (the channel's error dwarfs their rounding); a value
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
-            raise NumericAbort(0, "features", config.metrics_path)
+            raise NumericAbort(0, "features", 0)
         if config.batch_size is None:  # local gradients: the backward over the device stack
             X = _gather(start, held_X, rows)  # the (M, n, F) device stack
             # The backward's work arrays, made once a run: the held rows'
@@ -385,8 +387,7 @@ def write_metrics(records, config: RunConfig, path) -> None:
 
     The file appears at ``path`` complete or not at all.
     """
-    lines = [f"# config: {resolved_json(config)}", f"# master_seed: {config.master_seed}",
-             CSV_HEADER]
+    lines = [f"# config: {resolved_json(config)}", CSV_HEADER]
     for rec in records:
         if rec.accuracy is not None:
             fields = rec.accuracy, rec.loss, rec.inst_power, rec.avg_power, rec.est_mse
@@ -408,7 +409,7 @@ def _temp_path(path) -> str:
     return f"{path}.{os.getpid()}.tmp"
 
 
-def _prepare_metrics_path(path) -> None:
+def _prepare_metrics_file(path) -> None:
     """Make the directory of metrics file ``path`` and check the file can be written there.
 
     ``path`` must not be a directory, and the temp file :func:`write_metrics`
@@ -434,73 +435,69 @@ def _prepare_metrics_path(path) -> None:
 def _cell_filename(assignments) -> str:
     """One filename per cell, inside the sweep's directory whatever the values.
 
-    Values are percent-encoded, so a "/" or "../" in a string value cannot
-    name another directory. Numbers, None and booleans come through
-    unchanged; "+" is kept for exponents such as 1e+20.
+    No assignment gives metrics.csv. Values are percent-encoded, so a "/"
+    or "../" in a string value cannot name another directory. Numbers, None
+    and booleans come through unchanged; "+" is kept for exponents (1e+20).
     """
     parts = [
         f"{field.replace('.', '-')}={quote(str(value), safe='+')}"
         for field, value in assignments
     ]
-    return "metrics_" + "_".join(parts) + ".csv"
+    return "_".join(["metrics", *parts]) + ".csv"
 
 
 def run_matrix(base_doc: dict, sweep, out_dir) -> list:
     """Run the cartesian product of parameter sweeps over a base config dict.
 
     ``sweep`` is a list of (field, values) pairs where field is a config key
-    in override syntax (dots for nesting). Each cell's metrics file lies in
-    ``out_dir``, named by its assignments, or by its config's ``metrics_path``
-    file name when the sweep has no field; ``out_dir`` None keeps each
-    config's own ``metrics_path``. Returns one (metrics path, records) pair
-    per cell, in cell order. Every cell is parsed, and every IDX file's
-    header and labels read, before any runs; a field with no value, a
-    repeated field, two cells with one config, two cells with one metrics
-    path, or a missing or malformed IDX file is a ConfigError, raised
-    before any directory is made.
+    in override syntax (dots for nesting). This alone decides where a file
+    goes: ``out_dir/<cell name>`` (:func:`_cell_filename`). Returns one
+    (metrics path, records) pair per cell, in cell order. Every cell is
+    parsed, and every IDX file's header and labels read, before any runs; a
+    field with no value, a repeated field, two cells with one config, or a
+    missing or malformed IDX file is a ConfigError, raised before any
+    directory is made.
 
     Cells that differ in K and sigma_z_sq only run as one :func:`run_cells`
     group, and the groups run through ``rng.map_groups``, which may fork
     workers for them; a group's files are written by this process, in
     group order, once it and every earlier group have finished, so a
     NumericAbort leaves the files of earlier groups and none of its own or
-    of any later group.
+    of any later group; it names the cell's metrics path, raised from
+    ``run_cells``' abort, which names the cell's index in its group.
     """
     fields = [field for field, _ in sweep]
     empty = [field for field, values in sweep if not values]
     if empty:
         raise ConfigError(f"sweep lists no value for {', '.join(empty)}")
     repeated = sorted({field for field in fields if fields.count(field) > 1})
-    configs = []
+    configs, paths = [], []
     # a repeated field's last value would win, so its cells are never built
     for combo in [] if repeated else itertools.product(*(values for _, values in sweep)):
         assignments = list(zip(fields, combo))
         overrides = [f"{field}={json.dumps(value)}" for field, value in assignments]
-        config = parse_config(apply_overrides(base_doc, overrides))
-        if out_dir is not None:
-            own_name = os.path.basename(config.metrics_path)
-            name = _cell_filename(assignments) if assignments else own_name
-            config = replace(config, metrics_path=os.path.join(out_dir, name))
-        configs.append(config)
-    paths = [config.metrics_path for config in configs]
-    # two cells repeat each other when their configs differ in metrics_path only
-    cells = [replace(config, metrics_path="metrics.csv") for config in configs]
-    repeated += sorted({os.path.basename(path) for path, cell in zip(paths, cells)
-                        if cells.count(cell) > 1 or paths.count(path) > 1})
+        configs.append(parse_config(apply_overrides(base_doc, overrides)))
+        paths.append(os.path.join(out_dir, _cell_filename(assignments)))
+    repeated += sorted({os.path.basename(path) for path, config in zip(paths, configs)
+                        if configs.count(config) > 1})
     if repeated:
         raise ConfigError(f"sweep repeats a field or a cell: {', '.join(repeated)}")
     _check_idx_files(configs)
     for path in paths:
-        _prepare_metrics_path(path)
+        _prepare_metrics_file(path)
     groups = {}
     for config in configs:
         groups.setdefault(_group_key(config), []).append(config)
     groups = list(groups.values())
     nbytes = max(map(_gradient_bytes, groups))
-    records = {}
+    path_of, records = dict(zip(configs, paths)), {}  # the configs are distinct
     with contextlib.closing(rng.map_groups(run_cells, groups, nbytes)) as results:
-        for group, group_records in zip(groups, results):
+        for group in groups:
+            try:
+                group_records = next(results)
+            except NumericAbort as exc:
+                raise NumericAbort(exc.iteration, exc.stage, path_of[group[exc.cell]]) from exc
             for config, cell_records in zip(group, group_records):
-                write_metrics(cell_records, config, config.metrics_path)
-                records[config.metrics_path] = cell_records
-    return [(path, records[path]) for path in paths]
+                write_metrics(cell_records, config, path_of[config])
+                records[config] = cell_records
+    return [(path, records[config]) for config, path in zip(configs, paths)]

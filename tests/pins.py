@@ -40,27 +40,27 @@ PINS = {
     "runs": {
         "SkylakeX": {
             "fingerprint": "c07c4d691126f812d9f94a133da62a9ab129ade253acdfd8544a7bc0463ef8a4",  # c33f54f
-            "ota": "6b2df8ed3b10ef16ef38b32598bbda6242f1c7dbbf2cc17772b79d8f8e7e0812",  # c0721f6
-            "error_free": "0e3dc1fed5ac4c3e1b568ea99c6163d1b79c8d6e53f73c391e4a957d2be70ee4",  # c0721f6
-            "batch": "ec7b2d67bc3b3a07defb88ed691a8186fbaaae8e952f03d6f1675b46a74955c1",  # c0721f6
+            "ota": "b73cf62b2491ab62362e8323319868629ae754722a3ad629ecb97c3bc1c36ef0",  # child of 3810ae7
+            "error_free": "902b64310452253544d0f88de21a2c95b0c77a62d945f6da50d8ac1b937da587",  # child of 3810ae7
+            "batch": "a44eabe80005ac57625a3d2619e62db4e5f62fbdbcd6cbeba28270359027cfdc",  # child of 3810ae7
         },
         "Haswell": {  # Zen too
             "fingerprint": "1d1505cc72b6acb45d45ccec4ebd177952972a70fbe1009a52a2c0b33c1941b6",  # c33f54f
-            "ota": "0639f7eb6cf48b2424263677adc2c69fefec2b2a2f9126da4cfd18485328881a",  # c0721f6
-            "error_free": "7779741352647c913a0100471779a1106142c38759bf3a3c502579cf64defc61",  # c0721f6
-            "batch": "b49fcf9903a02e02316352f922582648819cd6dc8700cb7f77e83e4b98819e8b",  # c0721f6
+            "ota": "99cd866fcf6b112dcd197e44c8d9c26c9e4a3c0d4c15e7ec31783d6d1879dcc0",  # child of 3810ae7
+            "error_free": "16eec5bb46f634476dacc100aed1288fe6bb5442b2cee36a8ce4144edf78679a",  # child of 3810ae7
+            "batch": "fde59db7656c6b9e2bba1b4b2877a8448d724e2728a84ada8b3475dd78deb089",  # child of 3810ae7
         },
         "Sandybridge": {
             "fingerprint": "8de226edba46963824746b2ffb85bdff8681bd3dbf40a6eb5d0de711cea729a8",  # c33f54f
-            "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",  # c0721f6
-            "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",  # c0721f6
-            "batch": "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",  # c0721f6
+            "ota": "238d79d879cf836d3d3d6b75ee288112cf2218137e87e213c3dad4961c1f9428",  # child of 3810ae7
+            "error_free": "37f337e620aa0f775dde78eb52d29a8720142b4343068aabb99db75072117c4d",  # child of 3810ae7
+            "batch": "195f2404e906d5d2fc0a424ece15ae16a6d812c566d0991f58e61a2507d1c8e7",  # child of 3810ae7
         },
         "Prescott": {  # Sandybridge's runs, with a fingerprint of its own
             "fingerprint": "35ea71f0b9664dbdac063d1ef18cc72d915ffae35ffb3d8f7d026593d664f93a",  # c33f54f
-            "ota": "d9bb05536deafffaa57457cdebe93d596c95fc6170a8c7b334ec558f9f5e33d2",  # c0721f6
-            "error_free": "053eb2be70a0be21b661a7a4e7831fba1799a9b312cb8754d1dc3887d4ded4e9",  # c0721f6
-            "batch": "a59d679b58fb54cb7c28af43ed99d8f549f6690a07d6b272f592351009248911",  # c0721f6
+            "ota": "238d79d879cf836d3d3d6b75ee288112cf2218137e87e213c3dad4961c1f9428",  # child of 3810ae7
+            "error_free": "37f337e620aa0f775dde78eb52d29a8720142b4343068aabb99db75072117c4d",  # child of 3810ae7
+            "batch": "195f2404e906d5d2fc0a424ece15ae16a6d812c566d0991f58e61a2507d1c8e7",  # child of 3810ae7
         },
     },
 }

@@ -84,6 +84,27 @@ def test_run_override_lands_in_metrics_header(tmp_path):
     assert json.loads(header[len("# config: "):])["K"] == 5
 
 
+def test_run_without_out_writes_metrics_csv_in_the_working_directory(tmp_path, monkeypatch):
+    config = _write_fast_config(tmp_path)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert _cli("run", "--config", str(config)).returncode == 0
+    elsewhere = tmp_path / "elsewhere" / "deeper"
+    assert _cli("run", "--config", str(config), "--out", str(elsewhere)).returncode == 0
+    assert os.listdir(tmp_path / "cwd") == ["metrics.csv"]
+    assert (tmp_path / "cwd" / "metrics.csv").read_bytes() == (elsewhere / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--sweep", "K=1,5"]], ids=["run", "sweep"])
+def test_a_config_file_naming_metrics_path_exits_2_naming_the_key(tmp_path, verb):
+    # a config written before the output path left it fails loudly, before any directory
+    config = _write_fast_config(tmp_path, metrics_path="metrics.csv")
+    proc = _cli(*verb, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "unknown key 'metrics_path'" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_exits_2(tmp_path):
     proc = _cli("run", "--config", str(tmp_path / "absent.json"))
     assert proc.returncode == 2
@@ -116,12 +137,12 @@ def test_an_unreadable_config_file_exits_2(tmp_path, verb, make_config):
     (f"K={2**64}", "K"),
     (f"dataset.classes={10**20}", "dataset.classes"),
     (f"dataset.train_per_class={10**20}", "dataset.train_per_class"),
-    ('metrics_path="a\\u0000b.csv"', "metrics_path"),
+    ('metrics_path="metrics.csv"', "unknown key 'metrics_path'"),
     ('dataset={"kind": "idx", "train_images": "a\\u0000b", "train_labels": "l", '
      '"test_images": "t", "test_labels": "u"}', "dataset.train_images"),
 ], ids=["K=0", "K=true", "per_device=80.0", "master_seed=1.0",
         "K=2**63", "K=2**64", "classes=10**20", "train_per_class=10**20",
-        "metrics_path=NUL", "train_images=NUL"])
+        "metrics_path", "train_images=NUL"])
 def test_run_invalid_config_exits_2(tmp_path, override, key):
     config = _write_fast_config(tmp_path)
     proc = _cli("run", "--config", str(config), "--set", override, "--out", str(tmp_path))
@@ -233,24 +254,24 @@ def test_a_label_outside_the_classes_exits_2_before_any_directory_is_made(tmp_pa
 
 def test_run_creates_a_missing_metrics_directory(tmp_path):
     config = _write_fast_config(tmp_path)
-    target = tmp_path / "new" / "deeper" / "x.csv"
-    proc = _cli("run", "--config", str(config), "--set", f"metrics_path={json.dumps(str(target))}")
+    out = tmp_path / "new" / "deeper"
+    proc = _cli("run", "--config", str(config), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert target.read_text().startswith("# config: ")
+    assert (out / "metrics.csv").read_text().startswith("# config: ")
 
 
 @pytest.mark.parametrize("args, message", [
     (["run", "--out", "{f}"], "cannot create output directory {f}"),
-    (["run", "--set", "metrics_path=\"{f}/x.csv\""], "cannot create output directory {f}"),
+    (["run", "--out", "{f}/sub"], "cannot create output directory {f}/sub"),
     (["sweep", "--out", "{f}/sub", "--sweep", "K=1,5"], "cannot create output directory {f}/sub"),
-    (["run", "--set", "metrics_path=\"{d}\""], "metrics path {d} is a directory"),
-], ids=["run-out", "run-metrics_path", "sweep-out", "run-metrics_path-directory"])
+    (["run", "--out", "{d}"], "metrics path {d}/metrics.csv is a directory"),
+], ids=["run-out", "run-out-nested", "sweep-out", "run-metrics.csv-directory"])
 def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, message):
     config = _write_fast_config(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("")
     adir = tmp_path / "adir"
-    adir.mkdir()
+    (adir / "metrics.csv").mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
     verb, *rest = (arg.format(f=afile, d=adir) for arg in args)
     proc = _cli(verb, "--config", str(config), *rest)
@@ -261,14 +282,16 @@ def test_output_directory_under_a_regular_file_exits_2(tmp_path, args, message):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("verb", ["run", "sweep"])
-def test_a_metrics_file_name_the_os_refuses_exits_2_before_any_cell(tmp_path, monkeypatch, verb):
+def test_a_metrics_file_name_the_os_refuses_exits_2_before_any_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "run_cells", lambda *args: pytest.fail("a cell ran"))
     config = _write_fast_config(tmp_path)
     out = tmp_path / "out"
-    name = "a" * 300 + ".csv"  # past the 255-byte file name limit
-    proc = _cli(verb, "--config", str(config), "--out", str(out),
-                "--set", f"metrics_path={json.dumps(name)}")
+    # two whole-object values name a cell past the 255-byte file name limit
+    sweep = [(field, template("minimal")[field]) for field in ("optimizer", "dataset")]
+    name = experiment._cell_filename(sweep)
+    assert len(name) > 255
+    args = [arg for field, value in sweep for arg in ("--sweep", f"{field}={json.dumps(value)}")]
+    proc = _cli("sweep", "--config", str(config), "--out", str(out), *args)
     assert proc.returncode == 2, proc.stderr
     assert f"config error: cannot write metrics file {out / name}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -327,7 +350,8 @@ def test_sweep_numeric_abort_in_a_workers_group_keeps_only_earlier_groups(tmp_pa
     ]
     groups = recorded_groups(log)
     (runner,) = [pid for pid, configs in groups
-                 if aborted in (config.metrics_path for config in configs)]
+                 if any((config.mode, config.power.alpha0, config.sigma_z_sq) == ("ota", 1, 1e308)
+                        for config in configs)]
     assert runner != os.getpid()
     assert_no_child_alive([pid for pid, _ in groups])
 

@@ -506,7 +506,7 @@ def test_map_groups_raises_the_first_failure_in_group_order_after_earlier_result
     assert [group for group, _ in seen] == list(range(first))
     assert [pid == os.getpid() for _, pid in seen] == [group < share for group in range(first)]
     assert excinfo.value.iteration == first
-    assert (excinfo.value.path == f"cell-{first}-{os.getpid()}.csv") == (first < share)
+    assert (excinfo.value.cell == f"cell-{first}-{os.getpid()}.csv") == (first < share)
     # a worker's abort carries its traceback in the worker as its cause
     assert ("in fn\n" in str(excinfo.value.__cause__)) == (first >= share)
     assert threading.active_count() == before
@@ -710,9 +710,8 @@ def test_metrics_file_layout(tmp_path):
     write_metrics(run(config), config, path)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0].startswith("# config: ")
-    assert lines[1] == "# master_seed: 1"
-    assert lines[2] == CSV_HEADER
-    rows = [l for l in lines[3:] if l]
+    assert lines[1] == CSV_HEADER
+    rows = [l for l in lines[2:] if l]
     assert len(rows) == 3  # evaluations at t = 3, 6, 8
     assert [int(r.split(",")[0]) for r in rows] == [3, 6, 8]
     embedded = json.loads(lines[0][len("# config: "):])
@@ -724,7 +723,7 @@ def test_error_free_metrics_leave_mse_blank(tmp_path):
     config = parse_config(_toy_doc(T=4, eval_every=2, mode="error_free"))
     path = tmp_path / "m.csv"
     write_metrics(run(config), config, path)
-    rows = [l for l in path.read_text().split("\n")[3:] if l]
+    rows = [l for l in path.read_text().split("\n")[2:] if l]
     assert all(row.endswith(",") for row in rows)
 
 
@@ -738,13 +737,14 @@ def test_numeric_abort_names_iteration_and_stage():
         run(parse_config(_toy_doc()), gradient_fn=exploding)
     assert excinfo.value.iteration == 3
     assert excinfo.value.stage == "local_gradient"
-    assert "iteration 3" in str(excinfo.value)
+    assert excinfo.value.cell == 0
+    assert str(excinfo.value).endswith("iteration 3 in stage 'local_gradient' of cell 0")
 
 
 def test_numeric_abort_survives_a_pickle_round_trip():
     abort = pickle.loads(pickle.dumps(NumericAbort(7, "estimate", "grid/metrics_K=4.csv")))
     assert type(abort) is NumericAbort
-    assert (abort.iteration, abort.stage, abort.path) == (7, "estimate", "grid/metrics_K=4.csv")
+    assert (abort.iteration, abort.stage, abort.cell) == (7, "estimate", "grid/metrics_K=4.csv")
     assert str(abort) == str(NumericAbort(7, "estimate", "grid/metrics_K=4.csv"))
 
 
@@ -792,11 +792,10 @@ def test_run_matrix_cartesian_product(tmp_path):
 
 
 def test_run_matrix_empty_sweep_single_run(tmp_path):
-    # a cell with no swept field is named after its config's metrics_path
-    doc = _toy_doc(T=2, eval_every=1, metrics_path="elsewhere/run.csv")
-    ((path, _),) = run_matrix(doc, [], tmp_path)
-    assert path == str(tmp_path / "run.csv")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    # a cell with no swept field is metrics.csv
+    ((path, _),) = run_matrix(_toy_doc(T=2, eval_every=1), [], tmp_path)
+    assert path == str(tmp_path / "metrics.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
 
 
 def test_run_matrix_returns_each_cells_path_and_records_in_cell_order(tmp_path):
@@ -812,18 +811,15 @@ def test_run_matrix_returns_each_cells_path_and_records_in_cell_order(tmp_path):
         assert records == run(config)
 
 
-def test_no_out_dir_keeps_each_configs_metrics_path(tmp_path):
-    target = tmp_path / "new" / "x.csv"
-    ((path, records),) = run_matrix(_toy_doc(T=2, eval_every=1, metrics_path=str(target)), [], None)
-    assert path == str(target) and target.exists()
-    assert [record.iteration for record in records] == [1, 2]
-
-
-def test_two_cells_with_one_metrics_path_are_refused(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(ConfigError, match="sweep repeats a field or a cell: metrics.csv"):
-        run_matrix(_toy_doc(T=2), [("K", [1, 4])], None)
-    assert list(tmp_path.iterdir()) == []
+def test_a_sweeps_files_do_not_depend_on_where_they_are_written(tmp_path):
+    # one sweep in two directories, one nested: no byte of a file names its place
+    sweep = [("K", [1, 4]), ("mode", ["ota", "error_free"])]
+    files = []
+    for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        run_matrix(_toy_doc(T=2, eval_every=1), sweep, out)
+        files.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(files[0]) == 4
+    assert files[0] == files[1]
 
 
 def test_run_matrix_unknown_field(tmp_path):
@@ -959,10 +955,7 @@ def test_a_desk_sweep_writes_the_same_bytes_on_any_worker_count(tmp_path, monkey
     files = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(rng, "_WORKERS", workers)
-        # the same relative out_dir each time: the files embed their paths
-        (tmp_path / str(workers)).mkdir()
-        monkeypatch.chdir(tmp_path / str(workers))
-        log, out = tmp_path / f"groups-{workers}.jsonl", pathlib.Path("grid")
+        log, out = tmp_path / f"groups-{workers}.jsonl", tmp_path / str(workers)
         record_groups(monkeypatch, log, worker_delay=0.2)
         cells = run_matrix(_desk_doc(), sweep, out)
         monkeypatch.setattr(experiment, "run_cells", run_cells)
@@ -1005,7 +998,7 @@ def test_run_matrix_groups_cells_that_differ_in_k_and_noise_only(tmp_path, monke
 
 def test_run_cells_rejects_cells_that_differ_beyond_k_and_noise():
     configs = [parse_config(_toy_doc()), parse_config(_toy_doc(batch_size=8))]
-    with pytest.raises(ValueError, match="differ in K, sigma_z_sq and metrics_path only"):
+    with pytest.raises(ValueError, match="differ in K and sigma_z_sq only"):
         run_cells(configs)
 
 
@@ -1017,9 +1010,10 @@ def test_numeric_abort_in_a_group_names_its_cell_and_keeps_earlier_groups(tmp_pa
     with pytest.raises(NumericAbort) as excinfo:
         run_matrix(_toy_doc(T=3), [("mode", ["error_free", "ota"]),
                                    ("sigma_z_sq", [1.0, 1e308])], out)
-    assert excinfo.value.path == str(out / "metrics_mode=ota_sigma_z_sq=1e+308.csv")
+    assert excinfo.value.cell == str(out / "metrics_mode=ota_sigma_z_sq=1e+308.csv")
     assert (excinfo.value.iteration, excinfo.value.stage) == (1, "estimate")
-    assert excinfo.value.path in str(excinfo.value)
+    assert excinfo.value.cell in str(excinfo.value)
+    assert excinfo.value.__cause__.cell == 1  # run_cells' abort: the cell's index in its group
     assert sorted(p.name for p in out.iterdir()) == [
         "metrics_mode=error_free_sigma_z_sq=1.0.csv",
         "metrics_mode=error_free_sigma_z_sq=1e+308.csv",

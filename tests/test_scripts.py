@@ -22,7 +22,11 @@ def test_antenna_study_writes_one_csv_per_cell_naming_itself(tmp_path):
     assert len(paths) == 9  # the error-free baseline and 2 noise levels x 4 antenna counts
     for path in paths:
         header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert json.loads(header[len("# config: "):])["metrics_path"] == str(path)
+        config = json.loads(header[len("# config: "):])
+        seed = f"master_seed={config['master_seed']}"
+        cell = (f"mode=error_free_{seed}" if config["mode"] == "error_free"
+                else f"{seed}_sigma_z_sq={config['sigma_z_sq']}_K={config['K']}")
+        assert path.name == f"metrics_{cell}.csv"
 
 
 def test_idx_fixture_maps_both_splits_with_the_train_range(tmp_path):
