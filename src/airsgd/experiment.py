@@ -22,23 +22,24 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-The learner gets the held rows and the device stack gathered from ``data``'s
-float32 pool, with no cast in the run; ``learner``'s docstring says which of
-its values are float32. The channel side is float64.
+The learner gets the held rows gathered from ``data``'s float32 pool, with no
+cast in the run, and a full-batch backward gathers its devices' rows from them
+``rng.block_length`` devices a call, holding no (M, n, F) stack; ``learner``'s
+docstring says which of its values are float32. The channel side is float64.
 
 A run opens ``rng.side_worker`` with the bytes of one iteration's (R, M, d)
 float64 gradients and, given its thread, hands it the channel draws, half of
 each row copy and the first device half of a full-batch backward, with the
-gather of those devices' residual rows. It draws its channel
-``rng.block_length`` iterations a call, an iteration's coefficients and
-noise being one item, with one block in flight at a time. ``run_matrix``
-hands ``rng.map_groups`` its groups and the largest group's gradient bytes.
-``rng``'s docstring says where each of these runs and why no output byte
-depends on it. Every (cell, device) backward product keeps its shape in
-either half, and the forward over the held rows is one call, since float32
-products cut in row parts move last bits on OpenBLAS's AVX2 kernels; BLAS
-runs on one thread for the length of a run (``rng.one_blas_thread``), so no
-product's bytes depend on the CPU count.
+gathers of those devices' rows and residual rows. It draws its channel
+``rng.block_length`` iterations a call, an iteration's coefficients and noise
+being one item, with one block in flight at a time. ``run_matrix`` hands
+``rng.map_groups`` its groups and the largest group's gradient bytes. ``rng``'s
+docstring says where each of these runs and why no output byte depends on it.
+Every (cell, device) backward product keeps its shape in any chunk of either
+half, and the forward over the held rows is one call, since float32 products
+cut in row parts move last bits on OpenBLAS's AVX2 kernels; BLAS runs on one
+thread for the length of a run (``rng.one_blas_thread``), so no product's bytes
+depend on the CPU count.
 
 Metrics land in a CSV whose header comment carries the fully resolved config,
 so every data file is reproducible on its own. ``run_matrix`` picks where a
@@ -271,22 +272,19 @@ def run_cells(configs, gradient_fn=None) -> list:
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
             raise NumericAbort(0, "features", 0)
-        if config.batch_size is None:  # local gradients: the backward over the device stack
-            X = _gather(start, held_X, rows)  # the (M, n, F) device stack
-            # The backward's work arrays, made once a run: the held rows'
-            # (R, H, C) residuals, held row outermost in memory, and the device
-            # rows gathered from them, (M, n, R, C) in memory as an
-            # advanced-index gather lays them out. Arrays this size made afresh
+        if config.batch_size is None:  # local gradients: the backward, a device chunk a call
+            # The backward's work arrays, made once a run (arrays made afresh
             # every iteration go back to the allocator, which may return them to
-            # the OS and fault them in again page by page.
+            # the OS and fault them in again page by page): the held rows'
+            # (R, H, C) residuals, held row outermost, and the halves' buffers.
             residual = np.empty((len(held), R, classes)).swapaxes(0, 1)
-            device_residual = np.empty(rows.shape + (R, classes))
+            halves = _backward_halves(start, held_X, rows, R, classes)
 
             def local_gradients(theta, t, log_probs):
                 if log_probs is None:
                     log_probs = learner.log_probabilities(theta, held_X)
-                learner.residuals(held_y, log_probs, X.shape[1], out=residual)
-                return _backward(start, X, residual, rows, device_residual)
+                learner.residuals(held_y, log_probs, rows.shape[1], out=residual)
+                return _backward(start, held_X, residual, halves)
         else:  # local gradients: each device's batch, with its own forward
             def local_gradients(theta, t, log_probs):
                 batch_rows = np.take_along_axis(rows, _batch_positions(config, t), axis=1)
@@ -329,35 +327,55 @@ def run_cells(configs, gradient_fn=None) -> list:
     return records
 
 
-def _backward(start, X, residual, rows, out) -> np.ndarray:
-    """The (R, M, d) gradients of the devices whose (M, n) held rows ``rows`` names.
+def _backward_halves(start, held_X, rows, cells: int, classes: int) -> list:
+    """The full-batch backward's halves, made once a run: (rows, X, out) each.
 
-    ``residual`` holds the (R, H, C) held-row residuals and ``out`` is the
-    (M, n, R, C) array the devices' rows are gathered into. With two or more
-    devices and a thread behind ``rng.side_worker``'s ``start``, the first
-    M // 2 devices' gradients are started through it and the rest computed
-    in this thread, each half gathering only its own devices' rows;
-    otherwise, ``start`` being ``functools.partial``, the one call runs
-    here. ``learner.device_gradients`` gives each device the bytes it gets
-    with any other devices, so the halves' bytes are the whole's.
+    Given a thread behind ``start``, the first M // 2 devices of the (M, n)
+    held rows ``rows`` are one half, run there, and the rest another; else
+    all M are one. X takes the (n, F) rows of k = ``rng.block_length``
+    devices, at most the half's, and is filled here if it holds them all;
+    ``out`` their (n, R, C) residual rows, laid out as a gather lays them.
     """
-    cut = len(X) // 2
-    if cut == 0 or start is functools.partial:
-        return _device_gradients(X, residual, rows, out)
-    first = start(_device_gradients, X[:cut], residual, rows[:cut], out[:cut])
-    rest = _device_gradients(X[cut:], residual, rows[cut:], out[cut:])
-    return np.concatenate([first(), rest], axis=-2)
+    (M, n), F = rows.shape, held_X.shape[1]
+    cut = 0 if start is functools.partial else M // 2
+    k = rng.block_length(n * F * held_X.itemsize)
+    halves = []
+    for part in (rows[:cut], rows[cut:]) if cut else (rows,):
+        X = np.empty((min(k, len(part)), n, F), dtype=held_X.dtype)
+        if len(X) == len(part):
+            np.take(held_X, part, axis=0, out=X, mode="clip")
+        halves.append((part, X, np.empty(X.shape[:2] + (cells, classes))))
+    return halves
 
 
-def _device_gradients(X, residual, rows, out) -> np.ndarray:
-    """``learner.device_gradients`` of held-row ``residual`` gathered by ``rows`` into ``out``.
+def _backward(start, held_X, residual, halves) -> np.ndarray:
+    """The (R, M, d) gradients of ``halves``' devices, given the (R, H, C) held-row ``residual``.
 
-    Each device row copies one (R, C) block, contiguous when the residual
-    holds its held row outermost in memory. The indices come from
-    ``np.unique``, so they lie in range (see :func:`_gather` on "clip").
+    ``learner.device_gradients`` gives each device the bytes it gets with
+    any other devices, so the chunks' bytes are one call's.
     """
-    np.take(residual.swapaxes(0, 1), rows, axis=0, out=out, mode="clip")
-    return learner.device_gradients(X, out.transpose(2, 0, 1, 3))
+    first = [start(_device_gradients, held_X, residual, *half) for half in halves[:-1]]
+    parts = _device_gradients(held_X, residual, *halves[-1])
+    parts = [part for done in first for part in done()] + parts
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+
+
+def _device_gradients(held_X, residual, rows, X, out) -> list:
+    """The (R, k, d) gradients of ``rows``' devices, k = len(X) a ``learner.device_gradients`` call.
+
+    A chunk gathers its devices' rows into X, unless X holds them all, and
+    their residual rows into ``out``, one (R, C) block a row, contiguous as
+    the residual holds its held row outermost in memory. The indices come
+    from ``np.unique``, so they lie in range (see :func:`_gather` on "clip").
+    """
+    parts = []
+    for chunk in np.split(rows, range(len(X), len(rows), len(X))):
+        X_chunk, out_chunk = X[:len(chunk)], out[:len(chunk)]
+        if len(X) < len(rows):
+            np.take(held_X, chunk, axis=0, out=X_chunk, mode="clip")
+        np.take(residual.swapaxes(0, 1), chunk, axis=0, out=out_chunk, mode="clip")
+        parts.append(learner.device_gradients(X_chunk, out_chunk.transpose(2, 0, 1, 3)))
+    return parts
 
 
 def _gather(start, src, index) -> np.ndarray:

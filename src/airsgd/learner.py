@@ -132,7 +132,7 @@ def device_gradients(X: np.ndarray, residual: np.ndarray) -> np.ndarray:
     device axis, each part a call of its own in any thread, and the parts'
     gradients are the bytes of one call's. The bias sums over n run fastest
     with the cell axes next to the class axis in memory, as in the
-    (M, n, R, C) array ``experiment`` gathers the held rows' residuals into.
+    (k, n, R, C) chunks ``experiment`` gathers the held rows' residuals into.
     """
     F = X.shape[-1]
     grad = np.empty(residual.shape[:-2] + (residual.shape[-1], F + 1))

@@ -59,19 +59,21 @@ Linux however the caller ends.
 
 One rule, the gate of 512 KiB (``_OFFLOAD_BYTES``), places every thread the
 program starts and a sweep's second CPU, and ``block_length`` sizes every
-draw block by it: as many items as fit in the gate's bytes, at least one. A
-run's ``channel.sample_combined`` call draws that many iterations'
-coefficients and noise: one whenever the side worker is on, since an
-iteration's coefficients outweigh its gradients; four for a desk-size group
-of four cells; the whole run for the minimal template. A ``verify`` chunk is
-drawn and reduced that many channel matrices at a time. A sweep's gate reads
-the gradient bytes of one iteration of its largest group: groups at or above
-it run one after another, each with the side worker; groups below it run
-side by side on ``map_groups``' processes, each in one thread. A sweep uses
-its second CPU inside a group or across groups, never both. The one
-exception is a group whose synthetic draw passes the gate while its
-gradients do not (a paper-size dataset on a few devices): its process draws
-the classes on two threads.
+draw block and backward chunk by it: as many items as fit in the gate's
+bytes, at least one. A run's ``channel.sample_combined`` call draws that
+many iterations' coefficients and noise: one whenever the side worker is on,
+since an iteration's coefficients outweigh its gradients; four for a
+desk-size group of four cells; the whole run for the minimal template. Each
+half of a full-batch backward gathers that many devices' float32 rows a
+call: one at paper size (3.1 MB a device), and the whole half, once a run,
+at desk size. A ``verify`` chunk is drawn and reduced that many channel
+matrices at a time. A sweep's gate reads the gradient bytes of one iteration
+of its largest group: groups at or above it run one after another, each with
+the side worker; groups below it run side by side on ``map_groups``'
+processes, each in one thread. A sweep uses its second CPU inside a group or
+across groups, never both. The one exception is a group whose synthetic draw
+passes the gate while its gradients do not (a paper-size dataset on a few
+devices): its process draws the classes on two threads.
 """
 
 import contextlib
@@ -255,7 +257,7 @@ def _adopt(caller: int) -> None:
 
 
 def block_length(item_bytes: int) -> int:
-    """Items of ``item_bytes`` each in one draw block: as many as fit the gate, at least one."""
+    """Items of ``item_bytes`` each in one block: as many as fit the gate, at least one."""
     return max(1, _OFFLOAD_BYTES // item_bytes)
 
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,8 +153,9 @@ def _check_golden_run(tmp_path, run_pin):
 
 # A minimal run's gate figure is below the side worker's threshold; with these
 # settings the run opens the worker, which takes its channel draws, half of
-# each row copy and the first device half of each full-batch backward, and
-# its dataset's classes are drawn on two threads.
+# each row copy and the first device half of each full-batch backward, each
+# half making one backward call a device, and its dataset's classes are
+# drawn on two threads.
 ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
 
 
@@ -913,6 +915,50 @@ def test_a_desk_ensembles_records_do_not_depend_on_its_draw_block(monkeypatch, b
     assert records[0] == records[1] == records[2]
 
 
+@pytest.mark.parametrize("mode", ["ota", "error_free"])
+def test_a_desk_ensembles_records_do_not_depend_on_its_backward_chunk(monkeypatch, mode):
+    # A full-batch group of four cells (K x sigma_z_sq) makes one backward
+    # call for as many devices' (n, F) float32 rows as fit the side worker's
+    # gate. The gates below give chunks of 1, of 3 and of all 10 devices,
+    # capped at a half's 5 devices when the side worker runs the first half:
+    # it does on two CPUs, since an iteration's gradients pass each gate.
+    configs = [parse_config(_desk_doc(T=3, K=K, sigma_z_sq=sigma_z_sq, mode=mode))
+               for K in (1, 4) for sigma_z_sq in (0.0, 20.0)]
+    device = 40 * 32 * 4  # a device's rows: per_device x features float32
+    assert device * 10 < experiment._gradient_bytes(configs)
+    sizes = _recording_backward(monkeypatch)
+    records = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        for k, expected in ((1, [[1] * 10, [1] * 10]), (3, [[3, 3, 3, 1], [3, 2, 3, 2]]),
+                            (10, [[10], [5, 5]])):
+            monkeypatch.setattr(rng, "_OFFLOAD_BYTES", k * device)
+            sizes.clear()
+            records.append(pickle.dumps(run_cells(configs)))
+            assert sorted(count for count, _ in sizes) == sorted(expected[workers - 1] * 3)
+            assert len({thread for _, thread in sizes}) == workers
+    assert all(record == records[0] for record in records)
+
+
+def test_a_full_batch_run_holds_no_device_stack():
+    # 20 devices of 200 rows drawn from 600 rows of 784 features: the run
+    # holds the 600 rows and gathers the devices' rows a chunk at a time,
+    # where one (M, n, F) float32 stack of them would take 12.0 MiB
+    doc = _toy_doc(M=20, T=2, d=4 * 785, s=1570, mode="ota")
+    doc["dataset"] = {"kind": "synthetic", "classes": 4, "features": 784,
+                      "train_per_class": 150, "test_per_class": 50, "margin": 4.0, "seed": 8}
+    doc["partition"] = {"per_device": 200}
+    config = parse_config(doc)
+    stack = 20 * 200 * 784 * 4
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack, (peak, stack)
+
+
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_a_runs_and_verifys_draw_blocks_follow_the_one_gate(monkeypatch, k):
     # The gate is set for blocks of k items: a minimal run's T = 7 iterations
@@ -1153,13 +1199,14 @@ def _recording_backward(monkeypatch):
 @pytest.mark.parametrize("mode", ["ota", "error_free"])
 @pytest.mark.parametrize("M", [2, 3])
 def test_a_full_batch_backward_on_the_worker_runs_in_two_device_halves(monkeypatch, mode, M):
-    # the first M // 2 devices' gradients on the side worker, the rest here
+    # the first M // 2 devices' gradients on the side worker, the rest here;
+    # with no byte gate, each half makes one call a device
     _set(monkeypatch, ON_THE_WORKER)
     calls = _recording_backward(monkeypatch)
     run(parse_config(_toy_doc(T=3, eval_every=1, mode=mode, M=M)))
     here = threading.get_ident()
-    assert [count for count, thread in calls if thread != here] == [M // 2] * 3
-    assert [count for count, thread in calls if thread == here] == [M - M // 2] * 3
+    assert [count for count, thread in calls if thread != here] == [1] * (M // 2) * 3
+    assert [count for count, thread in calls if thread == here] == [1] * (M - M // 2) * 3
 
 
 @pytest.mark.parametrize("mode, batch_size", [("ota", None), ("error_free", None), ("ota", 8)],
@@ -1180,20 +1227,22 @@ def test_the_backward_halves_write_the_bytes_of_one_call(tmp_path, monkeypatch, 
     assert files[0] == files[1]
 
 
-# Float32 stacks as run_cells hands them to the backward: 20 devices at
-# paper width, and two with an odd device count in a half.
+# (M, n, F, C) shapes of a full-batch backward: 20 devices at paper width,
+# and two with an odd device count in a half.
 BACKWARD_SHAPES = [(20, 100, 784, 10), (3, 263, 784, 10), (5, 40, 97, 3)]
 
 
 def check_split_backward(M, n, features, classes):
-    """The full-batch backward, cut in device halves on a side worker, gives the bytes of one call.
+    """The full-batch backward, a device a call in halves on a side worker, gives the bytes of one call.
 
     The devices draw their rows from fewer held rows, so they share rows.
-    The one call takes the held-row residuals gathered to the devices by
-    advanced indexing; ``experiment._backward`` takes them ungathered, held
-    row outermost in memory as ``run_cells`` keeps them, and each half must
-    gather only its own devices' rows. Run in a child process by the kernel
-    test, with two worker CPUs and no byte gate, so every shape is cut.
+    The one call takes the device stack and the held-row residuals gathered
+    to the devices by advanced indexing; ``experiment._backward`` takes the
+    held rows and their residuals ungathered, held row outermost in memory
+    as ``run_cells`` keeps them, and each call must gather only its own
+    device's rows. Run in a child process by the kernel test, with two
+    worker CPUs and no byte gate, so every shape is cut in halves and each
+    half in one-device chunks.
     """
     rng._WORKERS, rng._OFFLOAD_BYTES = 2, 0
     gen = np.random.default_rng((M, n, classes))
@@ -1201,49 +1250,51 @@ def check_split_backward(M, n, features, classes):
     held_X = (gen.standard_normal((held, features)) + 3.0).astype(np.float32)  # offset, so sums round
     held_y = gen.integers(0, classes, size=held)
     rows = np.stack([gen.choice(held, size=n, replace=False) for _ in range(M)])
-    X = held_X[rows]
     theta = gen.standard_normal((2, (features + 1) * classes)) / features
     log_probs = learner.log_probabilities(theta, held_X)
     residual = learner.residuals(held_y, log_probs, n)
     held_first = learner.residuals(held_y, log_probs, n, out=np.empty((held, 2, classes)).swapaxes(0, 1))
-    backward, parts = learner.device_gradients, []
+    backward, calls = learner.device_gradients, []
 
-    def recording(X, residual):
-        parts.append((X, residual.copy()))
+    def recording(X, residual):  # copies, since each half reuses its buffers
+        calls.append((threading.get_ident(), X.copy(), residual.copy()))
         return backward(X, residual)
 
     learner.device_gradients = recording
     try:
-        with rng.one_blas_thread(), rng.side_worker(X.nbytes) as start:
-            whole = backward(X, residual[:, rows])
-            split = experiment._backward(start, X, held_first, rows, np.empty((M, n, 2, classes)))
+        with rng.one_blas_thread(), rng.side_worker(held_X.nbytes) as start:
+            whole = backward(held_X[rows], residual[:, rows])
+            halves = experiment._backward_halves(start, held_X, rows, 2, classes)
+            split = experiment._backward(start, held_X, held_first, halves)
     finally:
         learner.device_gradients = backward
-    cut = M // 2
-    halves = []
-    for part, received in parts:
-        own = slice(0, cut) if np.array_equal(part, X[:cut]) else slice(cut, M)
-        halves.append(own.start)
-        # a half receives the residual rows of its own devices and no others
-        assert np.array_equal(part, X[own]) and np.array_equal(received, residual[:, rows[own]])
-    assert sorted(halves) == [0, cut], [len(part) for part, _ in parts]
+    here = threading.get_ident()
+    first = [call for call in calls if call[0] != here]
+    assert (len(first), len(calls)) == (M // 2, M), [len(X) for _, X, _ in calls]
+    # the side worker's half, then this thread's, cover the devices in order
+    for m, (_, X, received) in enumerate(first + [call for call in calls if call[0] == here]):
+        assert np.array_equal(X, held_X[rows[m:m + 1]]), m
+        assert np.array_equal(received, residual[:, rows[m:m + 1]]), m
     assert np.array_equal(split, whole), (M, n, features, classes)
 
 
 def kernel_checks() -> dict:
     """What the kernel tests check, run in a child process under one BLAS kernel.
 
-    "runs" maps to the first failed pin of the three golden runs, "backward"
-    to the split check's first failure; each maps to "" when all passed.
+    "runs" maps to the first failed pin of the golden runs, "backward" to
+    the split check's first failure; each maps to "" when all passed.
     """
     failures = {"runs": "", "backward": ""}
-    # the runs come first, before check_split_backward opens rng's gate
+    # the runs come first, the ota run again with the side worker on and one
+    # device a backward call, before check_split_backward sets rng's gate
     with tempfile.TemporaryDirectory() as directory:
         try:
-            for run_pin in ("error_free", "ota", "batch"):
+            for run_pin, settings in [("error_free", {}), ("ota", {}), ("batch", {}),
+                                      ("ota", ON_THE_WORKER)]:
+                vars(rng).update(settings)
                 _check_golden_run(pathlib.Path(directory), run_pin)
         except AssertionError as error:
-            failures["runs"] = str(error)
+            failures["runs"] = f"{settings}: {error}"
     for shape in BACKWARD_SHAPES:
         try:
             check_split_backward(*shape)
