@@ -2,7 +2,8 @@
 
 Supports the IDX binary container (the MNIST distribution format: big-endian
 magic and dimension words followed by raw unsigned bytes) and synthetic
-Gaussian class clusters for desk-scale runs. Partitioning mirrors a
+Gaussian class clusters, drawn by float32 Box-Muller (``_normals``), for
+desk-scale runs and the paper-size stand-in. Partitioning mirrors a
 realistic edge deployment: every device samples its local set independently
 from the training pool, so devices overlap and some samples go unused. The
 partition is a matrix of pool indices, one row per device, not copies of
@@ -177,19 +178,64 @@ class SyntheticSpec:
             raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
+# Values in one block of a synthetic draw: a block is max(1, _BLOCK_VALUES // F)
+# rows. A constant of the stream, like verify's chunk, not rng's gate, so the
+# gate and the thread count move no byte. Each block costs a dozen ufunc
+# calls, between which the two threads wait on the interpreter lock: on a
+# 2-vCPU Xeon a paper-size draw took 75 ms in blocks of 8k values, 33 ms in 32k.
+_BLOCK_VALUES = 1 << 15
+
+
+def _normals(gen: np.random.Generator, out: np.ndarray, offset=None) -> np.ndarray:
+    """Fill the C-contiguous float32 (rows, F) ``out`` with standard normals from ``gen``.
+
+    Rows come in blocks of max(1, ``_BLOCK_VALUES`` // F), each drawn by
+    float32 Box-Muller (Box & Muller, 1958), whose log, sqrt, sin and cos
+    run in numpy's SIMD loops. A block of n values takes 2m = 2 * ceil(n / 2)
+    float32 uniforms u, in one call: value j < m is
+    sqrt(-2 ln(1 - u_j)) * cos(2 pi u_{m+j}) and value m + j the same radius
+    times the sine; an odd block drops its last sine. Every |value| is at
+    most sqrt(-2 ln 2**-24), about 5.77. Given the float64 (F,) ``offset``,
+    each block is its normals plus the offset, rounded once to float32 (a
+    value beyond float32's range is stored as inf).
+    """
+    step = max(1, _BLOCK_VALUES // out.shape[1])
+    for row in range(0, len(out), step):
+        block = out[row:row + step]
+        values = block.reshape(-1)  # a view: ``out`` is C-contiguous
+        m = -(-values.size // 2)
+        radius, angle = np.split(gen.random(2 * m, dtype=np.float32), 2)
+        np.subtract(1, radius, out=radius)
+        np.log(radius, out=radius)
+        radius *= -2
+        np.sqrt(radius, out=radius)
+        angle *= np.float32(2 * np.pi)
+        cosines, sines = values[:m], values[m:]
+        np.cos(angle, out=cosines)
+        cosines *= radius
+        np.sin(angle[:len(sines)], out=sines)
+        sines *= radius[:len(sines)]
+        if offset is not None:
+            with np.errstate(over="ignore"):
+                np.add(block, offset, out=block, casting="same_kind")
+    return out
+
+
 def _class_means(spec: SyntheticSpec) -> np.ndarray:
     """The (C, F) cluster means: orthogonal directions of norm ``margin``, or a line.
 
-    The directions are the DATASET stream's (C, F) normals made orthonormal
-    by modified Gram-Schmidt in ufunc sums, with no BLAS or LAPACK call, so
-    their bytes do not depend on the BLAS kernel that runs.
+    The directions are the DATASET stream's (C, F) normals (``_normals``)
+    made orthonormal in float64 by modified Gram-Schmidt in ufunc sums, with
+    no BLAS or LAPACK call, so their bytes do not depend on the BLAS kernel
+    that runs.
     """
     C, F = spec.classes, spec.features
     if C > F:
         means = np.zeros((C, F))
         means[:, 0] = spec.margin * np.arange(C)
         return means
-    raw = rng.generator(rng.substream(spec.seed, rng.DATASET)).standard_normal((C, F))
+    gen = rng.generator(rng.substream(spec.seed, rng.DATASET))
+    raw = _normals(gen, np.empty((C, F), np.float32)).astype(np.float64)
     for i, row in enumerate(raw):
         row /= np.sqrt((row * row).sum())
         rest = raw[i + 1:]  # each later row loses its projection on this one
@@ -201,13 +247,13 @@ def make_synthetic(spec: SyntheticSpec):
     """Generate disjoint (train, test) draws of Gaussian class clusters.
 
     Rows come in class order, with labels ``np.repeat(np.arange(C), n)``.
-    Class c draws its train rows, then its test rows, from the DATASET
-    stream keyed c + 1 (``rng``'s docstring), so no byte depends on the
-    thread that draws it. ``rng.side_worker`` is opened with the bytes of
-    the float64 draw; given its thread, the first C // 2 classes are drawn
-    there while the caller draws the rest. Rows are drawn and offset in
-    float64, a few dozen at a time in a buffer that stays in cache, and
-    stored as float32: the one-call float64 draw, cast.
+    Class c draws its train rows, then its test rows, by ``_normals`` from
+    the DATASET stream keyed c + 1 (``rng``'s docstring), each row its
+    float32 normals plus the float64 class mean, rounded once to float32. No
+    byte depends on the thread that draws it. ``rng.side_worker`` is opened
+    with the bytes the draw writes, a float32 uniform and a float32 value
+    for each value; given its thread, the first C // 2 classes are drawn
+    there while the caller draws the rest.
     """
     C, F = spec.classes, spec.features
     means = _class_means(spec)
@@ -215,15 +261,10 @@ def make_synthetic(spec: SyntheticSpec):
                    for n in (spec.train_per_class, spec.test_per_class))
 
     def draw(classes):
-        buf = np.empty((32, F))
-        with np.errstate(over="ignore"):  # a row beyond float32's range is stored as inf
-            for c in classes:
-                gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
-                for split in splits:
-                    for row in range(0, split.shape[1], len(buf)):
-                        rows = split[c, row:row + len(buf)]
-                        normals = gen.standard_normal(out=buf[:len(rows)])
-                        np.add(normals, means[c], out=rows, casting="same_kind")
+        for c in classes:
+            gen = rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
+            for split in splits:
+                _normals(gen, split[c], means[c])
 
     with rng.side_worker(8 * sum(split.size for split in splits)) as start:
         first = start(draw, range(C // 2))

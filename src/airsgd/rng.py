@@ -17,9 +17,12 @@ draw is made once per iteration for the whole group. ``data.make_synthetic``
 draws the cluster means' normals from (dataset_seed, DATASET), and class
 c's train rows, then its test rows, from (dataset_seed, DATASET, c + 1);
 key c would give class 0 the means' stream, by the trailing-zero rule
-below. One stream carries no tag: ``data.partition`` draws the devices'
-local sets, device by device, from ``generator(master_seed)``, the SFC64
-stream seeded by the master seed alone.
+below. These are float32 Box-Muller normals (``data._normals``), drawn in
+blocks of a fixed row count, not of the gate's, so the gate moves none of
+their bytes; every other normal the program draws is numpy's own. One
+stream carries no tag: ``data.partition`` draws the devices' local sets,
+device by device, from ``generator(master_seed)``, the SFC64 stream seeded
+by the master seed alone.
 
 The key (seed, tag, *indices) is handed to ``SeedSequence`` as its entropy,
 and that encoding is not one-to-one, so two rules keep keys apart:
@@ -43,11 +46,12 @@ are combined in a fixed order.
 once, on entry, whether a block gets it: only with a second CPU and
 ``nbytes`` at least ``_OFFLOAD_BYTES``. Each caller's docstring says what it
 hands the thread; the bytes it passes are one iteration's gradients for
-``experiment.run_cells``, the float64 draw for ``data.make_synthetic`` and a
-suite's channel gains for ``verify``. ``one_blas_thread`` pins numpy's
-OpenBLAS to one thread for the length of a run: its products then round the
-same whatever the CPU count, and the side worker's half of the backward does
-not compete with BLAS threads for the cores. ``map_groups`` pins it from
+``experiment.run_cells``, the bytes the draw writes for
+``data.make_synthetic`` and a suite's channel gains for ``verify``.
+``one_blas_thread`` pins numpy's OpenBLAS to one thread for the length of a
+run: its products then round the same whatever the CPU count, and the side
+worker's half of the backward does not compete with BLAS threads for the
+cores. ``map_groups`` pins it from
 before its first fork, or each worker would pay for OpenBLAS's thread pool
 in its first group. ``map_groups`` runs a sweep's ensemble groups on worker
 processes beside the caller, which runs a fixed first share of them; each
@@ -59,11 +63,12 @@ Linux however the caller ends.
 
 One rule, the gate of 512 KiB (``_OFFLOAD_BYTES``), places every thread the
 program starts and a sweep's second CPU, and ``block_length`` sizes every
-draw block and backward chunk by it: as many items as fit in the gate's
-bytes, at least one. A run's ``channel.sample_combined`` call draws that
-many iterations' coefficients and noise: one whenever the side worker is on,
-since an iteration's coefficients outweigh its gradients; four for a
-desk-size group of four cells; the whole run for the minimal template. Each
+channel and verify draw block and backward chunk by it: as many items as
+fit in the gate's bytes, at least one. A run's ``channel.sample_combined``
+call draws that many iterations' coefficients and noise: one whenever the
+side worker is on, since an iteration's coefficients outweigh its
+gradients; four for a desk-size group of four cells; the whole run for the
+minimal template. Each
 half of a full-batch backward gathers that many devices' float32 rows a
 call: one at paper size (3.1 MB a device), and the whole half, once a run,
 at desk size. A ``verify`` chunk is drawn and reduced that many channel

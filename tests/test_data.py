@@ -1,10 +1,11 @@
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from airsgd import rng
+from airsgd import data, rng
 from airsgd.data import (
     DataError,
     _class_means,
@@ -19,6 +20,7 @@ from airsgd.data import (
 )
 from airsgd.learner import OptimizerSpec, apply_update, evaluate_accuracy, gradients
 from airsgd.learner import init_optimizer_state, init_params, log_probabilities
+from airsgd.statcheck import check_mean_zero, check_variance
 from blas_kernels import BLAS_KERNELS, run_on_kernel
 import pins
 
@@ -197,17 +199,38 @@ def test_synthetic_rejects_bad_spec():
                       test_per_class=5, margin=1.0, seed=0)
 
 
+def box_muller_rows(gen, rows, features):
+    """``rows`` float32 (rows, features) normals from ``gen`` by the documented draw.
+
+    Blocks of max(1, 32768 // features) rows; a block of n values takes
+    2m = 2 * ceil(n / 2) float32 uniforms u in one call, and value j < m is
+    sqrt(-2 ln(1 - u_j)) cos(2 pi u_{m+j}), value m + j the same radius
+    times the sine, an odd block's last sine dropped.
+    """
+    blocks = []
+    step = max(1, 32768 // features)
+    for row in range(0, rows, step):
+        n = min(step, rows - row) * features
+        m = -(-n // 2)
+        u = gen.random(2 * m, dtype=np.float32)
+        radius = np.sqrt(-2 * np.log(1 - u[:m]))
+        angle = np.float32(2 * np.pi) * u[m:]
+        values = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+        blocks.append(values.reshape(-1, features))
+    return np.concatenate(blocks)
+
+
 def synthetic_reference(spec):
     """The (float64 features, labels) of both splits, drawn from the documented keys.
 
-    Class c's train rows, then its test rows, are one call each from
-    (seed, DATASET, c + 1), offset by ``_class_means``; rows come in class
-    order. ``make_synthetic``'s features are these, cast to float32.
+    Class c's train rows, then its test rows, are ``box_muller_rows`` from
+    (seed, DATASET, c + 1), plus ``_class_means`` in float64; rows come in
+    class order. ``make_synthetic``'s features are these, cast to float32.
     """
     means = _class_means(spec)
     gens = [rng.generator(rng.substream(spec.seed, rng.DATASET, c + 1))
             for c in range(spec.classes)]
-    return [(np.concatenate([gen.standard_normal((n, spec.features)) + mean
+    return [(np.concatenate([box_muller_rows(gen, n, spec.features) + mean
                              for gen, mean in zip(gens, means)]),
              np.repeat(np.arange(spec.classes), n))
             for n in (spec.train_per_class, spec.test_per_class)]
@@ -249,20 +272,51 @@ def test_synthetic_bytes_pinned_on_every_blas_kernel(kernel):
                           "    test_data.test_synthetic_bytes_pinned(fields)")
 
 
+def test_synthetic_bytes_pinned_on_x86_v3_loops():
+    # numpy's float32 log, sqrt, sin and cos, which the draw runs, give the
+    # same bytes on the X86_V3 loops of an AVX2 host as on X86_V4's
+    run_on_kernel("Haswell", "import pins, test_data\n"
+                             "for fields in sorted(pins.PINS['synthetic']):\n"
+                             "    test_data.test_synthetic_bytes_pinned(fields)", "X86_V3")
+
+
 def test_synthetic_rows_come_in_class_order_from_per_class_keys():
-    spec = SyntheticSpec(classes=3, features=5, train_per_class=7, test_per_class=4,
+    # 1001 features: blocks of 32 rows, so each train split is a block of 32
+    # rows and an odd one of 3, and each test split one block of 4
+    spec = SyntheticSpec(classes=3, features=1001, train_per_class=35, test_per_class=4,
                          margin=2.0, seed=11)
     train, test = make_synthetic(spec)
     means = _class_means(spec)
-    assert np.array_equal(train.labels, np.repeat(np.arange(3), 7))
+    assert np.array_equal(train.labels, np.repeat(np.arange(3), 35))
     assert np.array_equal(test.labels, np.repeat(np.arange(3), 4))
-    by_class = train.features.reshape(3, 7, 5), test.features.reshape(3, 4, 5)
+    by_class = train.features.reshape(3, 35, 1001), test.features.reshape(3, 4, 1001)
     for c in range(3):
         # class c's own key: its train rows, then its test rows continue the stream
         gen = rng.generator(rng.substream(11, rng.DATASET, c + 1))
         for rows in by_class:
-            expected = (gen.standard_normal(rows[c].shape) + means[c]).astype(np.float32)
+            expected = (box_muller_rows(gen, len(rows[c]), 1001) + means[c]).astype(np.float32)
             assert np.array_equal(rows[c], expected)
+
+
+def test_the_box_muller_sampler_draws_standard_normals():
+    # 32 blocks of 41 rows of 784 values: each block's value j and value
+    # m + j share a radius, so they must be uncorrelated, as values and as
+    # squares
+    rows, features, blocks = 41 * 32, 784, 32
+    z = data._normals(rng.generator(2024), np.empty((rows, features), np.float32))
+    z = z.astype(np.float64).reshape(-1)
+    assert z.size >= 10**6
+    assert check_mean_zero("box-muller mean", z).passed
+    assert check_variance("box-muller variance", z, 1.0).passed
+    assert np.abs(z).max() <= np.sqrt(-2 * np.log(2.0**-24))
+    ordered = np.sort(z)
+    cdf = 0.5 * (1 + np.array([math.erf(x / math.sqrt(2)) for x in ordered.tolist()]))
+    ranks = np.arange(1, z.size + 1) / z.size
+    distance = max((ranks - cdf).max(), (cdf - ranks + 1 / z.size).max())
+    assert distance < 1.628 / math.sqrt(z.size)  # the KS test's 1% critical value
+    cosines, sines = np.split(z.reshape(blocks, -1), 2, axis=1)
+    assert check_mean_zero("pair products", cosines * sines).passed
+    assert check_mean_zero("pair square products", (cosines**2 - 1) * (sines**2 - 1)).passed
 
 
 def test_a_paper_size_synthetic_draw_holds_no_float64_pool(monkeypatch):

@@ -28,7 +28,7 @@ from airsgd.experiment import (
     run_matrix,
     write_metrics,
 )
-from blas_kernels import BLAS_KERNELS, run_on_kernel
+from blas_kernels import BLAS_KERNELS, SIMD_TARGETS, run_on_kernel
 from group_log import assert_no_child_alive, record_groups, recorded_groups
 import pins
 from test_data import synthetic_reference
@@ -185,7 +185,9 @@ def test_batch_metrics_file_matches_golden_digest_on_the_worker(tmp_path, monkey
 
 def test_every_family_row_holds_its_key_and_the_three_run_digests():
     for family, row in pins.PINS["runs"].items():
-        assert family in BLAS_KERNELS, family  # so a kernel test checks the row
+        kernel, *target = family.split()
+        # so a kernel test checks the row
+        assert kernel in BLAS_KERNELS and target in ([], ["X86_V3"]), family
         assert sorted(row) == ["batch", "error_free", "fingerprint", "ota"], family
 
 
@@ -1305,21 +1307,29 @@ def kernel_checks() -> dict:
 
 
 @functools.cache
-def _kernel_checks_on(kernel):
-    # the two kernel tests share one child process a kernel, which saves an
-    # interpreter start-up each
+def _kernel_checks_on(kernel, target):
+    # the two kernel tests share one child process a kernel and target, which
+    # saves an interpreter start-up each
     return json.loads(run_on_kernel(kernel, "import json, test_experiment\n"
-                                            "print(json.dumps(test_experiment.kernel_checks()))"))
+                                            "print(json.dumps(test_experiment.kernel_checks()))",
+                                    target))
 
 
-@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
-def test_the_backward_halves_give_the_bytes_of_one_call_on_every_blas_kernel(kernel):
-    assert _kernel_checks_on(kernel)["backward"] == ""
+# each kernel on numpy's X86_V4 loops, under the ids these tests had before
+# they ran on X86_V3 loops too
+KERNEL_TARGETS = [pytest.param(kernel, target,
+                               id=kernel if target == "X86_V4" else f"{kernel}-{target}")
+                  for target in SIMD_TARGETS for kernel in sorted(BLAS_KERNELS)]
 
 
-@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
-def test_the_golden_runs_match_their_kernel_familys_digests_on_every_blas_kernel(kernel):
-    assert _kernel_checks_on(kernel)["runs"] == ""
+@pytest.mark.parametrize("kernel, target", KERNEL_TARGETS)
+def test_the_backward_halves_give_the_bytes_of_one_call_on_every_blas_kernel(kernel, target):
+    assert _kernel_checks_on(kernel, target)["backward"] == ""
+
+
+@pytest.mark.parametrize("kernel, target", KERNEL_TARGETS)
+def test_the_golden_runs_match_their_kernel_familys_digests_on_every_blas_kernel(kernel, target):
+    assert _kernel_checks_on(kernel, target)["runs"] == ""
 
 
 def test_one_blas_thread_pins_openblas_until_the_last_block_leaves():
