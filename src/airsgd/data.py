@@ -3,11 +3,13 @@
 Supports the IDX binary container (the MNIST distribution format: big-endian
 magic and dimension words followed by raw unsigned bytes) and synthetic
 Gaussian class clusters, drawn by float32 Box-Muller (``_normals``), for
-desk-scale runs and the paper-size stand-in. Partitioning mirrors a
-realistic edge deployment: every device samples its local set independently
-from the training pool, so devices overlap and some samples go unused. The
-partition is a matrix of pool indices, one row per device, not copies of
-the rows.
+desk-scale runs and the paper-size stand-in. The draw's blocks are part of
+the stream's contract: they fix which uniforms each value takes. How many
+blocks one pass of ufunc calls runs is execution only and moves no byte.
+Partitioning mirrors a realistic edge deployment: every device samples its
+local set independently from the training pool, so devices overlap and some
+samples go unused. The partition is a matrix of pool indices, one row per
+device, not copies of the rows.
 """
 
 import os
@@ -179,10 +181,13 @@ class SyntheticSpec:
 
 
 # Values in one block of a synthetic draw: a block is max(1, _BLOCK_VALUES // F)
-# rows. A constant of the stream, like verify's chunk, not rng's gate, so the
-# gate and the thread count move no byte. Each block costs a dozen ufunc
-# calls, between which the two threads wait on the interpreter lock: on a
-# 2-vCPU Xeon a paper-size draw took 75 ms in blocks of 8k values, 33 ms in 32k.
+# rows. The block is the stream's contract, like verify's chunk, and fixes
+# which uniforms each value takes, so the gate and the thread count move no
+# byte. A pass, the blocks one set of ufunc calls runs, is execution only:
+# as many blocks as keep its cosine scratch within rng's gate, 8 at paper
+# size. The two threads wait on the interpreter lock between calls: on a
+# 2-vCPU Xeon a paper-size draw took 21 ms in passes of one block and 15 ms
+# in passes of 8.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -191,34 +196,53 @@ def _normals(gen: np.random.Generator, out: np.ndarray, offset=None) -> np.ndarr
 
     Rows come in blocks of max(1, ``_BLOCK_VALUES`` // F), each drawn by
     float32 Box-Muller (Box & Muller, 1958), whose log, sqrt, sin and cos
-    run in numpy's SIMD loops. A block of n values takes 2m = 2 * ceil(n / 2)
-    float32 uniforms u, in one call: value j < m is
-    sqrt(-2 ln(1 - u_j)) * cos(2 pi u_{m+j}) and value m + j the same radius
-    times the sine; an odd block drops its last sine. Every |value| is at
-    most sqrt(-2 ln 2**-24), about 5.77. Given the float64 (F,) ``offset``,
-    each block is its normals plus the offset, rounded once to float32 (a
-    value beyond float32's range is stored as inf).
+    run in numpy's SIMD loops. A block of n values takes the next
+    2m = 2 * ceil(n / 2) float32 uniforms u of ``gen`` (``_uniforms``):
+    value j < m is sqrt(-2 ln(1 - u_j)) * cos(2 pi u_{m+j}) and value m + j
+    the same radius times the sine; an odd block drops its last sine. Every
+    |value| is at most sqrt(-2 ln 2**-24), about 5.77. Given the float64
+    (F,) ``offset``, each row is its normals plus the offset, rounded once to
+    float32 (a value beyond float32's range is stored as inf).
+
+    Each ufunc call runs a pass of k full blocks, the rows of a (k, n) view,
+    k = ``rng.block_length`` of a block's m float32 cosines, the pass's
+    scratch; the last partial block is a pass of its own. A pass's uniforms
+    land in its own rows, or where n is odd in an array of their own.
     """
     step = max(1, _BLOCK_VALUES // out.shape[1])
-    for row in range(0, len(out), step):
-        block = out[row:row + step]
-        values = block.reshape(-1)  # a view: ``out`` is C-contiguous
-        m = -(-values.size // 2)
-        radius, angle = np.split(gen.random(2 * m, dtype=np.float32), 2)
-        np.subtract(1, radius, out=radius)
-        np.log(radius, out=radius)
-        radius *= -2
-        np.sqrt(radius, out=radius)
+    full = len(out) - len(out) % step  # the rows of full blocks
+    cuts = [*range(0, full, step * rng.block_length(4 * -(-out[:step].size // 2))), full, len(out)]
+    for rows in (out[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi):
+        values = rows.reshape(len(rows) // step or 1, -1)  # a block a row
+        (k, n), m = values.shape, -(-values.shape[1] // 2)
+        u = _uniforms(gen, values if n == 2 * m else np.empty((k, 2 * m), np.float32))
+        radius, angle = u[:, :m], u[:, m:]
+        np.log(np.subtract(1, radius, out=radius), out=radius)
+        np.sqrt(np.multiply(radius, -2, out=radius), out=radius)
         angle *= np.float32(2 * np.pi)
-        cosines, sines = values[:m], values[m:]
-        np.cos(angle, out=cosines)
-        cosines *= radius
-        np.sin(angle[:len(sines)], out=sines)
-        sines *= radius[:len(sines)]
+        cosines = np.cos(angle)
+        sines = np.sin(angle[:, :n - m], out=values[:, m:])
+        sines *= radius[:, :n - m]
+        np.multiply(cosines, radius, out=values[:, :m])
         if offset is not None:
             with np.errstate(over="ignore"):
-                np.add(block, offset, out=block, casting="same_kind")
+                np.add(rows, offset, out=rows, casting="same_kind")
     return out
+
+
+def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float32 ``out`` with ``gen.random(out.size, dtype=np.float32)``, ``out.size`` even.
+
+    The values, and the stream position they leave, are that call's, given a
+    generator that holds no half word (``has_uint32`` 0), as ``_normals``
+    leaves its own: ``gen``'s raw 64-bit words cut in 32-bit halves, low
+    then high, each shifted right by 8 and scaled by 2**-24, the words and
+    the arithmetic numpy uses. Three vectorized calls fill them, where
+    ``gen.random`` calls the bit generator once a half word.
+    """
+    words = gen.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False).view("<u4")
+    words >>= 8
+    return np.multiply(words.reshape(out.shape), np.float32(2**-24), out=out, dtype=np.float32)
 
 
 def _class_means(spec: SyntheticSpec) -> np.ndarray:
@@ -251,9 +275,9 @@ def make_synthetic(spec: SyntheticSpec):
     the DATASET stream keyed c + 1 (``rng``'s docstring), each row its
     float32 normals plus the float64 class mean, rounded once to float32. No
     byte depends on the thread that draws it. ``rng.side_worker`` is opened
-    with the bytes the draw writes, a float32 uniform and a float32 value
-    for each value; given its thread, the first C // 2 classes are drawn
-    there while the caller draws the rest.
+    with the bytes the draw writes, a 32-bit uniform word and a float32
+    value for each value; given its thread, the first C // 2 classes are
+    drawn there while the caller draws the rest.
     """
     C, F = spec.classes, spec.features
     means = _class_means(spec)

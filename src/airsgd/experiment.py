@@ -22,19 +22,21 @@ on a leading cell axis: data, partition, batches and each iteration's CHANNEL
 and NOISE draws are made once per group, and every (cell, device) product keeps
 its solo shape, so each cell's metrics are the bytes of its own run.
 
-The learner gets the held rows gathered from ``data``'s float32 pool, with no
+The learner gets the held rows in ``data``'s float32 pool itself, compacted
+in place into its first rows (``_compact``), with no copy of the pool and no
 cast in the run, and a full-batch backward gathers its devices' rows from them
 ``rng.block_length`` devices a call, holding no (M, n, F) stack; ``learner``'s
 docstring says which of its values are float32. The channel side is float64.
 
 A run opens ``rng.side_worker`` with the bytes of one iteration's (R, M, d)
-float64 gradients and, given its thread, hands it the channel draws, half of
-each row copy and the first device half of a full-batch backward, with the
-gathers of those devices' rows and residual rows. It draws its channel
-``rng.block_length`` iterations a call, an iteration's coefficients and noise
-being one item, with one block in flight at a time. ``run_matrix`` hands
-``rng.map_groups`` its groups and the largest group's gradient bytes. ``rng``'s
-docstring says where each of these runs and why no output byte depends on it.
+float64 gradients and, given its thread, hands it the channel draws and the
+first device half of a full-batch backward, with the gathers of those
+devices' rows and residual rows; the compaction runs in the caller's
+thread. It draws its channel ``rng.block_length`` iterations a call, an
+iteration's coefficients and noise being one item, with one block in flight
+at a time. ``run_matrix`` hands ``rng.map_groups`` its groups and the
+largest group's gradient bytes. ``rng``'s docstring says where each of these
+runs and why no output byte depends on it.
 Every (cell, device) backward product keeps its shape in any chunk of either
 half, and the forward over the held rows is one call, since float32 products
 cut in row parts move last bits on OpenBLAS's AVX2 kernels; BLAS runs on one
@@ -265,9 +267,9 @@ def run_cells(configs, gradient_fn=None) -> list:
         # set as positions in held
         held, rows = np.unique(index, return_inverse=True)
         rows = rows.reshape(index.shape)
-        held_X, held_y = _gather(start, train.features, held), train.labels[held]
+        held_X, held_y = _compact(train.features, held), train.labels[held]
         test_X, test_y = test.features, test.labels
-        del train, test  # keep the held rows and the test arrays, not the pool
+        del train, test  # keep the held rows, now the pool's first rows, and the test arrays
         # Float32 features (the channel's error dwarfs their rounding); a value
         # beyond float32's range is inf in the dataset and aborts the run here.
         if not (np.isfinite(held_X).all() and np.isfinite(test_X).all()):
@@ -366,7 +368,8 @@ def _device_gradients(held_X, residual, rows, X, out) -> list:
     A chunk gathers its devices' rows into X, unless X holds them all, and
     their residual rows into ``out``, one (R, C) block a row, contiguous as
     the residual holds its held row outermost in memory. The indices come
-    from ``np.unique``, so they lie in range (see :func:`_gather` on "clip").
+    from ``np.unique``, so they lie in range, and mode "clip" spares
+    ``np.take`` the buffered copy it makes under "raise".
     """
     parts = []
     for chunk in np.split(rows, range(len(X), len(rows), len(X))):
@@ -378,22 +381,21 @@ def _device_gradients(held_X, residual, rows, X, out) -> list:
     return parts
 
 
-def _gather(start, src, index) -> np.ndarray:
-    """``src[index]``: the rows of 2-d ``src`` that an integer array names.
+def _compact(src, index) -> np.ndarray:
+    """``src[index]``, moved into the first len(index) rows of the 2-d ``src`` itself.
 
-    The copy is made in two halves, the first started through
-    ``rng.side_worker``'s ``start`` (on its thread, given one), the second
-    in this thread. The indices come from ``np.unique`` and
-    ``data.partition``, so they lie in range, and mode "clip" spares
-    ``np.take`` the buffered copy it makes under "raise".
+    ``index`` is sorted and distinct (``np.unique``'s), so row i comes from
+    row index[i] >= i: each run of consecutive indices moves forward by one
+    slice assignment, in order, and no run overwrites a row a later one
+    reads. The runs move on a flat view, which numpy copies in place where
+    a 2-d assignment would first copy an overlapping source; a run that
+    stays where it is costs nothing.
     """
-    out = np.empty(index.shape + src.shape[1:], dtype=src.dtype)
-    flat_index, flat_out = index.reshape(-1), out.reshape(-1, *src.shape[1:])
-    half = flat_index.size // 2
-    first = start(np.take, src, flat_index[:half], 0, flat_out[:half], "clip")
-    np.take(src, flat_index[half:], axis=0, out=flat_out[half:], mode="clip")
-    first()
-    return out
+    F, flat = src.shape[1], src.reshape(-1)
+    cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
+    for lo, hi, row in zip(cuts, cuts[1:], index[cuts[:-1]].tolist()):
+        flat[lo * F:hi * F] = flat[row * F:(row + hi - lo) * F]
+    return flat[:len(index) * F].reshape(-1, F)
 
 
 def _format_cell(value) -> str:

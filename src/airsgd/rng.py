@@ -19,10 +19,11 @@ c's train rows, then its test rows, from (dataset_seed, DATASET, c + 1);
 key c would give class 0 the means' stream, by the trailing-zero rule
 below. These are float32 Box-Muller normals (``data._normals``), drawn in
 blocks of a fixed row count, not of the gate's, so the gate moves none of
-their bytes; every other normal the program draws is numpy's own. One
-stream carries no tag: ``data.partition`` draws the devices' local sets,
-device by device, from ``generator(master_seed)``, the SFC64 stream seeded
-by the master seed alone.
+their bytes: it sets only how many blocks share a pass of ufunc calls.
+Every other normal the program draws is numpy's own. One stream carries no
+tag: ``data.partition`` draws the devices' local sets, device by device,
+from ``generator(master_seed)``, the SFC64 stream seeded by the master seed
+alone.
 
 The key (seed, tag, *indices) is handed to ``SeedSequence`` as its entropy,
 and that encoding is not one-to-one, so two rules keep keys apart:
@@ -39,9 +40,9 @@ and that encoding is not one-to-one, so two rules keep keys apart:
 
 The package's threads and worker processes live here too, since these
 keys are why no output byte depends on the thread or process that does the
-work: a draw's bytes are fixed by its substream key, a row copy is a copy,
-a device's backward product has the same shape in any thread, and results
-are combined in a fixed order.
+work: a draw's bytes are fixed by its substream key and its blocks, a
+gathered row is a copy of the row, a device's backward product has the
+same shape in any thread, and results are combined in a fixed order.
 ``side_worker(nbytes)`` is one thread beside the caller's, and it decides
 once, on entry, whether a block gets it: only with a second CPU and
 ``nbytes`` at least ``_OFFLOAD_BYTES``. Each caller's docstring says what it
@@ -63,22 +64,24 @@ Linux however the caller ends.
 
 One rule, the gate of 512 KiB (``_OFFLOAD_BYTES``), places every thread the
 program starts and a sweep's second CPU, and ``block_length`` sizes every
-channel and verify draw block and backward chunk by it: as many items as
-fit in the gate's bytes, at least one. A run's ``channel.sample_combined``
-call draws that many iterations' coefficients and noise: one whenever the
-side worker is on, since an iteration's coefficients outweigh its
-gradients; four for a desk-size group of four cells; the whole run for the
-minimal template. Each
-half of a full-batch backward gathers that many devices' float32 rows a
-call: one at paper size (3.1 MB a device), and the whole half, once a run,
-at desk size. A ``verify`` chunk is drawn and reduced that many channel
-matrices at a time. A sweep's gate reads the gradient bytes of one iteration
-of its largest group: groups at or above it run one after another, each with
-the side worker; groups below it run side by side on ``map_groups``'
-processes, each in one thread. A sweep uses its second CPU inside a group or
-across groups, never both. The one exception is a group whose synthetic draw
-passes the gate while its gradients do not (a paper-size dataset on a few
-devices): its process draws the classes on two threads.
+channel and verify draw block, backward chunk and synthetic draw pass by
+it: as many items as fit in the gate's bytes, at least one. A run's
+``channel.sample_combined`` call draws that many iterations' coefficients
+and noise: one whenever the side worker is on, since an iteration's
+coefficients outweigh its gradients; four for a desk-size group of four
+cells; the whole run for the minimal template. Each half of a full-batch
+backward gathers that many devices' float32 rows a call: one at paper size
+(3.1 MB a device), and the whole half, once a run, at desk size. A
+``data._normals`` pass runs that many blocks, a block's float32 cosines
+being one item: 8 at paper size. A ``verify`` chunk is drawn and reduced
+that many channel matrices at a time. A sweep's gate reads the gradient
+bytes of one iteration of its largest group: groups at or above it run one
+after another, each with the side worker; groups below it run side by side
+on ``map_groups``' processes, each in one thread. A sweep uses its second
+CPU inside a group or across groups, never both. The one exception is a
+group whose synthetic draw passes the gate while its gradients do not (a
+paper-size dataset on a few devices): its process draws the classes on two
+threads.
 """
 
 import contextlib

@@ -280,6 +280,69 @@ def test_synthetic_bytes_pinned_on_x86_v3_loops():
                              "    test_data.test_synthetic_bytes_pinned(fields)", "X86_V3")
 
 
+# (F, rows) of the pass check: 100 and 600 rows of 784 are 2 and 14 full
+# blocks of 41 rows plus a partial one, a block of 5 rows of 6553 holds an
+# odd 32,765 values, a row of 40,000 is a block, and one row is a partial
+# block alone
+PASS_SHAPES = [(784, 100), (784, 600), (6553, 13), (40000, 3), (784, 1)]
+
+
+def check_pass_lengths():
+    """``_normals`` gives ``box_muller_rows``' bytes in passes of 1, 2 and 3 blocks, and in one pass.
+
+    Each shape is drawn with and without an offset. rng's gate sets the
+    pass length, and the passes ``_uniforms`` is handed are checked too, so
+    each draw runs the passes it names. Run in a child process on X86_V3
+    loops as well.
+    """
+    gate, uniforms = rng._OFFLOAD_BYTES, data._uniforms
+    try:
+        for F, rows in PASS_SHAPES:
+            step = max(1, 32768 // F)
+            blocks, m = rows // step, -(-step * F // 2)
+            reference = box_muller_rows(rng.generator((F, rows)), rows, F)
+            for k in sorted({1, 2, 3, max(1, blocks)}):
+                rng._OFFLOAD_BYTES = 4 * m * k  # the gate of k blocks' cosines
+                expected_passes = [k] * (blocks // k) + [blocks % k] * (blocks % k > 0)
+                expected_passes += [1] * (rows % step > 0)  # the partial block
+                for offset in (None, np.linspace(-3.0, 3.0, F)):
+                    passes = []
+                    data._uniforms = lambda gen, out: passes.append(len(out)) or uniforms(gen, out)
+                    out = data._normals(rng.generator((F, rows)), np.empty((rows, F), np.float32),
+                                        offset)
+                    expected = reference if offset is None else (reference + offset).astype(np.float32)
+                    assert out.tobytes() == expected.tobytes(), (F, rows, k, offset is None)
+                    assert passes == expected_passes, (F, rows, k)
+    finally:
+        rng._OFFLOAD_BYTES, data._uniforms = gate, uniforms
+
+
+def test_the_pass_length_moves_no_byte():
+    check_pass_lengths()
+
+
+def test_the_pass_length_moves_no_byte_on_x86_v3_loops():
+    run_on_kernel("Haswell", "import test_data\ntest_data.check_pass_lengths()", "X86_V3")
+
+
+@pytest.mark.parametrize("shape", [(2,), (6,), (3, 32144)])
+def test_the_raw_word_uniforms_are_numpys_float32_uniforms(shape):
+    # SFC64 hands out a 64-bit word's low half, then its high half, which
+    # is how gen.random(dtype=np.float32) consumes the words: the values and
+    # the state after them must be that call's, mid-stream too. numpy keeps
+    # the last high half it handed out in the state's "uinteger", which it
+    # reads only while "has_uint32" is 1, so that field is not compared.
+    gen, numpy_gen = rng.generator(7), rng.generator(7)
+    for g in (gen, numpy_gen):
+        g.standard_normal(5)
+    for _ in range(2):
+        out = data._uniforms(gen, np.empty(shape, np.float32))
+        assert out.tobytes() == numpy_gen.random(out.size, dtype=np.float32).tobytes()
+        state, numpy_state = gen.bit_generator.state, numpy_gen.bit_generator.state
+        assert state["has_uint32"] == numpy_state["has_uint32"] == 0
+        assert np.array_equal(state["state"]["state"], numpy_state["state"]["state"])
+
+
 def test_synthetic_rows_come_in_class_order_from_per_class_keys():
     # 1001 features: blocks of 32 rows, so each train split is a block of 32
     # rows and an odd one of 3, and each test split one block of 4
@@ -320,10 +383,11 @@ def test_the_box_muller_sampler_draws_standard_normals():
 
 
 def test_a_paper_size_synthetic_draw_holds_no_float64_pool(monkeypatch):
-    # the float64 rows pass through a few dozen rows of buffer per class, so
-    # the draw's peak is its float32 output, half the float64 pool, plus one
-    # buffer per thread; a whole class drawn in float64 on each of the two
-    # threads would take it to 0.67 of the pool
+    # the float32 Box-Muller draw writes each value once, into its float32
+    # output, half the float64 pool; each of the two threads adds only its
+    # pass scratch, a pass's raw words and its cosines (1.5 MB at this
+    # shape); a whole class drawn in float64 on each of the two threads
+    # would take the peak to 0.67 of the pool
     monkeypatch.setattr(rng, "_WORKERS", 2)
     spec = SyntheticSpec(classes=10, features=784, train_per_class=600, test_per_class=100,
                          margin=8.0, seed=3)

@@ -152,10 +152,11 @@ def _check_golden_run(tmp_path, run_pin):
 
 
 # A minimal run's gate figure is below the side worker's threshold; with these
-# settings the run opens the worker, which takes its channel draws, half of
-# each row copy and the first device half of each full-batch backward, each
-# half making one backward call a device, and its dataset's classes are
-# drawn on two threads.
+# settings the run opens the worker, which takes its channel draws and the
+# first device half of each full-batch backward, each half making one
+# backward call a device, and its dataset's classes are drawn on two
+# threads, one block a pass. The held rows are compacted in the caller's
+# thread either way.
 ON_THE_WORKER = {"_WORKERS": 2, "_OFFLOAD_BYTES": 0}
 
 
@@ -674,7 +675,9 @@ def test_only_a_paper_size_run_passes_the_side_workers_gate(monkeypatch):
                          for docs in ([_standin_doc()], desk_group, [template("minimal")])))
     assert runs == (1_256_000, 105_600, 4_224)
     assert runs[0] >= rng._OFFLOAD_BYTES > max(runs[1:])
-    assert builds == (43_904_000, 384_000, 153_600)  # the float64 draw: 8 * C * (train + test) * F
+    # the float32 Box-Muller draw's bytes, a 32-bit uniform and a float32
+    # value for each value, whatever its passes: 8 * C * (train + test) * F
+    assert builds == (43_904_000, 384_000, 153_600)
     assert builds[0] >= rng._OFFLOAD_BYTES > max(builds[1:])
 
 
@@ -1227,6 +1230,18 @@ def test_the_backward_halves_write_the_bytes_of_one_call(tmp_path, monkeypatch, 
         assert all(count > 0 for count, _ in calls)  # no call gets an empty half
         monkeypatch.undo()
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("index", [[2, 3, 4, 5, 6, 7], [0, 1, 4, 5, 7], [0, 1, 2], list(range(8)),
+                                   [5], [1, 3, 4, 6]],
+                         ids=["gap-at-start", "gaps-in-the-middle", "gap-at-end", "no-gap",
+                              "one-row", "gaps-everywhere"])
+def test_the_compaction_moves_the_held_rows_into_the_pool_in_place(index):
+    src = np.arange(8 * 5, dtype=np.float32).reshape(8, 5)
+    pool = src.copy()
+    held = experiment._compact(pool, np.array(index))
+    assert np.array_equal(held, src[index])
+    assert np.shares_memory(held, pool)
 
 
 # (M, n, F, C) shapes of a full-batch backward: 20 devices at paper width,
